@@ -2,8 +2,9 @@
 
 The library measures how dissimilar two patterns are by cloning the query
 pattern, offsetting one clone's extra probe parameter by a small delta, and
-searching for the probe weight at which iterative averaging regroups the
-unoffset clone with the target.  The resulting coefficient K is stable
+finding the probe weight at which iterative averaging regroups the unoffset
+clone with the target (in closed form; the paper's search stays as the
+oracle).  The resulting coefficient K is stable
 across delta, decomposes exactly over parameters, and underpins the
 pyramid-specific indices (MU, uniform-component share) and reporting tools.
 """

@@ -1,8 +1,9 @@
 """Command-line frontend: ingest -> compare/batch -> indexes -> report.
 
 All subcommands are deterministic for fixed inputs and flags; there is no
-randomness anywhere.  ``--parallel N`` only changes wall time, never the
-numbers.  Exit status is 0 when no row-level problem occurred (or with
+randomness anywhere.  ``--parallel N`` is accepted for compatibility and
+changes nothing: every command runs single-process, one closed-form array
+pass per query.  Exit status is 0 when no row-level problem occurred (or with
 ``--lenient``), 1 on data errors, 2 on usage errors.
 """
 
@@ -14,19 +15,13 @@ import io
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .dissimilarity import ComparisonResult, IncrementStore, ProbeConfig, compare
+import numpy as np
+
+from .dissimilarity import IncrementStore, ProbeConfig, _closed_form, compare
 from .errors import KdissError
-from .indexes import (
-    IndexRow,
-    build_index_rows,
-    index_row_for,
-    p_uniform,
-    read_index_csv,
-    write_index_csv,
-)
+from .indexes import build_index_rows, p_uniform, read_index_csv, write_index_csv
 from .pyramids import (
     FEMALE_COHORTS,
     MALE_COHORTS,
@@ -73,36 +68,22 @@ def _load_table(path: str, lenient: bool) -> PyramidTable:
     return ingest(_resolve_path(path), lenient=lenient)
 
 
-def _pick_query(args, table: PyramidTable) -> ObjectRecord:
-    """Query object from a table name or a model spec (uniform / exp:RATE)."""
-    if getattr(args, "model", None):
-        spec = args.model
-        if spec == "uniform":
-            return uniform_model()
-        if spec.startswith("exp:"):
-            return exponential_model(float(spec[4:]))
-        raise KdissError(f"bad model spec {spec!r}: use 'uniform' or 'exp:RATE'")
-    name = args.query
+def _record(table: PyramidTable, name: str) -> ObjectRecord:
     if name not in table:
         raise KdissError(f"name not found: {name!r}")
     return table.record(name)
 
 
-def _compare_job(payload: tuple[ObjectRecord, ObjectRecord, ProbeConfig]) -> ComparisonResult:
-    query, target, cfg = payload
-    return compare(query, target, cfg)
-
-
-def _map_compare(query, targets, cfg, parallel: int) -> list[ComparisonResult]:
-    if parallel <= 1 or len(targets) < 2:
-        return [compare(query, t, cfg) for t in targets]
-    with ProcessPoolExecutor(max_workers=parallel) as pool:
-        return list(pool.map(_compare_job, [(query, t, cfg) for t in targets], chunksize=8))
-
-
-def _index_job(payload) -> tuple[IndexRow, list[str]]:
-    target, query_a, query_b, cfg, rate, variant = payload
-    return index_row_for(target, query_a, query_b, cfg, rate, variant)
+def _pick_query(args, table: PyramidTable) -> np.ndarray:
+    """Query values from a table name or a model spec (uniform / exp:RATE)."""
+    if getattr(args, "model", None):
+        spec = args.model
+        if spec == "uniform":
+            return uniform_model().values()
+        if spec.startswith("exp:"):
+            return exponential_model(float(spec[4:])).values()
+        raise KdissError(f"bad model spec {spec!r}: use 'uniform' or 'exp:RATE'")
+    return _record(table, args.query).values()
 
 
 def cmd_ingest(args) -> int:
@@ -119,11 +100,8 @@ def cmd_ingest(args) -> int:
 
 def cmd_compare(args) -> int:
     table = _load_table(args.data, args.lenient)
-    cfg = ProbeConfig(delta=args.delta)
-    for name in (args.query, args.target):
-        if name not in table:
-            raise KdissError(f"name not found: {name!r}")
-    result = compare(table.record(args.query), table.record(args.target), cfg)
+    query = _record(table, args.query)
+    result = compare(query, _record(table, args.target), ProbeConfig(delta=args.delta))
     print(f"query   = {result.query}")
     print(f"target  = {result.target}")
     print(f"delta   = {result.delta:g}")
@@ -152,37 +130,22 @@ def cmd_compare(args) -> int:
 
 def cmd_batch(args) -> int:
     table = _load_table(args.data, args.lenient)
-    cfg = ProbeConfig(delta=args.delta)
-    query = _pick_query(args, table)
-    targets = [table.record(n) for n in table.names()]
-    results = _map_compare(query, targets, cfg, args.parallel)
+    closed = _closed_form(_pick_query(args, table), table.array(), args.delta)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["name", "d", "k", "k_cont"])
-    for res in results:
-        writer.writerow([res.target, res.d, f"{res.k:.6f}", f"{res.k_cont:.6f}"])
+    for name, d, k_cont in zip(table.names(), closed.d.tolist(), closed.k_cont.tolist()):
+        writer.writerow([name, int(d), f"{d * args.delta:.6f}", f"{k_cont:.6f}"])
     _write_out(buffer.getvalue(), args.out)
     return 0
 
 
 def cmd_mu(args) -> int:
     table = _load_table(args.data, args.lenient)
+    query_a = _record(table, args.query_a)
+    query_b = _record(table, args.query_b)
     cfg = ProbeConfig(delta=args.delta)
-    for name in (args.query_a, args.query_b):
-        if name not in table:
-            raise KdissError(f"name not found: {name!r}")
-    query_a = table.record(args.query_a)
-    query_b = table.record(args.query_b)
-    if args.parallel > 1:
-        payloads = [
-            (table.record(n), query_a, query_b, cfg, args.rate, args.variant) for n in table.names()
-        ]
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            outcomes = list(pool.map(_index_job, payloads, chunksize=4))
-        rows = [row for row, _ in outcomes]
-        problems = [m for _, ms in outcomes for m in ms]
-    else:
-        rows, problems = build_index_rows(table, query_a, query_b, cfg, args.rate, args.variant)
+    rows, problems = build_index_rows(table, query_a, query_b, cfg, args.rate, args.variant)
     buffer = io.StringIO()
     write_index_csv(rows, buffer)
     _write_out(buffer.getvalue(), args.out)
@@ -206,21 +169,20 @@ def cmd_model(args) -> int:
 
 def cmd_punif(args) -> int:
     table = _load_table(args.data, args.lenient)
-    cfg = ProbeConfig(delta=args.delta)
-    targets = [table.record(n) for n in table.names()]
-    d_uns = _map_compare(uniform_model(), targets, cfg, args.parallel)
-    d_es = _map_compare(exponential_model(args.rate), targets, cfg, args.parallel)
+    targets = table.array()
+    d_uns = _closed_form(uniform_model().values(), targets, args.delta).k_cont.tolist()
+    d_es = _closed_form(exponential_model(args.rate).values(), targets, args.delta).k_cont.tolist()
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["name", "d_un", "d_e30", "p_un"])
     problems = []
-    for res_un, res_e in zip(d_uns, d_es):
+    for name, d_un, d_e in zip(table.names(), d_uns, d_es):
         try:
-            p_un_s = f"{p_uniform(res_un.k_cont, res_e.k_cont, args.variant):.6f}"
+            p_un_s = f"{p_uniform(d_un, d_e, args.variant):.6f}"
         except KdissError:
             p_un_s = "nan"
-            problems.append(f"{res_un.target}: p_un undefined")
-        writer.writerow([res_un.target, f"{res_un.k_cont:.6f}", f"{res_e.k_cont:.6f}", p_un_s])
+            problems.append(f"{name}: p_un undefined")
+        writer.writerow([name, f"{d_un:.6f}", f"{d_e:.6f}", p_un_s])
     _write_out(buffer.getvalue(), args.out)
     for message in problems:
         print(f"warning: {message}", file=sys.stderr)
@@ -231,11 +193,8 @@ def cmd_store(args) -> int:
     store = IncrementStore(args.store)
     if args.action == "put":
         table = _load_table(args.data, args.lenient)
-        cfg = ProbeConfig(delta=args.delta)
-        for name in (args.query, args.target):
-            if name not in table:
-                raise KdissError(f"name not found: {name!r}")
-        result = compare(table.record(args.query), table.record(args.target), cfg)
+        query = _record(table, args.query)
+        result = compare(query, _record(table, args.target), ProbeConfig(delta=args.delta))
         store.put(result)
         print(f"stored {len(result.increments)} increments for ({result.query}, {result.target})")
         return 0
@@ -292,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lenient", action="store_true", help="skip bad rows instead of failing")
         p.add_argument("--out", help="output path (default stdout)")
         if parallel:
-            p.add_argument("--parallel", type=int, default=1, help="worker processes (default 1)")
+            p.add_argument(
+                "--parallel", type=int, default=1, help="accepted for compatibility; runs single-process"
+            )
 
     p = sub.add_parser("ingest", help="validate and normalize a pyramid CSV")
     p.add_argument("data")

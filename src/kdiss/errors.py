@@ -22,7 +22,10 @@ class NonPolarizedError(KdissError):
 
 
 class NotSwitchedError(KdissError):
-    """The probe weight hit its cap before the clone regrouped with the target."""
+    """switch_weight's search hit its weight cap before the clone regrouped.
+
+    Only switch_weight raises it; the closed form behind compare does not.
+    """
 
 
 class StoreLookupError(KdissError, KeyError):

@@ -16,9 +16,9 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .dissimilarity import ProbeConfig, compare
+from .dissimilarity import ProbeConfig, _closed_form, compare
 from .errors import DomainError, SchemaError
-from .pyramids import FEMALE_COHORTS, MALE_COHORTS, PyramidTable, exponential_model, uniform_model
+from .pyramids import COHORTS, FEMALE_COHORTS, MALE_COHORTS, PyramidTable, exponential_model, uniform_model
 from .similarity import ObjectRecord
 
 __all__ = [
@@ -120,36 +120,15 @@ def index_row_for(
     variant: str = "normalized",
 ) -> tuple[IndexRow, list[str]]:
     """One target's index row, plus messages for any undefined fields."""
-    cfg = cfg or ProbeConfig()
-    problems: list[str] = []
-    res_a = compare(query_a, target, cfg)
-    res_b = compare(query_b, target, cfg)
-    k_male = math.fsum(res_a.increments[c] for c in MALE_COHORTS)
-    k_female = math.fsum(res_a.increments[c] for c in FEMALE_COHORTS)
-    try:
-        mu = mu_index(res_b.k_cont, res_a.k_cont)
-    except DomainError:
-        mu = float("nan")
-        problems.append(f"{target.name}: MU undefined (both K values are zero)")
-    d_un = compare(uniform_model(), target, cfg).k_cont
-    d_e = compare(exponential_model(exp_rate), target, cfg).k_cont
-    try:
-        p_un = p_uniform(d_un, d_e, variant)
-    except DomainError:
-        p_un = float("nan")
-        problems.append(f"{target.name}: p_un undefined (both model distances are zero)")
-    row = IndexRow(
-        name=target.name,
-        k_mt=res_a.k_cont,
-        k_ut=res_b.k_cont,
-        k_m_male=k_male,
-        k_m_female=k_female,
-        mu=mu,
-        d_un=d_un,
-        d_e30=d_e,
-        p_un=p_un,
-    )
-    return row, problems
+    table = PyramidTable({target.name: _cohort_values(target)})
+    rows, problems = build_index_rows(table, query_a, query_b, cfg, exp_rate, variant)
+    return rows[0], problems
+
+
+def _cohort_values(record: ObjectRecord) -> np.ndarray:
+    if record.param_names != COHORTS:
+        raise SchemaError(f"object {record.name!r} does not carry the {len(COHORTS)} cohorts in order")
+    return record.values()
 
 
 def build_index_rows(
@@ -164,15 +143,33 @@ def build_index_rows(
 
     query_a plays the k_mt role (the pole where MU = 100), query_b the k_ut
     role.  Returns the rows plus messages for rows whose MU or p_un is
-    undefined (those fields are set to nan).
+    undefined (those fields are set to nan).  The table is stacked once and
+    each of the four queries is one closed-form pass over it.
     """
-    cfg = cfg or ProbeConfig()
+    delta = (cfg or ProbeConfig()).delta
+    targets = table.array()
+    pole_a = _closed_form(_cohort_values(query_a), targets, delta)
+    k_ut = _closed_form(_cohort_values(query_b), targets, delta).k_cont.tolist()
+    d_un = _closed_form(uniform_model().values(), targets, delta).k_cont.tolist()
+    d_e = _closed_form(exponential_model(exp_rate).values(), targets, delta).k_cont.tolist()
+    k_mt = pole_a.k_cont.tolist()
+    male = pole_a.increments[:, : len(MALE_COHORTS)].tolist()
+    female = pole_a.increments[:, len(MALE_COHORTS) :].tolist()
     rows: list[IndexRow] = []
     problems: list[str] = []
-    for name in table.names():
-        row, row_problems = index_row_for(table.record(name), query_a, query_b, cfg, exp_rate, variant)
-        rows.append(row)
-        problems.extend(row_problems)
+    for i, name in enumerate(table.names()):
+        try:
+            mu = mu_index(k_ut[i], k_mt[i])
+        except DomainError:
+            mu = float("nan")
+            problems.append(f"{name}: MU undefined (both K values are zero)")
+        try:
+            p_un = p_uniform(d_un[i], d_e[i], variant)
+        except DomainError:
+            p_un = float("nan")
+            problems.append(f"{name}: p_un undefined (both model distances are zero)")
+        k_male, k_female = math.fsum(male[i]), math.fsum(female[i])
+        rows.append(IndexRow(name, k_mt[i], k_ut[i], k_male, k_female, mu, d_un[i], d_e[i], p_un))
     return rows, problems
 
 

@@ -73,6 +73,10 @@ class PyramidTable:
             raise SchemaError(f"no pyramid named {name!r}")
         return ObjectRecord.from_values(name, COHORTS, self.rows[name])
 
+    def array(self) -> np.ndarray:
+        """All pyramids as one (N, 34) array, rows in ingestion order."""
+        return np.array(list(self.rows.values()), dtype=float).reshape(len(self.rows), len(COHORTS))
+
     def records(self) -> Iterator[ObjectRecord]:
         for name in self.rows:
             yield self.record(name)

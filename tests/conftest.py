@@ -29,6 +29,14 @@ def random_pair(rng: np.random.Generator, n_params: int, lo: float = 0.5, hi: fl
     return q, t
 
 
+def pair_with_sims(sims, name_q="q", name_t="t"):
+    """Objects whose per-parameter ratio similarities are exactly `sims`."""
+    names = [f"p{i}" for i in range(len(sims))]
+    q = ObjectRecord.from_values(name_q, names, [1.0] * len(sims))
+    t = ObjectRecord.from_values(name_t, names, [1.0 / s if s > 0 else 0.0 for s in sims])
+    return q, t
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260808)

@@ -1,4 +1,5 @@
 import io
+import math
 
 import pytest
 
@@ -105,6 +106,12 @@ class TestCompare:
         assert text.splitlines()[1] == "param,increment"
         assert len(text.splitlines()) == 36
 
+    def test_tiny_delta_gives_finite_k(self, pyramid_csv, capsys):
+        code, out, err = run(capsys, "compare", pyramid_csv, "country00", "country03", "--delta", "1e-13")
+        assert code == 0, err
+        k = float(next(l for l in out.splitlines() if l.startswith("K ")).split("=")[1])
+        assert math.isfinite(k) and k > 0
+
 
 class TestBatch:
     def test_model_query(self, pyramid_csv, capsys):
@@ -140,6 +147,12 @@ class TestBatch:
         )
         assert serial == parallel
 
+    def test_tiny_delta_gives_finite_k(self, pyramid_csv, capsys):
+        code, out, err = run(capsys, "batch", pyramid_csv, "--model", "uniform", "--delta", "1e-13")
+        assert code == 0, err
+        ks = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
+        assert len(ks) == 10 and all(math.isfinite(k) for k in ks) and max(ks) > 0
+
     def test_bad_model_spec(self, pyramid_csv, capsys):
         code, _, err = run(capsys, "batch", pyramid_csv, "--model", "quadratic")
         assert code == 1
@@ -167,6 +180,13 @@ class TestMu:
         mu2 = [float(l.split(",")[5]) for l in out2.splitlines()[1:]]
         for a, b in zip(mu1, mu2):
             assert a + b == pytest.approx(100.0, abs=2e-6)
+
+    def test_parallel_identical_output(self, pyramid_csv, capsys):
+        _, serial, _ = run(capsys, "mu", pyramid_csv, "country00", "country09", "--delta", "0.001")
+        _, parallel, _ = run(
+            capsys, "mu", pyramid_csv, "country00", "country09", "--delta", "0.001", "--parallel", "2"
+        )
+        assert serial == parallel
 
     def test_undefined_rows_flagged(self, pyramid_csv, capsys):
         code, out, err = run(capsys, "mu", pyramid_csv, "country00", "country00", "--delta", "0.001")
@@ -288,6 +308,11 @@ class TestValidation:
         code, _, err = run(capsys, "compare", pyramid_csv, "country00", "country01", "--delta", "2.0")
         assert code == 1
         assert "--delta" in err
+
+    def test_subnormal_delta_fails_cleanly(self, pyramid_csv, capsys):
+        code, _, err = run(capsys, "batch", pyramid_csv, "--model", "uniform", "--delta", "5e-324")
+        assert code == 1
+        assert "too small" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "batch", "nope.csv", "--model", "uniform")

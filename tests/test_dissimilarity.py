@@ -15,15 +15,7 @@ from kdiss.dissimilarity import (
 from kdiss.errors import DomainError, NotSwitchedError, SchemaError, StoreLookupError
 from kdiss.similarity import ObjectRecord
 
-from conftest import random_pair
-
-
-def pair_with_sims(sims, name_q="q", name_t="t"):
-    """Objects whose per-parameter ratio similarities are exactly `sims`."""
-    names = [f"p{i}" for i in range(len(sims))]
-    q = ObjectRecord.from_values(name_q, names, [1.0] * len(sims))
-    t = ObjectRecord.from_values(name_t, names, [1.0 / s if s > 0 else 0.0 for s in sims])
-    return q, t
+from conftest import pair_with_sims, random_pair
 
 
 class TestGroupedWithTarget:
@@ -153,10 +145,6 @@ class TestCompare:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             ProbeConfig(delta=0.0)
-        with pytest.raises(DomainError):
-            ProbeConfig(delta=1e-4, probe_anchor=0.5)
-        with pytest.raises(DomainError):
-            ProbeConfig(delta=1e-4, probe_offset=1.0)
 
 
 class TestBatchCompare:
