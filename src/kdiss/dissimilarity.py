@@ -26,9 +26,11 @@ over any parameter subset.
 from __future__ import annotations
 
 import math
+import os
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -340,6 +342,16 @@ def batch_compare(
     ]
 
 
+def _is_record(line: bytes) -> bool:
+    """Whether one store line, newline excluded, holds five fields with both numbers valid."""
+    try:
+        _, _, delta, _, inc = line.decode("utf-8").split("\t")
+        float(delta), float(inc)
+    except ValueError:  # includes a decoding error and a wrong field count
+        return False
+    return True
+
+
 class IncrementStore:
     """Persisted per-parameter K increments, recombinable by summation.
 
@@ -350,32 +362,51 @@ class IncrementStore:
 
     Floats are written with repr so they round-trip exactly.  A later
     record for the same (query, target, delta, param_name) key replaces
-    the earlier one on load.  Writers must be serialized by the caller;
-    concurrent reads of a loaded store are safe.
+    the earlier one on load.  A final line without its newline that does
+    not parse, as a crash mid-write leaves it, is skipped with a warning,
+    and the next put writes over it.  Records are indexed by (query,
+    target), so every lookup touches one pair's records, whatever the
+    store's size.  Writers must be serialized by the caller; concurrent
+    reads of a loaded store are safe.
     """
 
     def __init__(self, path: str | Path | None = None):
-        self._records: dict[tuple[str, str, float, str], float] = {}
+        # (query, target) -> delta -> param_name -> k_increment
+        self._index: dict[tuple[str, str], dict[float, dict[str, float]]] = {}
         self._path = Path(path) if path is not None else None
         if self._path is not None and self._path.exists():
             self._load(self._path)
 
     def _load(self, path: Path) -> None:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 5:
-                    raise SchemaError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(parts)}")
-                query, target, delta_s, param, inc_s = parts
-                try:
-                    delta = float(delta_s)
-                    inc = float(inc_s)
-                except ValueError as exc:
-                    raise SchemaError(f"{path}:{lineno}: bad numeric field ({exc})") from exc
-                self._records[(query, target, delta, param)] = inc
+        data = path.read_bytes()
+        end = data.rfind(b"\n") + 1
+        try:
+            lines = data[:end].decode("utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise SchemaError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from exc
+        tail = data[end:]
+        if _is_record(tail):
+            lines[-1] = tail.decode("utf-8")
+        elif tail:
+            warnings.warn(f"{path}:{len(lines)}: skipped a torn final line (no newline, does not parse)")
+        index = self._index
+        # put writes a pair's records as consecutive lines: resolve their dict once per run
+        run: list[str] | None = None
+        for lineno, line in enumerate(lines, start=1):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 5:
+                raise SchemaError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(parts)}")
+            try:
+                if parts[:3] != run:
+                    delta = float(parts[2])
+                    run = parts[:3]
+                    incs = index.setdefault((parts[0], parts[1]), {}).setdefault(delta, {})
+                incs[parts[3]] = float(parts[4])
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{lineno}: bad numeric field ({exc})") from exc
 
     @staticmethod
     def _check_token(token: str) -> str:
@@ -383,22 +414,41 @@ class IncrementStore:
             raise SchemaError(f"store field {token!r} may not contain tabs or newlines")
         return token
 
+    @staticmethod
+    def _start_line(fh: BinaryIO) -> None:
+        """Leave an append-mode file ending in a newline: end an intact final
+        line, or cut off a torn one."""
+        size = fh.seek(0, os.SEEK_END)
+        if size == 0:
+            return
+        fh.seek(size - 1)
+        if fh.read(1) == b"\n":
+            return
+        fh.seek(0)
+        data = fh.read()
+        start = data.rfind(b"\n") + 1
+        if _is_record(data[start:]):
+            fh.write(b"\n")
+        else:
+            fh.truncate(start)
+
     def put(self, result: ComparisonResult) -> None:
         """Record every per-parameter increment of one comparison."""
         query = self._check_token(result.query)
         target = self._check_token(result.target)
         for param in result.increments:
             self._check_token(param)
-        lines = []
-        for param, inc in result.increments.items():
-            self._records[(query, target, result.delta, param)] = inc
-            lines.append(f"{query}\t{target}\t{result.delta!r}\t{param}\t{inc!r}\n")
+        delta = float(result.delta)  # the repr of a numpy float would not parse back
+        if result.increments:  # an empty delta dict would make deltas_for list a delta without records
+            self._index.setdefault((query, target), {}).setdefault(delta, {}).update(result.increments)
         if self._path is not None:
-            with open(self._path, "a", encoding="utf-8") as fh:
-                fh.writelines(lines)
+            lines = [f"{query}\t{target}\t{delta!r}\t{p}\t{float(v)!r}\n" for p, v in result.increments.items()]
+            with open(self._path, "a+b") as fh:
+                self._start_line(fh)
+                fh.write("".join(lines).encode("utf-8"))
 
     def deltas_for(self, query: str, target: str) -> list[float]:
-        return sorted({d for (q, t, d, _), _ in self._records.items() if q == query and t == target})
+        return sorted(self._index.get((query, target), ()))
 
     def combine(
         self,
@@ -413,30 +463,30 @@ class IncrementStore:
         subset requires every named parameter to be present.  delta may be
         omitted only when the store holds a single delta for the pair.
         """
+        deltas = self._index.get((query, target), {})
         if delta is None:
-            deltas = self.deltas_for(query, target)
             if len(deltas) == 0:
                 raise StoreLookupError(f"no records for ({query!r}, {target!r})")
             if len(deltas) > 1:
                 raise StoreLookupError(
                     f"({query!r}, {target!r}) recorded at {len(deltas)} deltas; pass delta explicitly"
                 )
-            delta = deltas[0]
+            (delta,) = deltas
+        incs = deltas.get(delta, {})
         if params is None:
-            values = [v for (q, t, d, _), v in self._records.items() if (q, t, d) == (query, target, delta)]
-            if not values:
+            if not incs:
                 raise StoreLookupError(f"no records for ({query!r}, {target!r}, delta={delta!r})")
-            return math.fsum(values)
+            return math.fsum(incs.values())
         values = []
         for param in params:
-            key = (query, target, delta, param)
-            if key not in self._records:
+            if param not in incs:
                 raise StoreLookupError(f"no record for ({query!r}, {target!r}, delta={delta!r}, {param!r})")
-            values.append(self._records[key])
+            values.append(incs[param])
         return math.fsum(values)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return sum(len(incs) for deltas in self._index.values() for incs in deltas.values())
 
     def as_mapping(self) -> Mapping[tuple[str, str, float, str], float]:
-        return dict(self._records)
+        pairs = self._index.items()
+        return {(q, t, d, p): v for (q, t), deltas in pairs for d, incs in deltas.items() for p, v in incs.items()}

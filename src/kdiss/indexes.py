@@ -18,7 +18,15 @@ import numpy as np
 
 from .dissimilarity import ProbeConfig, _closed_form, compare
 from .errors import DomainError, SchemaError
-from .pyramids import COHORTS, FEMALE_COHORTS, MALE_COHORTS, PyramidTable, exponential_model, uniform_model
+from .pyramids import (
+    COHORTS,
+    FEMALE_COHORTS,
+    MALE_COHORTS,
+    PyramidTable,
+    _open_source,
+    exponential_model,
+    uniform_model,
+)
 from .similarity import ObjectRecord
 
 __all__ = [
@@ -208,12 +216,7 @@ def write_index_csv(rows: Sequence[IndexRow], sink: str | Path | IO[str]) -> Non
 
 def read_index_csv(source: str | Path | IO[str]) -> list[IndexRow]:
     """Read back an index CSV produced by write_index_csv."""
-    if isinstance(source, (str, Path)):
-        fh = open(source, encoding="utf-8", newline="")
-        should_close = True
-    else:
-        fh, should_close = source, False
-    try:
+    with _open_source(source) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -232,6 +235,3 @@ def read_index_csv(source: str | Path | IO[str]) -> list[IndexRow]:
             except ValueError as exc:
                 raise SchemaError(f"row {rownum}: non-numeric value ({exc})") from None
         return rows
-    finally:
-        if should_close:
-            fh.close()

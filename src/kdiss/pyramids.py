@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterator, Sequence
@@ -52,10 +54,17 @@ def normalize(raw: Sequence[float]) -> np.ndarray:
         raise DomainError("values must be finite")
     if np.any(values < 0):
         raise DomainError("values must be non-negative")
-    total = float(values.sum())
+    with np.errstate(over="ignore"):
+        total = float(values.sum())
     if total == 0.0:
         raise DomainError("cannot normalize an all-zero row")
-    return values * (100.0 / total)
+    scale = 100.0 / total
+    if not (math.isfinite(total) and math.isfinite(scale)):
+        # the sum overflows, or is so small that its reciprocal does: shares
+        # are ratios, so compute them from values scaled to a maximum of 1
+        values = values / values.max()
+        scale = 100.0 / float(values.sum())
+    return values * scale
 
 
 @dataclass(frozen=True)
@@ -88,10 +97,15 @@ class PyramidTable:
         return name in self.rows
 
 
-def _open_source(source: str | Path | IO[str]) -> tuple[IO[str], bool]:
+@contextmanager
+def _open_source(source: str | Path | IO[str]) -> Iterator[IO[str]]:
+    """A CSV source as a text stream: a path is opened (a UTF-8 BOM is
+    dropped) and closed on exit, an open stream is used as it is."""
     if isinstance(source, (str, Path)):
-        return open(source, encoding="utf-8", newline=""), True
-    return source, False
+        with open(source, encoding="utf-8-sig", newline="") as fh:
+            yield fh
+    else:
+        yield source
 
 
 def ingest(source: str | Path | IO[str], lenient: bool = False) -> PyramidTable:
@@ -101,8 +115,7 @@ def ingest(source: str | Path | IO[str], lenient: bool = False) -> PyramidTable:
     Malformed rows raise with the offending row number, or are collected in
     the returned table's row_errors when lenient is true.
     """
-    fh, should_close = _open_source(source)
-    try:
+    with _open_source(source) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -139,9 +152,6 @@ def ingest(source: str | Path | IO[str], lenient: bool = False) -> PyramidTable:
                 else:
                     raise type(exc)(message) from None
         return PyramidTable(rows, tuple(errors))
-    finally:
-        if should_close:
-            fh.close()
 
 
 def long_to_wide(source: str | Path | IO[str]) -> PyramidTable:
@@ -151,8 +161,7 @@ def long_to_wide(source: str | Path | IO[str]) -> PyramidTable:
     ..., 80).  Every (name, sex, cohort) combination must appear exactly
     once.
     """
-    fh, should_close = _open_source(source)
-    try:
+    with _open_source(source) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -187,9 +196,6 @@ def long_to_wide(source: str | Path | IO[str]) -> PyramidTable:
                 raise SchemaError(f"pyramid {name!r} is missing {len(missing)} cohorts (first: {missing[0]})")
             rows[name] = normalize([per_name[c] for c in COHORTS])
         return PyramidTable(rows)
-    finally:
-        if should_close:
-            fh.close()
 
 
 def write_pyramid_csv(table: PyramidTable, sink: str | Path | IO[str]) -> None:

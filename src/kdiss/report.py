@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DomainError, SchemaError
 from .indexes import IndexRow
+from .pyramids import _open_source
 
 __all__ = [
     "IndicatorTable",
@@ -58,12 +59,7 @@ class ScatterSeries:
 
 def read_indicators(source: str | Path | IO[str]) -> IndicatorTable:
     """Read an indicator CSV with header ``name,indicator,value``."""
-    if isinstance(source, (str, Path)):
-        fh = open(source, encoding="utf-8", newline="")
-        should_close = True
-    else:
-        fh, should_close = source, False
-    try:
+    with _open_source(source) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -86,9 +82,6 @@ def read_indicators(source: str | Path | IO[str]) -> IndicatorTable:
             except ValueError:
                 raise SchemaError(f"row {rownum}: non-numeric value {value_s!r}") from None
         return IndicatorTable(values)
-    finally:
-        if should_close:
-            fh.close()
 
 
 def ppb(birth_rate_per_1000: float) -> float:

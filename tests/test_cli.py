@@ -235,6 +235,16 @@ class TestStore:
         )
         assert float(male) + float(female) == pytest.approx(float(full), rel=1e-12)
 
+    def test_delta_spellings_find_the_same_records(self, pyramid_csv, tmp_path, capsys):
+        store = tmp_path / "inc.tsv"
+        pair = ("--query", "country00", "--target", "country05")
+        code, _, _ = run(capsys, "store", "put", "--store", store, "--data", pyramid_csv, *pair, "--delta", "1e-4")
+        assert code == 0
+        code, spelled, _ = run(capsys, "store", "combine", "--store", store, *pair, "--delta", "0.0001")
+        assert code == 0
+        code, default, _ = run(capsys, "store", "combine", "--store", store, *pair)
+        assert spelled == default
+
     def test_missing_key(self, tmp_path, capsys):
         store = tmp_path / "inc.tsv"
         store.write_text("")

@@ -1,9 +1,15 @@
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdiss.dissimilarity import (
+    ComparisonResult,
     IncrementStore,
     ProbeConfig,
     batch_compare,
@@ -218,6 +224,15 @@ class TestIncrementStore:
         assert reloaded.as_mapping() == store.as_mapping()
         assert reloaded.combine("q", "t") == store.combine("q", "t")
 
+    def test_numpy_floats_round_trip(self, tmp_path):
+        path = tmp_path / "increments.tsv"
+        q, t = pair_with_sims([0.5, 0.7, 0.9])
+        res = compare(q, t, ProbeConfig(delta=np.float64(1e-3)))
+        res.increments["p0"] = np.float64(res.increments["p0"])
+        store = IncrementStore(path)
+        store.put(res)
+        assert IncrementStore(path).as_mapping() == store.as_mapping()
+
     def test_append_last_write_wins(self, tmp_path):
         path = tmp_path / "increments.tsv"
         store = IncrementStore(path)
@@ -237,3 +252,131 @@ class TestIncrementStore:
         )
         with pytest.raises(SchemaError):
             IncrementStore().put(bad)
+
+    def test_torn_final_line_skipped_with_warning(self, tmp_path):
+        path = tmp_path / "inc.tsv"
+        path.write_text("a\tb\t0.0001\tm00\t0.5\na\tb\t0.00", encoding="utf-8")
+        with pytest.warns(UserWarning, match=r"inc\.tsv:2: skipped a torn final line"):
+            store = IncrementStore(path)
+        assert store.as_mapping() == {("a", "b", 0.0001, "m00"): 0.5}
+
+    def test_torn_multibyte_character_skipped(self, tmp_path):
+        path = tmp_path / "inc.tsv"
+        path.write_bytes("a\tb\t0.0001\tm00\t0.5\n".encode("utf-8") + "\u00e9".encode("utf-8")[:1])
+        with pytest.warns(UserWarning, match=r"inc\.tsv:2:"):
+            assert len(IncrementStore(path)) == 1
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("a\tb\t0.00\na\tb\t0.0001\tm00\t0.5\n", 1),  # bad line before the end
+            ("a\tb\t0.0001\tm00\t0.5\na\tb\t0.00\n", 2),  # bad final line with its newline
+            ("a\tb\tx\tm00\t0.5\na\tb\t0.0001\tm00\t0.5", 1),
+        ],
+    )
+    def test_other_bad_lines_fail_with_line_number(self, tmp_path, text, lineno):
+        path = tmp_path / "inc.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError, match=rf"inc\.tsv:{lineno}: "):
+            IncrementStore(path)
+
+    def test_invalid_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "inc.tsv"
+        path.write_bytes(b"a\tb\t0.0001\tm00\t0.5\na\tb\t0.0001\tm\xff05\t0.5\n")
+        with pytest.raises(SchemaError, match=r"inc\.tsv:2: not UTF-8"):
+            IncrementStore(path)
+
+    def test_carriage_return_in_name_round_trips(self, tmp_path):
+        # put accepts any name without a tab or newline, so the loader splits lines on newlines only
+        path = tmp_path / "inc.tsv"
+        IncrementStore(path).put(ComparisonResult("a\rb", "t", 0.5, 1.0, 1, 0.5, 1.0, {"x": 1.0}))
+        assert IncrementStore(path).as_mapping() == {("a\rb", "t", 0.5, "x"): 1.0}
+
+    def test_put_after_torn_line_writes_over_it(self, tmp_path):
+        path = tmp_path / "inc.tsv"
+        path.write_text("q\tt\t0.5\tx\t1.0\nq\tt\t0.5\tx", encoding="utf-8")
+        with pytest.warns(UserWarning):
+            store = IncrementStore(path)
+        res = self._result()
+        store.put(res)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reloaded = IncrementStore(path)
+        assert reloaded.as_mapping() == store.as_mapping()
+        assert len(reloaded) == 1 + len(res.increments)
+
+    def test_put_after_unterminated_record_keeps_it(self, tmp_path):
+        path = tmp_path / "inc.tsv"
+        path.write_text("q\tt\t0.5\tx\t1.0", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            store = IncrementStore(path)
+            store.put(self._result())
+            reloaded = IncrementStore(path)
+        assert reloaded.as_mapping() == store.as_mapping()
+        assert reloaded.combine("q", "t", delta=0.5) == 1.0
+
+
+_PAIRS = [("a", "b"), ("a", "c"), ("b", "a")]
+_PARAMS = ["p0", "p1", "p2", "p3"]
+_store_ops = st.lists(
+    st.one_of(
+        st.just("reopen"),
+        st.tuples(
+            st.sampled_from(_PAIRS),
+            st.sampled_from([1e-4, 1e-6]),
+            st.dictionaries(st.sampled_from(_PARAMS), st.floats(min_value=0.0, max_value=10.0), min_size=1),
+        ),
+    ),
+    max_size=12,
+)
+
+
+def _expected_combine(model, query, target, params, delta):
+    """What combine must return (or raise) by a scan of the flat record model."""
+    if delta is None:
+        deltas = sorted({d for (q, t, d, _) in model if (q, t) == (query, target)})
+        if not deltas:
+            return f"no records for ({query!r}, {target!r})"
+        if len(deltas) > 1:
+            return f"({query!r}, {target!r}) recorded at {len(deltas)} deltas; pass delta explicitly"
+        delta = deltas[0]
+    if params is None:
+        values = [v for (q, t, d, _), v in model.items() if (q, t, d) == (query, target, delta)]
+        return math.fsum(values) if values else f"no records for ({query!r}, {target!r}, delta={delta!r})"
+    for param in params:
+        if (query, target, delta, param) not in model:
+            return f"no record for ({query!r}, {target!r}, delta={delta!r}, {param!r})"
+    return math.fsum(model[(query, target, delta, p)] for p in params)
+
+
+def _combine_or_message(store, *args):
+    try:
+        return store.combine(*args)
+    except StoreLookupError as exc:
+        return exc.args[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_store_ops)
+def test_store_matches_naive_model(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inc.tsv"
+        store = IncrementStore(path)
+        model: dict[tuple[str, str, float, str], float] = {}
+        for op in ops:
+            if op == "reopen":
+                store = IncrementStore(path)
+            else:
+                (query, target), delta, incs = op
+                store.put(ComparisonResult(query, target, delta, 1.0, 1, delta, math.fsum(incs.values()), incs))
+                model.update({(query, target, delta, p): v for p, v in incs.items()})
+            assert len(store) == len(model)
+            assert store.as_mapping() == model
+            for query, target in _PAIRS:
+                deltas = sorted({d for (q, t, d, _) in model if (q, t) == (query, target)})
+                assert store.deltas_for(query, target) == deltas
+                for delta in (None, 1e-4, 1e-6):
+                    for params in (None, _PARAMS[:2], _PARAMS, []):
+                        got = _combine_or_message(store, query, target, params, delta)
+                        assert got == _expected_combine(model, query, target, params, delta)

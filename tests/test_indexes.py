@@ -149,6 +149,15 @@ class TestIndexRows:
         for before, after in zip(rows, parsed):
             assert after.mu == pytest.approx(before.mu, abs=5e-7)
 
+    def test_read_utf8_bom_accepted(self, tmp_path):
+        cfg = ProbeConfig(delta=1e-3)
+        rows, _ = build_index_rows(synthetic_table(3), uniform_model(), exponential_model(0.3), cfg)
+        buffer = io.StringIO()
+        write_index_csv(rows, buffer)
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + buffer.getvalue().encode("utf-8"))
+        assert [r.name for r in read_index_csv(path)] == [r.name for r in rows]
+
     def test_undefined_mu_flagged(self):
         table = synthetic_table(3)
         cfg = ProbeConfig(delta=1e-3)

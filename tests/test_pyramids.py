@@ -1,8 +1,11 @@
 import io
+import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdiss.errors import DomainError, SchemaError
@@ -46,6 +49,32 @@ class TestNormalize:
     def test_sum_is_100(self, rng):
         out = normalize(rng.uniform(0, 10, 34))
         assert abs(out.sum() - 100.0) < 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=1e-300, max_value=1e300),
+                st.floats(min_value=0.0, max_value=sys.float_info.min, allow_subnormal=True),
+                st.floats(min_value=1e300, max_value=sys.float_info.max),
+            ),
+            min_size=1,
+            max_size=34,
+        ).filter(any)
+    )
+    def test_extreme_magnitudes(self, raw):
+        # a sum that overflows, or one whose reciprocal does, must not zero
+        # or blow up the row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = normalize(raw)
+        assert np.all(np.isfinite(out))
+        assert math.fsum(out) == pytest.approx(100.0, rel=1e-12)
+
+    def test_overflowing_sum(self):
+        out = normalize([1e308, 1e308, 1.0])
+        assert out[0] == out[1] == 50.0
+        assert 0.0 < out[2] < 1e-300
 
     def test_zero_sum_rejected(self):
         with pytest.raises(DomainError):
@@ -97,6 +126,11 @@ class TestIngest:
         assert len(table.row_errors) == 1
         assert "row 3" in table.row_errors[0]
 
+    def test_utf8_bom_accepted(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + wide_csv([("aa", [7] * 34)]).getvalue().encode("utf-8"))
+        assert ingest(path).names() == ["aa"]
+
     def test_roundtrip_idempotent(self, table):
         # re-normalizing an already-normalized row can move values by at
         # most one rounding step (the float sum is within an ulp of 100)
@@ -116,6 +150,13 @@ class TestLongToWide:
         table = long_to_wide(io.StringIO("\n".join(lines) + "\n"))
         assert table.names() == ["aa"]
         assert abs(table.rows["aa"].sum() - 100.0) < 1e-9
+
+    def test_utf8_bom_accepted(self, tmp_path):
+        lines = ["name,sex,cohort,value"]
+        lines += [f"aa,{sex},{age:02d},1" for sex in ("m", "f") for age in range(0, 85, 5)]
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + ("\n".join(lines) + "\n").encode("utf-8"))
+        assert long_to_wide(path).names() == ["aa"]
 
     def test_missing_cohort(self):
         lines = ["name,sex,cohort,value", "aa,m,00,5"]

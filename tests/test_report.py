@@ -40,6 +40,11 @@ class TestReadIndicators:
         with pytest.raises(SchemaError):
             read_indicators(io.StringIO("nom,ind,val\n"))
 
+    def test_utf8_bom_accepted(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + indicator_csv([("aa", "gdp", 10.5)]).getvalue().encode("utf-8"))
+        assert read_indicators(path).get("aa", "gdp") == 10.5
+
 
 class TestJoin:
     def test_disjoint_names(self):
