@@ -26,8 +26,8 @@ for i in range(12):
     rate = 0.18 + 0.12 * ((i * 7) % 5) / 4  # deterministic variety, no RNG
     expo = exponential_model(rate).values()
     rows[f"country{i:02d}"] = normalize(lam * uniform + (1 - lam) * expo)
-table = PyramidTable(rows)
-print(f"   countries: {', '.join(table.names())}")
+table = PyramidTable.from_rows(rows)
+print(f"   countries: {', '.join(table.names)}")
 
 print()
 print("=" * 70)

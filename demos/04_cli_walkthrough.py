@@ -26,7 +26,7 @@ for i in range(8):
     expo = exponential_model(0.15 + 0.15 * (i % 3) / 2).values()
     rows[f"country{i:02d}"] = normalize(lam * uniform + (1 - lam) * expo)
 pyramids_csv = DATA / "demo_pyramids.csv"
-write_pyramid_csv(PyramidTable(rows), pyramids_csv)
+write_pyramid_csv(PyramidTable.from_rows(rows), pyramids_csv)
 
 indicators_csv = DATA / "demo_indicators.csv"
 lines = ["name,indicator,value"]

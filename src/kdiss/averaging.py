@@ -47,15 +47,12 @@ class AveragingConfig:
 
     max_iterations: int = 200
     convergence_tol: float = 1e-9
-    polarization_split: str = "largest-gap"
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be >= 1")
         if not self.convergence_tol > 0:
             raise DomainError("convergence_tol must be > 0")
-        if self.polarization_split != "largest-gap":
-            raise DomainError(f"unknown polarization split rule {self.polarization_split!r}")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from .pyramids import (
     write_pyramid_csv,
 )
 from .report import emit, fit_series, join, read_indicators
-from .similarity import ObjectRecord
 
 DATA_DIR_ENV = "KDISS_DATA_DIR"
 
@@ -68,12 +67,6 @@ def _load_table(path: str, lenient: bool) -> PyramidTable:
     return ingest(_resolve_path(path), lenient=lenient)
 
 
-def _record(table: PyramidTable, name: str) -> ObjectRecord:
-    if name not in table:
-        raise KdissError(f"name not found: {name!r}")
-    return table.record(name)
-
-
 def _pick_query(args, table: PyramidTable) -> np.ndarray:
     """Query values from a table name or a model spec (uniform / exp:RATE)."""
     if getattr(args, "model", None):
@@ -83,7 +76,7 @@ def _pick_query(args, table: PyramidTable) -> np.ndarray:
         if spec.startswith("exp:"):
             return exponential_model(float(spec[4:])).values()
         raise KdissError(f"bad model spec {spec!r}: use 'uniform' or 'exp:RATE'")
-    return _record(table, args.query).values()
+    return table.record(args.query).values()
 
 
 def cmd_ingest(args) -> int:
@@ -100,8 +93,8 @@ def cmd_ingest(args) -> int:
 
 def cmd_compare(args) -> int:
     table = _load_table(args.data, args.lenient)
-    query = _record(table, args.query)
-    result = compare(query, _record(table, args.target), ProbeConfig(delta=args.delta))
+    query = table.record(args.query)
+    result = compare(query, table.record(args.target), ProbeConfig(delta=args.delta))
     print(f"query   = {result.query}")
     print(f"target  = {result.target}")
     print(f"delta   = {result.delta:g}")
@@ -134,7 +127,7 @@ def cmd_batch(args) -> int:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["name", "d", "k", "k_cont"])
-    for name, d, k_cont in zip(table.names(), closed.d.tolist(), closed.k_cont.tolist()):
+    for name, d, k_cont in zip(table.names, closed.d.tolist(), closed.k_cont.tolist()):
         writer.writerow([name, int(d), f"{d * args.delta:.6f}", f"{k_cont:.6f}"])
     _write_out(buffer.getvalue(), args.out)
     return 0
@@ -142,8 +135,8 @@ def cmd_batch(args) -> int:
 
 def cmd_mu(args) -> int:
     table = _load_table(args.data, args.lenient)
-    query_a = _record(table, args.query_a)
-    query_b = _record(table, args.query_b)
+    query_a = table.record(args.query_a)
+    query_b = table.record(args.query_b)
     cfg = ProbeConfig(delta=args.delta)
     rows, problems = build_index_rows(table, query_a, query_b, cfg, args.rate, args.variant)
     buffer = io.StringIO()
@@ -176,7 +169,7 @@ def cmd_punif(args) -> int:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["name", "d_un", "d_e30", "p_un"])
     problems = []
-    for name, d_un, d_e in zip(table.names(), d_uns, d_es):
+    for name, d_un, d_e in zip(table.names, d_uns, d_es):
         try:
             p_un_s = f"{p_uniform(d_un, d_e, args.variant):.6f}"
         except KdissError:
@@ -193,8 +186,8 @@ def cmd_store(args) -> int:
     store = IncrementStore(args.store)
     if args.action == "put":
         table = _load_table(args.data, args.lenient)
-        query = _record(table, args.query)
-        result = compare(query, _record(table, args.target), ProbeConfig(delta=args.delta))
+        query = table.record(args.query)
+        result = compare(query, table.record(args.target), ProbeConfig(delta=args.delta))
         store.put(result)
         print(f"stored {len(result.increments)} increments for ({result.query}, {result.target})")
         return 0

@@ -42,6 +42,7 @@ from .errors import (
     NotSwitchedError,
     SchemaError,
     StoreLookupError,
+    decode_utf8,
 )
 from .similarity import (
     ObjectRecord,
@@ -380,11 +381,7 @@ class IncrementStore:
     def _load(self, path: Path) -> None:
         data = path.read_bytes()
         end = data.rfind(b"\n") + 1
-        try:
-            lines = data[:end].decode("utf-8").split("\n")
-        except UnicodeDecodeError as exc:
-            lineno = data.count(b"\n", 0, exc.start) + 1
-            raise SchemaError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from exc
+        lines = decode_utf8(data[:end], path).split("\n")
         tail = data[end:]
         if _is_record(tail):
             lines[-1] = tail.decode("utf-8")

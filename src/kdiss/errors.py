@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the UTF-8 decode that raises one."""
 
 
 class KdissError(Exception):
@@ -30,3 +30,12 @@ class NotSwitchedError(KdissError):
 
 class StoreLookupError(KdissError, KeyError):
     """An increment-store key (query, target, delta, parameter) is absent."""
+
+
+def decode_utf8(data: bytes, path: object) -> str:
+    """data as UTF-8 text; a bad byte raises SchemaError naming path and its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from exc

@@ -128,7 +128,7 @@ def index_row_for(
     variant: str = "normalized",
 ) -> tuple[IndexRow, list[str]]:
     """One target's index row, plus messages for any undefined fields."""
-    table = PyramidTable({target.name: _cohort_values(target)})
+    table = PyramidTable.from_rows({target.name: _cohort_values(target)})
     rows, problems = build_index_rows(table, query_a, query_b, cfg, exp_rate, variant)
     return rows[0], problems
 
@@ -165,7 +165,7 @@ def build_index_rows(
     female = pole_a.increments[:, len(MALE_COHORTS) :].tolist()
     rows: list[IndexRow] = []
     problems: list[str] = []
-    for i, name in enumerate(table.names()):
+    for i, name in enumerate(table.names):
         try:
             mu = mu_index(k_ut[i], k_mt[i])
         except DomainError:

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, SchemaError
+from .errors import DomainError, SchemaError, decode_utf8
 from .similarity import ObjectRecord
 
 __all__ = [
@@ -43,6 +42,8 @@ FEMALE_COHORTS = tuple(f"f{age:02d}" for age in AGE_STARTS)
 COHORTS = MALE_COHORTS + FEMALE_COHORTS
 
 _UNIFORM_SHARE = 100.0 / 34.0
+# why a row cannot be normalized, highest precedence first
+_NORMALIZE_PROBLEMS = ("values must be finite", "values must be non-negative", "cannot normalize an all-zero row")
 
 
 def normalize(raw: Sequence[float]) -> np.ndarray:
@@ -50,60 +51,77 @@ def normalize(raw: Sequence[float]) -> np.ndarray:
     values = np.asarray(raw, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise SchemaError("expected a non-empty 1-d sequence of values")
-    if np.any(~np.isfinite(values)):
-        raise DomainError("values must be finite")
-    if np.any(values < 0):
-        raise DomainError("values must be non-negative")
-    with np.errstate(over="ignore"):
-        total = float(values.sum())
-    if total == 0.0:
-        raise DomainError("cannot normalize an all-zero row")
-    scale = 100.0 / total
-    if not (math.isfinite(total) and math.isfinite(scale)):
-        # the sum overflows, or is so small that its reciprocal does: shares
-        # are ratios, so compute them from values scaled to a maximum of 1
-        values = values / values.max()
-        scale = 100.0 / float(values.sum())
-    return values * scale
+    shares, (problem,) = _normalize_rows(values[None, :])
+    if problem:
+        raise DomainError(problem)
+    return shares[0]
 
 
-@dataclass(frozen=True)
+def _normalize_rows(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """normalize() on each row of a 2-d array: the scaled rows, and per row
+    "" or why it cannot be scaled (such a row's shares are meaningless)."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        totals = values.sum(axis=1)
+        scale = 100.0 / totals
+        shares = values * scale[:, None]
+        failed = [~np.isfinite(values).all(axis=1), (values < 0).any(axis=1), totals == 0]
+        problems = np.select(failed, _NORMALIZE_PROBLEMS, "")
+    # the sum overflows, or is so small that its reciprocal does: shares are
+    # ratios, so compute them from values scaled to a maximum of 1
+    rescale = np.flatnonzero(~(np.isfinite(totals) & np.isfinite(scale)) & (problems == ""))
+    shrunk = values[rescale] / values[rescale].max(axis=1, keepdims=True)
+    shares[rescale] = shrunk * (100.0 / shrunk.sum(axis=1))[:, None]
+    return shares, problems.tolist()
+
+
+@dataclass(frozen=True, eq=False)
 class PyramidTable:
-    """Normalized pyramids keyed by name, in ingestion order."""
+    """Normalized pyramids: names in ingestion order, their shares as one read-only (N, 34) array."""
 
-    rows: dict[str, np.ndarray]
+    names: tuple[str, ...]
+    values: np.ndarray
     row_errors: tuple[str, ...] = field(default=())
 
-    def names(self) -> list[str]:
-        return list(self.rows)
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float).view()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_index", {name: i for i, name in enumerate(self.names)})
+        if values.shape != (len(self.names), len(COHORTS)) or len(self._index) != len(self.names):
+            raise SchemaError(f"need {len(self.names)} distinct names and an (N, 34) array, got {values.shape}")
+
+    @classmethod
+    def from_rows(cls, rows: Mapping[str, Sequence[float]]) -> PyramidTable:
+        """A table of the given shares (not renormalized), in mapping order."""
+        return cls(tuple(rows), np.array(list(rows.values()) or np.empty((0, len(COHORTS))), dtype=float))
 
     def record(self, name: str) -> ObjectRecord:
-        if name not in self.rows:
-            raise SchemaError(f"no pyramid named {name!r}")
-        return ObjectRecord.from_values(name, COHORTS, self.rows[name])
+        if name not in self._index:
+            raise SchemaError(f"name not found: {name!r}")
+        return ObjectRecord.from_values(name, COHORTS, self.values[self._index[name]])
 
     def array(self) -> np.ndarray:
-        """All pyramids as one (N, 34) array, rows in ingestion order."""
-        return np.array(list(self.rows.values()), dtype=float).reshape(len(self.rows), len(COHORTS))
+        """All pyramids as one read-only (N, 34) array, rows in ingestion order."""
+        return self.values
 
     def records(self) -> Iterator[ObjectRecord]:
-        for name in self.rows:
+        for name in self.names:
             yield self.record(name)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.names)
 
     def __contains__(self, name: str) -> bool:
-        return name in self.rows
+        return name in self._index
 
 
 @contextmanager
 def _open_source(source: str | Path | IO[str]) -> Iterator[IO[str]]:
-    """A CSV source as a text stream: a path is opened (a UTF-8 BOM is
-    dropped) and closed on exit, an open stream is used as it is."""
+    """A CSV source as a text stream: a path is read whole and decoded as
+    UTF-8 (a BOM is dropped), an open stream is used as it is."""
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8-sig", newline="") as fh:
-            yield fh
+        data = Path(source).read_bytes().removeprefix(b"\xef\xbb\xbf")
+        yield io.StringIO(decode_utf8(data, source), newline="")
     else:
         yield source
 
@@ -127,31 +145,40 @@ def ingest(source: str | Path | IO[str], lenient: bool = False) -> PyramidTable:
                 f"bad header: expected {','.join(expected[:3])},...,{expected[-1]} "
                 f"({len(expected)} columns), got {len(header)} columns"
             )
-        rows: dict[str, np.ndarray] = {}
-        errors: list[str] = []
+        # a row without a name fails before the duplicate check, a non-numeric value after it
+        parsed: list[tuple[int, str, str]] = []
+        values: list[list[float]] = []
         for rownum, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and row[0].strip() == ""):
                 continue
-            try:
-                if len(row) != len(expected):
-                    raise SchemaError(f"expected {len(expected)} fields, got {len(row)}")
-                name = row[0].strip()
-                if not name:
-                    raise SchemaError("empty name")
-                if name in rows:
-                    raise SchemaError(f"duplicate name {name!r}")
+            name, problem, cells = "", "", [0.0] * len(COHORTS)
+            if len(row) != len(expected):
+                problem = f"expected {len(expected)} fields, got {len(row)}"
+            elif not (name := row[0].strip()):
+                problem = "empty name"
+            else:
                 try:
-                    values = [float(v) for v in row[1:]]
+                    cells = list(map(float, row[1:]))
                 except ValueError as exc:
-                    raise SchemaError(f"non-numeric value ({exc})") from None
-                rows[name] = normalize(values)
-            except (SchemaError, DomainError) as exc:
-                message = f"row {rownum}: {exc}"
-                if lenient:
-                    errors.append(message)
-                else:
-                    raise type(exc)(message) from None
-        return PyramidTable(rows, tuple(errors))
+                    problem = f"non-numeric value ({exc})"
+            parsed.append((rownum, name, problem))
+            values.append(cells)
+    shares, domain = _normalize_rows(np.array(values, dtype=float).reshape(len(values), len(COHORTS)))
+    kept: dict[str, int] = {}  # a name is a duplicate only of a row already accepted
+    errors: list[str] = []
+    for i, (rownum, name, problem) in enumerate(parsed):
+        error = SchemaError
+        if name in kept:
+            problem = f"duplicate name {name!r}"
+        elif not problem and domain[i]:
+            error, problem = DomainError, domain[i]
+        if not problem:
+            kept[name] = i
+        elif lenient:
+            errors.append(f"row {rownum}: {problem}")
+        else:
+            raise error(f"row {rownum}: {problem}")
+    return PyramidTable(tuple(kept), shares[list(kept.values())], tuple(errors))
 
 
 def long_to_wide(source: str | Path | IO[str]) -> PyramidTable:
@@ -195,7 +222,7 @@ def long_to_wide(source: str | Path | IO[str]) -> PyramidTable:
             if missing:
                 raise SchemaError(f"pyramid {name!r} is missing {len(missing)} cohorts (first: {missing[0]})")
             rows[name] = normalize([per_name[c] for c in COHORTS])
-        return PyramidTable(rows)
+        return PyramidTable.from_rows(rows)
 
 
 def write_pyramid_csv(table: PyramidTable, sink: str | Path | IO[str]) -> None:
@@ -203,8 +230,7 @@ def write_pyramid_csv(table: PyramidTable, sink: str | Path | IO[str]) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["name", *COHORTS])
-    for name in table.rows:
-        writer.writerow([name, *(repr(float(v)) for v in table.rows[name])])
+    writer.writerows([name, *values] for name, values in zip(table.names, table.values.tolist()))
     text = buffer.getvalue()
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8", newline="") as fh:

@@ -19,7 +19,7 @@ def synthetic_table(n: int = 10) -> PyramidTable:
         lam = i / max(n - 1, 1)
         rate = 0.05 + 0.25 * (i % 4) / 3
         rows[f"country{i:02d}"] = mixture_pyramid(f"country{i:02d}", lam, rate)
-    return PyramidTable(rows)
+    return PyramidTable.from_rows(rows)
 
 
 def random_pair(rng: np.random.Generator, n_params: int, lo: float = 0.5, hi: float = 1.5):

@@ -270,7 +270,7 @@ def test_reference_data_checks():
     assert _spearman(ks, list(range(len(ks)))) >= 0.9
 
     points = []
-    for name in table.names():
+    for name in table.names:
         target = table.record(name)
         k_male, k_female = sex_split_k(uganda, target, cfg)
         points.append((k_male, k_female, name))
@@ -278,7 +278,7 @@ def test_reference_data_checks():
     assert abs(slope - 1.025) <= 0.15
 
     sums = []
-    for name in table.names():
+    for name in table.names:
         target = table.record(name)
         k_mt = compare(monaco, target, cfg).k_cont
         k_ut = compare(uganda, target, cfg).k_cont

@@ -133,8 +133,6 @@ class TestBipartition:
             AveragingConfig(max_iterations=0)
         with pytest.raises(DomainError):
             AveragingConfig(convergence_tol=0.0)
-        with pytest.raises(DomainError):
-            AveragingConfig(polarization_split="kmeans")
 
 
 class TestPairMaxSplit:

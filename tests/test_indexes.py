@@ -2,7 +2,7 @@ import io
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdiss.dissimilarity import ProbeConfig, compare
@@ -17,7 +17,7 @@ from kdiss.indexes import (
     sum_constancy,
     write_index_csv,
 )
-from kdiss.pyramids import exponential_model, uniform_model
+from kdiss.pyramids import PyramidTable, exponential_model, normalize, uniform_model
 
 from conftest import synthetic_table
 
@@ -131,7 +131,7 @@ class TestIndexRows:
         cfg = ProbeConfig(delta=1e-3)
         rows, problems = build_index_rows(table, table.record("country00"), table.record("country04"), cfg)
         assert problems == []
-        assert [r.name for r in rows] == table.names()
+        assert tuple(r.name for r in rows) == table.names
         # query poles score the full 0/100 endpoints
         by_name = {r.name: r for r in rows}
         assert by_name["country00"].mu == 100.0
@@ -166,3 +166,28 @@ class TestIndexRows:
         assert any("MU undefined" in p for p in problems)
         bad = [r for r in rows if r.name == "country01"]
         assert math.isnan(bad[0].mu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=34, max_size=34).filter(any),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.sampled_from([1e-2, 1e-4, 1e-6]),
+)
+def test_index_rows_bounded_on_random_tables(raw_rows, pole_a, pole_b, delta):
+    # poles drawn from the table, sometimes the same row, so MU can be 0/0
+    table = PyramidTable.from_rows({f"p{i}": normalize(raw) for i, raw in enumerate(raw_rows)})
+    query_a, query_b = (table.record(table.names[i % len(table)]) for i in (pole_a, pole_b))
+    rows, problems = build_index_rows(table, query_a, query_b, ProbeConfig(delta=delta))
+    for row in rows:
+        if math.isnan(row.mu):
+            assert f"{row.name}: MU undefined (both K values are zero)" in problems
+        else:
+            assert 0.0 <= row.mu <= 100.0
+        assert 0.0 <= row.p_un / 100.0 <= 1.0  # the normalized variant, in percent
+        assert row.k_m_male + row.k_m_female == pytest.approx(row.k_mt, rel=1e-12, abs=0.0)
