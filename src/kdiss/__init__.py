@@ -7,70 +7,86 @@ clone with the target (in closed form; the paper's search stays as the
 oracle).  The resulting coefficient K is stable
 across delta, decomposes exactly over parameters, and underpins the
 pyramid-specific indices (MU, uniform-component share) and reporting tools.
+
+The public names below load their module on first use, so importing kdiss
+(or kdiss.cli) does not load numpy until something needs it.
 """
 
-from .averaging import AveragingConfig, Bipartition, average_once, bipartition, pair_max_split
-from .dissimilarity import (
-    ComparisonResult,
-    IncrementStore,
-    ProbeConfig,
-    batch_compare,
-    closed_form_k,
-    compare,
-    grouped_with_target,
-    switch_weight,
-)
-from .errors import (
-    DegenerateSymmetryError,
-    DomainError,
-    KdissError,
-    NonPolarizedError,
-    NotSwitchedError,
-    SchemaError,
-    StoreLookupError,
-)
-from .indexes import (
-    IndexRow,
-    build_index_rows,
-    mu_index,
-    p_uniform,
-    read_index_csv,
-    sex_split_k,
-    sum_constancy,
-    write_index_csv,
-)
-from .pyramids import (
-    COHORTS,
-    FEMALE_COHORTS,
-    MALE_COHORTS,
-    PyramidTable,
-    exponential_model,
-    ingest,
-    long_to_wide,
-    normalize,
-    sex_slice,
-    uniform_model,
-    write_pyramid_csv,
-)
-from .report import (
-    IndicatorTable,
-    ScatterSeries,
-    emit,
-    fit_series,
-    join,
-    linear_fit,
-    pearson,
-    ppb,
-    read_indicators,
-)
-from .similarity import (
-    ObjectRecord,
-    SimilarityMatrix,
-    WeightedParameterSet,
-    blend,
-    blend_from_objects,
-    parameter_matrix,
-    r_similarity,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_HOMES = {
+    "averaging": ("AveragingConfig", "Bipartition", "average_once", "bipartition", "pair_max_split"),
+    "dissimilarity": (
+        "ComparisonResult",
+        "ProbeConfig",
+        "batch_compare",
+        "closed_form_k",
+        "compare",
+        "grouped_with_target",
+        "switch_weight",
+    ),
+    "errors": (
+        "DegenerateSymmetryError",
+        "DomainError",
+        "KdissError",
+        "NonPolarizedError",
+        "NotSwitchedError",
+        "SchemaError",
+        "StoreLookupError",
+    ),
+    "formats": (
+        "COHORTS",
+        "FEMALE_COHORTS",
+        "MALE_COHORTS",
+        "IndexRow",
+        "read_index_csv",
+        "write_index_csv",
+    ),
+    "indexes": ("build_index_rows", "mu_index", "p_uniform", "sex_split_k", "sum_constancy"),
+    "pyramids": (
+        "PyramidTable",
+        "exponential_model",
+        "ingest",
+        "long_to_wide",
+        "normalize",
+        "sex_slice",
+        "uniform_model",
+        "write_pyramid_csv",
+    ),
+    "report": (
+        "IndicatorTable",
+        "ScatterSeries",
+        "emit",
+        "fit_series",
+        "join",
+        "linear_fit",
+        "pearson",
+        "ppb",
+        "read_indicators",
+    ),
+    "similarity": (
+        "ObjectRecord",
+        "SimilarityMatrix",
+        "WeightedParameterSet",
+        "blend",
+        "blend_from_objects",
+        "parameter_matrix",
+        "r_similarity",
+    ),
+    "store": ("IncrementStore",),
+}
+_MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -11,29 +11,56 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .dissimilarity import IncrementStore, ProbeConfig, _closed_form, compare
 from .errors import KdissError
-from .indexes import build_index_rows, p_uniform, read_index_csv, write_index_csv
-from .pyramids import (
-    FEMALE_COHORTS,
-    MALE_COHORTS,
-    PyramidTable,
-    cohort_totals,
-    exponential_model,
-    ingest,
-    long_to_wide,
-    uniform_model,
-    write_pyramid_csv,
-)
+from .formats import FEMALE_COHORTS, MALE_COHORTS, read_index_csv, write_index_csv
 from .report import emit, fit_series, join, read_indicators
+from .store import IncrementStore
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .pyramids import PyramidTable
+
+# Names of the numpy engine, by module.  Each is bound as an attribute of this
+# module on its first lookup, and main binds them all before a command that
+# computes K runs, so `report`, `store combine` and `--help` never load numpy.
+_ENGINE = {
+    "ProbeConfig": "dissimilarity",
+    "_closed_form": "dissimilarity",
+    "compare": "dissimilarity",
+    "build_index_rows": "indexes",
+    "p_uniform": "indexes",
+    "cohort_totals": "pyramids",
+    "exponential_model": "pyramids",
+    "ingest": "pyramids",
+    "long_to_wide": "pyramids",
+    "uniform_model": "pyramids",
+    "write_pyramid_csv": "pyramids",
+}
+
+
+def __getattr__(name: str):
+    if name not in _ENGINE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_ENGINE[name]}", __package__), name)
+    return value
+
+
+def _bind_engine() -> None:
+    """Bind every engine name not bound yet.  A name already set, such as a
+    test's or a tracer's replacement, is kept."""
+    for name in _ENGINE:
+        if name not in globals():
+            __getattr__(name)
+
 
 DATA_DIR_ENV = "KDISS_DATA_DIR"
 
@@ -217,11 +244,10 @@ def cmd_report(args) -> int:
         x_transform="log10" if args.logx else None,
         y_transform="log10" if args.logy else None,
     )
-    if len(series.points) >= 3:
-        try:
-            series = fit_series(series)
-        except KdissError:
-            pass
+    try:
+        series = fit_series(series)
+    except KdissError as exc:
+        print(f"warning: no fit ({exc})", file=sys.stderr)
     _write_out(emit(series, args.format), args.out)
     for message in unmatched:
         print(f"unmatched: {message}", file=sys.stderr)
@@ -240,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         if data:
             p.add_argument("data", help="pyramid CSV (name,m00,...,m80,f00,...,f80)")
         p.add_argument("--delta", type=float, default=1e-4, help="probe delta (default 1e-4)")
-        p.add_argument("--metric", choices=["R"], default="R", help="per-parameter metric (only R)")
         p.add_argument("--lenient", action="store_true", help="skip bad rows instead of failing")
         p.add_argument("--out", help="output path (default stdout)")
         if parallel:
@@ -337,6 +362,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _validate(args)
+        if not (args.command == "report" or getattr(args, "action", None) == "combine"):
+            _bind_engine()  # every other command computes K
         return args.func(args)
     except (KdissError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,6 +31,10 @@ class NotSwitchedError(KdissError):
 class StoreLookupError(KdissError, KeyError):
     """An increment-store key (query, target, delta, parameter) is absent."""
 
+    def __str__(self) -> str:
+        # the message as given, not KeyError's repr of it
+        return Exception.__str__(self)
+
 
 def decode_utf8(data: bytes, path: object) -> str:
     """data as UTF-8 text; a bad byte raises SchemaError naming path and its line."""

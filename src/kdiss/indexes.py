@@ -7,26 +7,23 @@ the same against the uniform and exponential model pyramids.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dissimilarity import ProbeConfig, _closed_form, compare
 from .errors import DomainError, SchemaError
-from .pyramids import (
+from .formats import (
     COHORTS,
     FEMALE_COHORTS,
+    INDEX_COLUMNS,
     MALE_COHORTS,
-    PyramidTable,
-    _open_source,
-    exponential_model,
-    uniform_model,
+    IndexRow,
+    read_index_csv,
+    write_index_csv,
 )
+from .pyramids import PyramidTable, exponential_model, uniform_model
 from .similarity import ObjectRecord
 
 __all__ = [
@@ -41,23 +38,6 @@ __all__ = [
     "read_index_csv",
     "INDEX_COLUMNS",
 ]
-
-INDEX_COLUMNS = ("name", "k_mt", "k_ut", "k_m_male", "k_m_female", "mu", "d_un", "d_e30", "p_un")
-
-
-@dataclass(frozen=True)
-class IndexRow:
-    """Per-target index values against two polar queries and the two models."""
-
-    name: str
-    k_mt: float
-    k_ut: float
-    k_m_male: float
-    k_m_female: float
-    mu: float
-    d_un: float
-    d_e30: float
-    p_un: float
 
 
 def mu_index(k_ut: float, k_mt: float) -> float:
@@ -179,59 +159,3 @@ def build_index_rows(
         k_male, k_female = math.fsum(male[i]), math.fsum(female[i])
         rows.append(IndexRow(name, k_mt[i], k_ut[i], k_male, k_female, mu, d_un[i], d_e[i], p_un))
     return rows, problems
-
-
-def _format(value: float) -> str:
-    if math.isnan(value):
-        return "nan"
-    return f"{value:.6f}"
-
-
-def write_index_csv(rows: Sequence[IndexRow], sink: str | Path | IO[str]) -> None:
-    """Write rows as CSV with the fixed column order of INDEX_COLUMNS."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(INDEX_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                row.name,
-                _format(row.k_mt),
-                _format(row.k_ut),
-                _format(row.k_m_male),
-                _format(row.k_m_female),
-                _format(row.mu),
-                _format(row.d_un),
-                _format(row.d_e30),
-                _format(row.p_un),
-            ]
-        )
-    text = buffer.getvalue()
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sink.write(text)
-
-
-def read_index_csv(source: str | Path | IO[str]) -> list[IndexRow]:
-    """Read back an index CSV produced by write_index_csv."""
-    with _open_source(source) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty input: missing header row") from None
-        if tuple(h.strip() for h in header) != INDEX_COLUMNS:
-            raise SchemaError(f"bad header: expected {','.join(INDEX_COLUMNS)}")
-        rows = []
-        for rownum, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and row[0].strip() == ""):
-                continue
-            if len(row) != len(INDEX_COLUMNS):
-                raise SchemaError(f"row {rownum}: expected {len(INDEX_COLUMNS)} fields")
-            try:
-                rows.append(IndexRow(row[0], *(float(v) for v in row[1:])))
-            except ValueError as exc:
-                raise SchemaError(f"row {rownum}: non-numeric value ({exc})") from None
-        return rows

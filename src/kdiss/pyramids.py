@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import csv
 import io
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, decode_utf8
+from .errors import DomainError, SchemaError
+from .formats import AGE_STARTS, COHORTS, FEMALE_COHORTS, MALE_COHORTS, _open_source
 from .similarity import ObjectRecord
 
 __all__ = [
@@ -35,11 +35,6 @@ __all__ = [
     "sex_slice",
     "cohort_totals",
 ]
-
-AGE_STARTS = tuple(range(0, 85, 5))
-MALE_COHORTS = tuple(f"m{age:02d}" for age in AGE_STARTS)
-FEMALE_COHORTS = tuple(f"f{age:02d}" for age in AGE_STARTS)
-COHORTS = MALE_COHORTS + FEMALE_COHORTS
 
 _UNIFORM_SHARE = 100.0 / 34.0
 # why a row cannot be normalized, highest precedence first
@@ -113,17 +108,6 @@ class PyramidTable:
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
-
-
-@contextmanager
-def _open_source(source: str | Path | IO[str]) -> Iterator[IO[str]]:
-    """A CSV source as a text stream: a path is read whole and decoded as
-    UTF-8 (a BOM is dropped), an open stream is used as it is."""
-    if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes().removeprefix(b"\xef\xbb\xbf")
-        yield io.StringIO(decode_utf8(data, source), newline="")
-    else:
-        yield source
 
 
 def ingest(source: str | Path | IO[str], lenient: bool = False) -> PyramidTable:

@@ -14,11 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
-import numpy as np
-
 from .errors import DomainError, SchemaError
-from .indexes import IndexRow
-from .pyramids import _open_source
+from .formats import IndexRow, _open_source
 
 __all__ = [
     "IndicatorTable",
@@ -86,7 +83,7 @@ def read_indicators(source: str | Path | IO[str]) -> IndicatorTable:
 
 def ppb(birth_rate_per_1000: float) -> float:
     """Population per birth: inhabitants per newborn, 1000 / crude birth rate."""
-    if not (np.isfinite(birth_rate_per_1000) and birth_rate_per_1000 > 0):
+    if not (math.isfinite(birth_rate_per_1000) and birth_rate_per_1000 > 0):
         raise DomainError(f"birth rate must be positive, got {birth_rate_per_1000!r}")
     return 1000.0 / birth_rate_per_1000
 
@@ -158,33 +155,40 @@ def join(
     return ScatterSeries(series_label, tuple(points), None, x_name, y_name), unmatched
 
 
+def _centered(values: list[float]) -> tuple[list[float], float]:
+    """values minus their mean, and the mean (fsum-based, so exactly rounded sums)."""
+    mean = math.fsum(values) / len(values)
+    return [v - mean for v in values], mean
+
+
+def _dot(a: list[float], b: list[float]) -> float:
+    return math.fsum(x * y for x, y in zip(a, b))
+
+
 def pearson(points: Sequence[tuple]) -> float:
     """Pearson correlation of the first two coordinates of each point."""
     if len(points) < 3:
         raise DomainError("need at least three points")
-    x = np.array([p[0] for p in points], dtype=float)
-    y = np.array([p[1] for p in points], dtype=float)
-    dx = x - x.mean()
-    dy = y - y.mean()
-    vx = float(np.dot(dx, dx))
-    vy = float(np.dot(dy, dy))
+    dx, _ = _centered([float(p[0]) for p in points])
+    dy, _ = _centered([float(p[1]) for p in points])
+    vx = _dot(dx, dx)
+    vy = _dot(dy, dy)
     if vx == 0.0 or vy == 0.0:
         raise DomainError("zero variance in one coordinate")
-    return float(np.dot(dx, dy) / math.sqrt(vx * vy))
+    return _dot(dx, dy) / math.sqrt(vx * vy)
 
 
 def linear_fit(points: Sequence[tuple]) -> tuple[float, float]:
     """Ordinary least squares (slope, intercept) of y on x."""
     if len(points) < 2:
         raise DomainError("need at least two points")
-    x = np.array([p[0] for p in points], dtype=float)
-    y = np.array([p[1] for p in points], dtype=float)
-    dx = x - x.mean()
-    vx = float(np.dot(dx, dx))
+    dx, x_mean = _centered([float(p[0]) for p in points])
+    dy, y_mean = _centered([float(p[1]) for p in points])
+    vx = _dot(dx, dx)
     if vx == 0.0:
         raise DomainError("x takes a single value; slope is undefined")
-    slope = float(np.dot(dx, y - y.mean()) / vx)
-    intercept = float(y.mean() - slope * x.mean())
+    slope = _dot(dx, dy) / vx
+    intercept = y_mean - slope * x_mean
     return slope, intercept
 
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import kdiss.cli
 from kdiss.cli import main
 from kdiss.pyramids import COHORTS
 
@@ -252,6 +253,8 @@ class TestStore:
             capsys, "store", "combine", "--store", store, "--query", "a", "--target", "b"
         )
         assert code == 1
+        # the message as raised, without the quotes a KeyError's str adds
+        assert err == "error: no records for ('a', 'b')\n"
 
 
 class TestReport:
@@ -311,6 +314,53 @@ class TestReport:
         )
         assert code == 0
         assert err.count("unmatched") == 9
+
+    def test_failed_fit_warns_and_keeps_stdout(self, index_csv, tmp_path, capsys):
+        # all three points share one x: no fit line, and stderr says why
+        ind = tmp_path / "same_x.csv"
+        ind.write_text("name,indicator,value\n" + "".join(f"country0{i},gdp,1\ncountry0{i},iq,{i}\n" for i in range(3)))
+        code, out, err = run(capsys, "report", "--indexes", index_csv, "--indicators", ind, "--x", "gdp", "--y", "iq")
+        assert code == 0
+        assert out == "# label=iq vs gdp\n# n=3\nname,x,y\ncountry00,1,0\ncountry01,1,1\ncountry02,1,2\n"
+        assert err.splitlines()[0] == "warning: no fit (x takes a single value; slope is undefined)"
+        # fewer than three points: no fit either, and stderr says so
+        ind.write_text("name,indicator,value\ncountry00,gdp,1\ncountry01,gdp,2\n")
+        code, out, err = run(capsys, "report", "--indexes", index_csv, "--indicators", ind, "--x", "gdp", "--y", "mu")
+        assert code == 0 and "# fit" not in out and "# n=2\n" in out
+        assert err.splitlines()[0] == "warning: no fit (need at least three points)"
+
+
+class TestEngineNames:
+    """The engine names are kdiss.cli attributes that the commands look up, so a
+    replacement set on the module (a test spy, a tracing wrapper) is what runs."""
+
+    def test_mu_calls_the_patched_build_index_rows(self, monkeypatch, pyramid_csv, capsys):
+        real = kdiss.cli.build_index_rows
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kdiss.cli, "build_index_rows", spy)
+        code, out, _ = run(capsys, "mu", pyramid_csv, "country00", "country09", "--delta", "0.001")
+        assert code == 0
+        assert len(calls) == 1 and len(calls[0]) == 10
+        assert len(out.splitlines()) == 11
+
+    @pytest.mark.parametrize("command", ["ingest", "batch"])
+    def test_commands_call_the_patched_ingest(self, monkeypatch, pyramid_csv, capsys, command):
+        real = kdiss.cli.ingest
+        calls = []
+        monkeypatch.setattr(kdiss.cli, "ingest", lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+        extra = ["--model", "uniform"] if command == "batch" else []
+        code, _, _ = run(capsys, command, pyramid_csv, *extra)
+        assert code == 0
+        assert calls == [pyramid_csv]
+
+    def test_unknown_attribute_still_fails(self):
+        with pytest.raises(AttributeError):
+            kdiss.cli.no_such_name
 
 
 class TestValidation:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import kdiss.dissimilarity
 from kdiss.cli import main
-from kdiss.dissimilarity import ProbeConfig, batch_compare, compare, switch_weight
+from kdiss.dissimilarity import IncrementStore, ProbeConfig, batch_compare, compare, switch_weight
 from kdiss.indexes import build_index_rows
 from kdiss.pyramids import write_pyramid_csv
 
@@ -44,6 +44,56 @@ def test_random_pairs_match_search(rng):
 def test_property_matches_search(sims, delta):
     q, t = pair_with_sims(sims)
     assert_matches_search(q, t, ProbeConfig(delta=delta))
+
+
+# parameters that differ, plus some identical ones (r = 1, zero increment)
+SIMS = st.lists(st.one_of(st.floats(min_value=0.05, max_value=0.95), st.just(1.0)), min_size=1, max_size=34).filter(
+    lambda sims: min(sims) < 1.0
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SIMS, st.sampled_from(DELTAS), st.sampled_from(DELTAS))
+def test_property_k_delta_constancy(sims, delta_a, delta_b):
+    """K_cont / (1 + delta) is the same at every delta, on the kernel and on the
+    search, and the whole-step K = D * delta sits within one delta above K_cont,
+    give or take the rounding of w*: D comes from the predicate, which can
+    move a w* that lies within rounding of a whole number one step either way."""
+    q, t = pair_with_sims(sims)
+    kernel, search = [], []
+    for delta in (delta_a, delta_b):
+        cfg = ProbeConfig(delta=delta)
+        result = compare(q, t, cfg)
+        rounding = 1e-12 * result.k_cont
+        assert -rounding <= result.k - result.k_cont <= delta + rounding
+        kernel.append(result.k_cont / (1.0 + delta))
+        w_search = switch_weight(q, t, cfg)
+        assert 0.0 <= max(1, math.ceil(w_search)) * delta - w_search * delta <= delta * (1.0 + 1e-12)
+        search.append(w_search * delta / (1.0 + delta))
+    assert kernel[0] == pytest.approx(kernel[1], rel=K_REL, abs=0.0)
+    assert search[0] == pytest.approx(search[1], rel=K_REL, abs=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SIMS, st.sampled_from(DELTAS), st.data())
+def test_property_increment_additivity(sims, delta, data):
+    """The increments add up to K_cont (1e-12) and to the search's w* * delta
+    (1e-9), and any parameter subset plus its complement, recombined through
+    the store, gives the whole."""
+    q, t = pair_with_sims(sims)
+    cfg = ProbeConfig(delta=delta)
+    result = compare(q, t, cfg)
+    assert math.fsum(result.increments.values()) == pytest.approx(result.k_cont, rel=1e-12, abs=0.0)
+    w_search = switch_weight(q, t, cfg)
+    assert math.fsum(result.increments.values()) == pytest.approx(w_search * delta, rel=K_REL, abs=0.0)
+    names = list(result.increments)
+    subset = data.draw(st.lists(st.sampled_from(names), unique=True), label="subset")
+    rest = [n for n in names if n not in subset]
+    store = IncrementStore()
+    store.put(result)
+    whole = store.combine("q", "t")
+    assert whole == pytest.approx(result.k_cont, rel=1e-12, abs=0.0)
+    assert store.combine("q", "t", subset) + store.combine("q", "t", rest) == pytest.approx(whole, rel=1e-12)
 
 
 @pytest.mark.parametrize(

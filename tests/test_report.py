@@ -1,7 +1,11 @@
 import io
+import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kdiss.errors import DomainError, SchemaError
 from kdiss.indexes import IndexRow
@@ -182,3 +186,31 @@ class TestEmit:
     def test_unknown_format(self):
         with pytest.raises(DomainError):
             emit(ScatterSeries("s", ()), "png")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(-100.0, 100.0), st.floats(-1.0, 1.0)), min_size=3, max_size=60),
+    st.floats(-10.0, 10.0),
+    st.floats(-100.0, 100.0),
+)
+def test_fit_matches_numpy_reference(pairs, slope, intercept):
+    """pearson and linear_fit (fsum-based, no numpy) against the numpy formulas
+    on well-conditioned points: x spread out, r away from 0."""
+    points = [(x, slope * x + intercept + 10.0 * e) for x, e in pairs]
+    x = np.array([p[0] for p in points])
+    y = np.array([p[1] for p in points])
+    dx, dy = x - x.mean(), y - y.mean()
+    vx, vy = float(np.dot(dx, dx)), float(np.dot(dy, dy))
+    assume(vx >= len(points) and vy >= 1e-2 * len(points))
+    ref_r = float(np.dot(dx, dy) / math.sqrt(vx * vy))
+    assume(abs(ref_r) >= 1e-3)
+    ref_slope = float(np.dot(dx, dy) / vx)
+    ref_intercept = float(y.mean() - ref_slope * x.mean())
+
+    assert pearson(points) == pytest.approx(ref_r, rel=1e-9, abs=0.0)
+    got_slope, got_intercept = linear_fit(points)
+    assert got_slope == pytest.approx(ref_slope, rel=1e-9, abs=0.0)
+    # the intercept is a difference: relative to the size of its two terms
+    scale = abs(float(y.mean())) + abs(ref_slope * float(x.mean()))
+    assert got_intercept == pytest.approx(ref_intercept, rel=1e-9, abs=1e-9 * scale)
