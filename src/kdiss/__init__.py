@@ -8,8 +8,9 @@ oracle).  The resulting coefficient K is stable
 across delta, decomposes exactly over parameters, and underpins the
 pyramid-specific indices (MU, uniform-component share) and reporting tools.
 
-The public names below load their module on first use, so importing kdiss
-(or kdiss.cli) does not load numpy until something needs it.
+The public names below load their module on first use.  Only the paper's
+oracle (the similarity matrices, averaging and the search) and the ndarray
+accessors load numpy.
 """
 
 import importlib
@@ -17,16 +18,8 @@ import importlib
 __version__ = "0.1.0"
 
 _HOMES = {
-    "averaging": ("AveragingConfig", "Bipartition", "average_once", "bipartition", "pair_max_split"),
-    "dissimilarity": (
-        "ComparisonResult",
-        "ProbeConfig",
-        "batch_compare",
-        "closed_form_k",
-        "compare",
-        "grouped_with_target",
-        "switch_weight",
-    ),
+    "averaging": ("Bipartition", "average_once", "bipartition", "pair_max_split"),
+    "dissimilarity": ("grouped_with_target", "switch_weight"),
     "errors": (
         "DegenerateSymmetryError",
         "DomainError",
@@ -45,6 +38,16 @@ _HOMES = {
         "write_index_csv",
     ),
     "indexes": ("build_index_rows", "mu_index", "p_uniform", "sex_split_k", "sum_constancy"),
+    "kernel": (
+        "AveragingConfig",
+        "ComparisonResult",
+        "ObjectRecord",
+        "ProbeConfig",
+        "batch_compare",
+        "closed_form_k",
+        "compare",
+        "r_similarity",
+    ),
     "pyramids": (
         "PyramidTable",
         "exponential_model",
@@ -66,15 +69,7 @@ _HOMES = {
         "ppb",
         "read_indicators",
     ),
-    "similarity": (
-        "ObjectRecord",
-        "SimilarityMatrix",
-        "WeightedParameterSet",
-        "blend",
-        "blend_from_objects",
-        "parameter_matrix",
-        "r_similarity",
-    ),
+    "similarity": ("SimilarityMatrix", "WeightedParameterSet", "blend", "blend_from_objects", "parameter_matrix"),
     "store": ("IncrementStore",),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}

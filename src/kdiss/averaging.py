@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSymmetryError, DomainError, NonPolarizedError, SchemaError
+from .errors import DegenerateSymmetryError, NonPolarizedError, SchemaError
+from .kernel import AveragingConfig  # its numpy-free home, so ProbeConfig needs no numpy
 from .similarity import SimilarityMatrix
 
 __all__ = [
@@ -34,25 +35,6 @@ __all__ = [
     "bipartition",
     "pair_max_split",
 ]
-
-
-@dataclass(frozen=True)
-class AveragingConfig:
-    """Stopping and extraction knobs for the averaging loop.
-
-    convergence_tol bounds the max absolute entry change per sweep for the
-    general (n > 3) loop; the 3-object path stops on its own provably-final
-    criterion and only honors max_iterations.
-    """
-
-    max_iterations: int = 200
-    convergence_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be >= 1")
-        if not self.convergence_tol > 0:
-            raise DomainError("convergence_tol must be > 0")
 
 
 @dataclass(frozen=True)

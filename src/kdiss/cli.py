@@ -2,9 +2,10 @@
 
 All subcommands are deterministic for fixed inputs and flags; there is no
 randomness anywhere.  ``--parallel N`` is accepted for compatibility and
-changes nothing: every command runs single-process, one closed-form array
-pass per query.  Exit status is 0 when no row-level problem occurred (or with
-``--lenient``), 1 on data errors, 2 on usage errors.
+changes nothing: every command runs single-process, one closed-form pass
+per query in plain Python, and none loads numpy.  Exit status is 0 when no
+row-level problem occurred (or with ``--lenient``), 1 on data errors, 2 on
+usage errors.
 """
 
 from __future__ import annotations
@@ -25,17 +26,16 @@ from .report import emit, fit_series, join, read_indicators
 from .store import IncrementStore
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .pyramids import PyramidTable
 
-# Names of the numpy engine, by module.  Each is bound as an attribute of this
-# module on its first lookup, and main binds them all before a command that
-# computes K runs, so `report`, `store combine` and `--help` never load numpy.
+# Names of the engine, by module.  Each is bound as an attribute of this module
+# on its first lookup, and main binds them all before a command that computes K
+# runs, so `report`, `store combine` and `--help` skip importing the engine
+# modules (1-3 ms each), and a name set beforehand (a spy, a tracer) is kept.
 _ENGINE = {
-    "ProbeConfig": "dissimilarity",
-    "_closed_form": "dissimilarity",
-    "compare": "dissimilarity",
+    "ProbeConfig": "kernel",
+    "_closed_form": "kernel",
+    "compare": "kernel",
     "build_index_rows": "indexes",
     "p_uniform": "indexes",
     "cohort_totals": "pyramids",
@@ -94,16 +94,16 @@ def _load_table(path: str, lenient: bool) -> PyramidTable:
     return ingest(_resolve_path(path), lenient=lenient)
 
 
-def _pick_query(args, table: PyramidTable) -> np.ndarray:
+def _pick_query(args, table: PyramidTable) -> tuple[float, ...]:
     """Query values from a table name or a model spec (uniform / exp:RATE)."""
     if getattr(args, "model", None):
         spec = args.model
         if spec == "uniform":
-            return uniform_model().values()
+            return uniform_model().param_values
         if spec.startswith("exp:"):
-            return exponential_model(float(spec[4:])).values()
+            return exponential_model(float(spec[4:])).param_values
         raise KdissError(f"bad model spec {spec!r}: use 'uniform' or 'exp:RATE'")
-    return table.record(args.query).values()
+    return table.record(args.query).param_values
 
 
 def cmd_ingest(args) -> int:
@@ -150,12 +150,13 @@ def cmd_compare(args) -> int:
 
 def cmd_batch(args) -> int:
     table = _load_table(args.data, args.lenient)
-    closed = _closed_form(_pick_query(args, table), table.array(), args.delta)
+    closed = _closed_form(_pick_query(args, table), table.values, args.delta)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["name", "d", "k", "k_cont"])
-    for name, d, k_cont in zip(table.names, closed.d.tolist(), closed.k_cont.tolist()):
-        writer.writerow([name, int(d), f"{d * args.delta:.6f}", f"{k_cont:.6f}"])
+    for name, c in zip(table.names, closed):
+        d = c.d(args.delta)
+        writer.writerow([name, int(d), f"{d * args.delta:.6f}", f"{c.k_cont:.6f}"])
     _write_out(buffer.getvalue(), args.out)
     return 0
 
@@ -189,9 +190,8 @@ def cmd_model(args) -> int:
 
 def cmd_punif(args) -> int:
     table = _load_table(args.data, args.lenient)
-    targets = table.array()
-    d_uns = _closed_form(uniform_model().values(), targets, args.delta).k_cont.tolist()
-    d_es = _closed_form(exponential_model(args.rate).values(), targets, args.delta).k_cont.tolist()
+    d_uns = [c.k_cont for c in _closed_form(uniform_model().param_values, table.values, args.delta)]
+    d_es = [c.k_cont for c in _closed_form(exponential_model(args.rate).param_values, table.values, args.delta)]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["name", "d_un", "d_e30", "p_un"])

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, Sequence
@@ -36,15 +35,34 @@ COHORTS = MALE_COHORTS + FEMALE_COHORTS
 INDEX_COLUMNS = ("name", "k_mt", "k_ut", "k_m_male", "k_m_female", "mu", "d_un", "d_e30", "p_un")
 
 
-@contextmanager
-def _open_source(source: str | Path | IO[str]) -> Iterator[IO[str]]:
-    """A CSV source as a text stream: a path is read whole and decoded as
-    UTF-8 (a BOM is dropped), an open stream is used as it is."""
+def _csv_rows(source: str | Path | IO[str], columns: Sequence[str], bad_header: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank row of a CSV after its header.
+
+    A path is read whole and decoded as UTF-8 (a BOM is dropped), an open
+    stream is used as it is.  A header that, stripped, is not ``columns``
+    raises SchemaError(bad_header), with ``{n}`` in it set to its length.
+    """
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes().removeprefix(b"\xef\xbb\xbf")
-        yield io.StringIO(decode_utf8(data, source), newline="")
+        source = io.StringIO(decode_utf8(data, source), newline="")
+    reader = csv.reader(source)
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError("empty input: missing header row")
+    if [h.strip() for h in header] != list(columns):
+        raise SchemaError(bad_header.format(n=len(header)))
+    for rownum, row in enumerate(reader, start=2):
+        if row and not (len(row) == 1 and row[0].strip() == ""):
+            yield rownum, row
+
+
+def _write_text(text: str, sink: str | Path | IO[str]) -> None:
+    """Write text to a path (UTF-8, newlines as given) or to an open stream."""
+    if isinstance(sink, (str, Path)):
+        with open(sink, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     else:
-        yield source
+        sink.write(text)
 
 
 @dataclass(frozen=True)
@@ -73,46 +91,18 @@ def write_index_csv(rows: Sequence[IndexRow], sink: str | Path | IO[str]) -> Non
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(INDEX_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                row.name,
-                _format(row.k_mt),
-                _format(row.k_ut),
-                _format(row.k_m_male),
-                _format(row.k_m_female),
-                _format(row.mu),
-                _format(row.d_un),
-                _format(row.d_e30),
-                _format(row.p_un),
-            ]
-        )
-    text = buffer.getvalue()
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sink.write(text)
+    writer.writerows([row.name, *(_format(getattr(row, column)) for column in INDEX_COLUMNS[1:])] for row in rows)
+    _write_text(buffer.getvalue(), sink)
 
 
 def read_index_csv(source: str | Path | IO[str]) -> list[IndexRow]:
     """Read back an index CSV produced by write_index_csv."""
-    with _open_source(source) as fh:
-        reader = csv.reader(fh)
+    rows = []
+    for rownum, row in _csv_rows(source, INDEX_COLUMNS, f"bad header: expected {','.join(INDEX_COLUMNS)}"):
+        if len(row) != len(INDEX_COLUMNS):
+            raise SchemaError(f"row {rownum}: expected {len(INDEX_COLUMNS)} fields")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty input: missing header row") from None
-        if tuple(h.strip() for h in header) != INDEX_COLUMNS:
-            raise SchemaError(f"bad header: expected {','.join(INDEX_COLUMNS)}")
-        rows = []
-        for rownum, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and row[0].strip() == ""):
-                continue
-            if len(row) != len(INDEX_COLUMNS):
-                raise SchemaError(f"row {rownum}: expected {len(INDEX_COLUMNS)} fields")
-            try:
-                rows.append(IndexRow(row[0], *(float(v) for v in row[1:])))
-            except ValueError as exc:
-                raise SchemaError(f"row {rownum}: non-numeric value ({exc})") from None
-        return rows
+            rows.append(IndexRow(row[0], *(float(v) for v in row[1:])))
+        except ValueError as exc:
+            raise SchemaError(f"row {rownum}: non-numeric value ({exc})") from None
+    return rows

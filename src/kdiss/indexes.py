@@ -2,7 +2,8 @@
 
 MU places a pyramid between two polar query pyramids (0 = identical to the
 first pole, 100 = identical to the second); the uniform-component share does
-the same against the uniform and exponential model pyramids.
+the same against the uniform and exponential model pyramids.  Only
+sum_constancy imports numpy, when it is called.
 """
 
 from __future__ import annotations
@@ -10,9 +11,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
-from .dissimilarity import ProbeConfig, _closed_form, compare
 from .errors import DomainError, SchemaError
 from .formats import (
     COHORTS,
@@ -23,8 +21,8 @@ from .formats import (
     read_index_csv,
     write_index_csv,
 )
+from .kernel import ObjectRecord, ProbeConfig, _closed_form, compare
 from .pyramids import PyramidTable, exponential_model, uniform_model
-from .similarity import ObjectRecord
 
 __all__ = [
     "IndexRow",
@@ -32,7 +30,6 @@ __all__ = [
     "p_uniform",
     "sum_constancy",
     "sex_split_k",
-    "index_row_for",
     "build_index_rows",
     "write_index_csv",
     "read_index_csv",
@@ -78,6 +75,8 @@ def sum_constancy(values: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """Mean and population standard deviation of pairwise sums k1 + k2."""
     if len(values) == 0:
         raise DomainError("need at least one pair")
+    import numpy as np
+
     sums = np.array([a + b for a, b in values], dtype=float)
     return float(sums.mean()), float(sums.std())
 
@@ -99,24 +98,10 @@ def sex_split_k(
     return k_male, k_female
 
 
-def index_row_for(
-    target: ObjectRecord,
-    query_a: ObjectRecord,
-    query_b: ObjectRecord,
-    cfg: ProbeConfig | None = None,
-    exp_rate: float = 0.30,
-    variant: str = "normalized",
-) -> tuple[IndexRow, list[str]]:
-    """One target's index row, plus messages for any undefined fields."""
-    table = PyramidTable.from_rows({target.name: _cohort_values(target)})
-    rows, problems = build_index_rows(table, query_a, query_b, cfg, exp_rate, variant)
-    return rows[0], problems
-
-
-def _cohort_values(record: ObjectRecord) -> np.ndarray:
+def _cohort_values(record: ObjectRecord) -> tuple[float, ...]:
     if record.param_names != COHORTS:
         raise SchemaError(f"object {record.name!r} does not carry the {len(COHORTS)} cohorts in order")
-    return record.values()
+    return record.param_values
 
 
 def build_index_rows(
@@ -131,23 +116,21 @@ def build_index_rows(
 
     query_a plays the k_mt role (the pole where MU = 100), query_b the k_ut
     role.  Returns the rows plus messages for rows whose MU or p_un is
-    undefined (those fields are set to nan).  The table is stacked once and
-    each of the four queries is one closed-form pass over it.
+    undefined (those fields are set to nan).  Each of the four queries is
+    one closed-form pass over the table.
     """
     delta = (cfg or ProbeConfig()).delta
-    targets = table.array()
+    targets = table.values
     pole_a = _closed_form(_cohort_values(query_a), targets, delta)
-    k_ut = _closed_form(_cohort_values(query_b), targets, delta).k_cont.tolist()
-    d_un = _closed_form(uniform_model().values(), targets, delta).k_cont.tolist()
-    d_e = _closed_form(exponential_model(exp_rate).values(), targets, delta).k_cont.tolist()
-    k_mt = pole_a.k_cont.tolist()
-    male = pole_a.increments[:, : len(MALE_COHORTS)].tolist()
-    female = pole_a.increments[:, len(MALE_COHORTS) :].tolist()
+    k_ut = [c.k_cont for c in _closed_form(_cohort_values(query_b), targets, delta)]
+    d_un = [c.k_cont for c in _closed_form(uniform_model().param_values, targets, delta)]
+    d_e = [c.k_cont for c in _closed_form(exponential_model(exp_rate).param_values, targets, delta)]
     rows: list[IndexRow] = []
     problems: list[str] = []
     for i, name in enumerate(table.names):
+        k_mt = pole_a[i].k_cont
         try:
-            mu = mu_index(k_ut[i], k_mt[i])
+            mu = mu_index(k_ut[i], k_mt)
         except DomainError:
             mu = float("nan")
             problems.append(f"{name}: MU undefined (both K values are zero)")
@@ -156,6 +139,8 @@ def build_index_rows(
         except DomainError:
             p_un = float("nan")
             problems.append(f"{name}: p_un undefined (both model distances are zero)")
-        k_male, k_female = math.fsum(male[i]), math.fsum(female[i])
-        rows.append(IndexRow(name, k_mt[i], k_ut[i], k_male, k_female, mu, d_un[i], d_e[i], p_un))
+        increments = pole_a[i].increments()
+        k_male = math.fsum(increments[: len(MALE_COHORTS)])
+        k_female = math.fsum(increments[len(MALE_COHORTS) :])
+        rows.append(IndexRow(name, k_mt, k_ut[i], k_male, k_female, mu, d_un[i], d_e[i], p_un))
     return rows, problems

@@ -1,0 +1,295 @@
+"""The closed-form engine in plain Python: records, ratio similarity and K.
+
+Every CLI command computes K here, over tuples of floats, without numpy.
+The results are bit for bit numpy's: min, max, divide, multiply and ceil
+round alike in both, and every row sum goes through _sum8, which adds in
+numpy's order.  kdiss.similarity, kdiss.averaging and kdiss.dissimilarity
+re-export these names; the paper's mechanism, kept there as the oracle,
+still uses numpy.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+
+from .errors import DomainError, SchemaError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+__all__ = [
+    "ObjectRecord",
+    "r_similarity",
+    "AveragingConfig",
+    "ProbeConfig",
+    "ComparisonResult",
+    "closed_form_k",
+    "compare",
+    "batch_compare",
+]
+
+
+def _sum8(values: Sequence[float]) -> float:
+    """The sum numpy gives for a 1-d float64 row, bit for bit.
+
+    numpy adds a contiguous row pairwise: up to 128 values go into 8 strided
+    accumulators, which are combined pairwise before the leftover tail is
+    added in order; a longer row is split in two at a multiple of 8.  Its
+    reduction starts from 0.0, which turns a -0.0 total into 0.0.
+    """
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum8(values[:half]) + _sum8(values[half:])
+    total, end = 0.0, 0
+    if n >= 8:
+        end = n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        for i in range(8, end, 8):
+            a0, a1, a2, a3, a4, a5, a6, a7 = values[i : i + 8]
+            r0, r1, r2, r3, r4, r5, r6, r7 = r0 + a0, r1 + a1, r2 + a2, r3 + a3, r4 + a4, r5 + a5, r6 + a6, r7 + a7
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for value in values[end:]:
+        total += value
+    return total + 0.0
+
+
+@dataclass(frozen=True, init=False)
+class ObjectRecord:
+    """A named object with an ordered list of named non-negative values.
+
+    All objects compared together must carry the identical ordered parameter
+    list.  Values must be finite and >= 0; parameter names must be unique.
+    ``ObjectRecord(name, ((param, value), ...))`` takes the pairs.
+    """
+
+    name: str
+    param_names: tuple[str, ...]
+    param_values: tuple[float, ...]
+
+    def __init__(self, name: str, params: Iterable[tuple[str, float]]):
+        pairs = tuple(params)
+        names, values = tuple(p for p, _ in pairs), tuple(float(v) for _, v in pairs)
+        if len(set(names)) != len(names):
+            raise SchemaError(f"object {name!r} has duplicate parameter names")
+        for pname, value in zip(names, values):
+            if not (math.isfinite(value) and value >= 0.0):
+                kind = "negative" if math.isfinite(value) else "non-finite"
+                raise DomainError(f"object {name!r}, parameter {pname!r}: {kind} value {value!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "param_names", names)
+        object.__setattr__(self, "param_values", values)
+
+    @property
+    def params(self) -> tuple[tuple[str, float], ...]:
+        return tuple(zip(self.param_names, self.param_values))
+
+    def values(self) -> np.ndarray:
+        """The values as a float64 ndarray (imports numpy)."""
+        import numpy as np
+
+        return np.array(self.param_values, dtype=float)
+
+    def value_of(self, param_name: str) -> float:
+        if param_name not in self.param_names:
+            raise SchemaError(f"object {self.name!r} has no parameter {param_name!r}")
+        return self.param_values[self.param_names.index(param_name)]
+
+    def with_param(self, param_name: str, value: float, name: str | None = None) -> ObjectRecord:
+        """Copy with one extra parameter appended (used to attach probes)."""
+        if param_name in self.param_names:
+            raise SchemaError(f"object {self.name!r} already has parameter {param_name!r}")
+        return ObjectRecord(name or self.name, self.params + ((param_name, value),))
+
+    @classmethod
+    def from_values(cls, name: str, param_names: Sequence[str], values: Sequence[float]) -> ObjectRecord:
+        if len(param_names) != len(values):
+            raise SchemaError(f"object {name!r}: {len(param_names)} names vs {len(values)} values")
+        return cls(name, zip(param_names, values))
+
+
+def r_similarity(a: float, b: float) -> float:
+    """Ratio similarity min(a, b) / max(a, b) for non-negative reals.
+
+    r(0, 0) = 1 (identical values) and r(0, x > 0) = 0, which keeps the
+    metric continuous along a == b and bounded in [0, 1].
+    """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"non-finite input ({a!r}, {b!r})")
+    if a < 0 or b < 0:
+        raise DomainError(f"negative input ({a!r}, {b!r})")
+    hi = max(a, b)
+    if hi == 0.0:
+        return 1.0
+    return min(a, b) / hi
+
+
+@dataclass(frozen=True)
+class AveragingConfig:
+    """Stopping and extraction knobs for the averaging loop.
+
+    convergence_tol bounds the max absolute entry change per sweep for the
+    general (n > 3) loop; the 3-object path stops on its own provably-final
+    criterion and only honors max_iterations.
+    """
+
+    max_iterations: int = 200
+    convergence_tol: float = 1e-9
+
+    def __post_init__(self):
+        if self.max_iterations < 1:
+            raise DomainError("max_iterations must be >= 1")
+        if not self.convergence_tol > 0:
+            raise DomainError("convergence_tol must be > 0")
+
+
+@dataclass(frozen=True)
+class ProbeConfig:
+    """Probe delta, search bounds, and the averaging loop configuration.
+
+    delta is the probe-value difference between the two clones.  The anchor
+    clone and all plain objects carry probe value 1; the offset clone
+    carries 1 + delta.  max_weight caps switch_weight's bracketing search
+    and weight_tol is the relative width at which its bisection stops; the
+    closed form behind compare uses neither.
+    """
+
+    delta: float = 1e-4
+    max_weight: float = 1e12
+    weight_tol: float = 1e-12
+    averaging: AveragingConfig = field(default_factory=lambda: AveragingConfig(max_iterations=500))
+
+    def __post_init__(self):
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise DomainError(f"delta must be positive and finite, got {self.delta!r}")
+        if not (math.isfinite(self.max_weight) and self.max_weight > 0):
+            raise DomainError("max_weight must be positive and finite")
+        if not (math.isfinite(self.weight_tol) and self.weight_tol > 0):
+            raise DomainError("weight_tol must be positive and finite")
+
+
+@dataclass(frozen=True)
+class ComparisonResult:
+    """One query-target comparison: critical weight, counts, and increments.
+
+    k_cont = w_star * delta; d = max(1, ceil(w_star)), except that an
+    integral w_star gives d = w_star; k = d * delta.  The increments map
+    each parameter to its share of k_cont and sum back to k_cont exactly.
+    """
+
+    query: str
+    target: str
+    delta: float
+    w_star: float
+    d: int
+    k: float
+    k_cont: float
+    increments: dict[str, float]
+
+
+def _check_schema(query: ObjectRecord, target: ObjectRecord) -> None:
+    if query.param_names != target.param_names:
+        raise SchemaError(f"query {query.name!r} and target {target.name!r} do not share a parameter schema")
+    if len(query.param_names) == 0:
+        raise SchemaError("objects need at least one parameter")
+
+
+def _clone_similarity(delta: float) -> float:
+    """Ratio similarity of the clones' probe values 1 and 1 + delta."""
+    return 1.0 / (1.0 + delta)
+
+
+def _ratio_sims(query: Sequence[float], target: Sequence[float]) -> list[float]:
+    """Per-parameter ratio similarities of two validated value rows."""
+    return [t / q if t < q else q / t if q < t else 1.0 for q, t in zip(query, target)]
+
+
+class _Closed(NamedTuple):
+    """Closed-form comparison of one query with one target."""
+
+    k_cont: float
+    w_star: float
+    sim_sum: float
+    sims: list[float]  # per-parameter ratio similarities
+
+    def d(self, delta: float) -> float:
+        """D: the least whole weight >= 1 that passes the switch test in the search's
+        arithmetic, tried around ceil(w*), so an integral w* gives D = w* exactly."""
+        n_params, sim_ab = len(self.sims), _clone_similarity(delta)
+
+        def switched(w: float) -> bool:
+            total = n_params + w
+            return (self.sim_sum + w) / total >= (n_params + w * sim_ab) / total
+
+        n = max(float(math.ceil(self.w_star)), 1.0)
+        below = max(n - 1.0, 1.0)
+        return below if switched(below) else n if switched(n) else n + 1.0
+
+    def increments(self) -> list[float]:
+        """K_cont split over the parameters in proportion to 1 - r."""
+        shortfalls = [1.0 - r for r in self.sims]
+        total = _sum8(shortfalls)
+        scale = self.k_cont / total if total > 0.0 and self.k_cont > 0.0 else 0.0
+        return [s * scale for s in shortfalls]
+
+
+def _closed_form(query: Sequence[float], targets: Iterable[Sequence[float]], delta: float) -> list[_Closed]:
+    """Compare one query row with every target row.
+
+    The switch test "anchor-target entry >= clone-clone entry" reads
+    (S + w) / (P + w) >= (P + w * s) / (P + w) with S the similarity sum
+    and s = 1 / (1 + delta), so w* = (P - S) * (1 + delta) / delta.  D and
+    the increments are worked out only when a caller asks for them.
+    """
+    n_params = len(query)
+    out = []
+    for target in targets:
+        sims = _ratio_sims(query, target)
+        sim_sum = _sum8(sims)
+        k_cont = (n_params - sim_sum) * (1.0 + delta)
+        w_star = k_cont / delta
+        if not math.isfinite(w_star):
+            raise DomainError(f"delta={delta!r} is too small: the switch weight overflows")
+        out.append(_Closed(k_cont, w_star, sim_sum, sims))
+    return out
+
+
+def closed_form_k(query: ObjectRecord, target: ObjectRecord, cfg: ProbeConfig | None = None) -> float:
+    """Closed-form k_cont: (P - sum of ratio similarities) * (1 + delta).
+
+    Computed apart from the engine behind compare, from r_similarity and an
+    exactly rounded sum, so that each checks the other.
+    """
+    _check_schema(query, target)
+    sim_sum = math.fsum(map(r_similarity, query.param_values, target.param_values))
+    return (len(query.param_names) - sim_sum) * (1.0 + (cfg or ProbeConfig()).delta)
+
+
+def compare(query: ObjectRecord, target: ObjectRecord, cfg: ProbeConfig | None = None) -> ComparisonResult:
+    """Full comparison: w* in closed form, D and K, K split over parameters.
+
+    Increments are distributed over parameters proportionally to their
+    ratio dissimilarity 1 - r(q_p, t_p), scaled so that their sum equals
+    the reported k_cont exactly.
+    """
+    return batch_compare(query, [target], cfg)[0]
+
+
+def batch_compare(
+    query: ObjectRecord, targets: Sequence[ObjectRecord], cfg: ProbeConfig | None = None
+) -> list[ComparisonResult]:
+    """compare() against every target, in input order.
+
+    Each result is a function of (query, target, cfg) alone; the presence
+    of other targets in the batch cannot change it.
+    """
+    delta = (cfg or ProbeConfig()).delta
+    for target in targets:
+        _check_schema(query, target)
+    results = []
+    for t, c in zip(targets, _closed_form(query.param_values, [t.param_values for t in targets], delta)):
+        d, increments = c.d(delta), dict(zip(query.param_names, c.increments()))
+        results.append(ComparisonResult(query.name, t.name, delta, c.w_star, int(d), d * delta, c.k_cont, increments))
+    return results

@@ -3,22 +3,26 @@
 A pyramid is 34 named cohort shares: 17 five-year male cohorts (m00, m05,
 ..., m75, m80 with m80 meaning 80+) followed by the 17 female cohorts
 (f00 ... f80), each a percentage of the country's total population.  Raw
-head counts are accepted and normalized to percent on ingestion.
+head counts are accepted and normalized to percent on ingestion.  Tables
+hold tuples of floats; only ``normalize`` and ``PyramidTable.array`` import
+numpy, when called, to return ndarrays.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .errors import DomainError, SchemaError
-from .formats import AGE_STARTS, COHORTS, FEMALE_COHORTS, MALE_COHORTS, _open_source
-from .similarity import ObjectRecord
+from .formats import AGE_STARTS, COHORTS, FEMALE_COHORTS, MALE_COHORTS, _csv_rows, _write_text
+from .kernel import ObjectRecord, _sum8
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AGE_STARTS",
@@ -37,58 +41,60 @@ __all__ = [
 ]
 
 _UNIFORM_SHARE = 100.0 / 34.0
-# why a row cannot be normalized, highest precedence first
-_NORMALIZE_PROBLEMS = ("values must be finite", "values must be non-negative", "cannot normalize an all-zero row")
 
 
 def normalize(raw: Sequence[float]) -> np.ndarray:
-    """Scale non-negative values to percentages summing to 100."""
+    """Scale non-negative values to percentages summing to 100, as an ndarray (imports numpy)."""
+    import numpy as np
+
     values = np.asarray(raw, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise SchemaError("expected a non-empty 1-d sequence of values")
-    shares, (problem,) = _normalize_rows(values[None, :])
+    shares, problem = _normalize_row(values.tolist())
     if problem:
         raise DomainError(problem)
-    return shares[0]
+    return np.array(shares)
 
 
-def _normalize_rows(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """normalize() on each row of a 2-d array: the scaled rows, and per row
-    "" or why it cannot be scaled (such a row's shares are meaningless)."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        totals = values.sum(axis=1)
-        scale = 100.0 / totals
-        shares = values * scale[:, None]
-        failed = [~np.isfinite(values).all(axis=1), (values < 0).any(axis=1), totals == 0]
-        problems = np.select(failed, _NORMALIZE_PROBLEMS, "")
-    # the sum overflows, or is so small that its reciprocal does: shares are
-    # ratios, so compute them from values scaled to a maximum of 1
-    rescale = np.flatnonzero(~(np.isfinite(totals) & np.isfinite(scale)) & (problems == ""))
-    shrunk = values[rescale] / values[rescale].max(axis=1, keepdims=True)
-    shares[rescale] = shrunk * (100.0 / shrunk.sum(axis=1))[:, None]
-    return shares, problems.tolist()
+def _normalize_row(values: Sequence[float]) -> tuple[tuple[float, ...], str]:
+    """normalize() on a non-empty row of floats: the shares and "", or ()
+    and why the row cannot be scaled."""
+    if not all(map(math.isfinite, values)):
+        return (), "values must be finite"
+    if min(values) < 0.0:
+        return (), "values must be non-negative"
+    total = _sum8(values)
+    if total == 0.0:
+        return (), "cannot normalize an all-zero row"
+    scale = 100.0 / total
+    if not (math.isfinite(total) and math.isfinite(scale)):
+        # the sum overflows, or is so small that its reciprocal does: shares are
+        # ratios, so compute them from values scaled to a maximum of 1
+        top = max(values)
+        values = [v / top for v in values]
+        scale = 100.0 / _sum8(values)
+    return tuple([v * scale for v in values]), ""
 
 
 @dataclass(frozen=True, eq=False)
 class PyramidTable:
-    """Normalized pyramids: names in ingestion order, their shares as one read-only (N, 34) array."""
+    """Normalized pyramids: names in ingestion order, their 34 shares each as a tuple of floats."""
 
     names: tuple[str, ...]
-    values: np.ndarray
+    values: tuple[tuple[float, ...], ...]
     row_errors: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).view()
-        values.flags.writeable = False
+        values = tuple(tuple(map(float, row)) for row in self.values)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(self.names)})
-        if values.shape != (len(self.names), len(COHORTS)) or len(self._index) != len(self.names):
-            raise SchemaError(f"need {len(self.names)} distinct names and an (N, 34) array, got {values.shape}")
+        if not (len(values) == len(self._index) == len(self.names) and all(len(r) == len(COHORTS) for r in values)):
+            raise SchemaError(f"need {len(self.names)} distinct names and as many rows of {len(COHORTS)} values")
 
     @classmethod
     def from_rows(cls, rows: Mapping[str, Sequence[float]]) -> PyramidTable:
         """A table of the given shares (not renormalized), in mapping order."""
-        return cls(tuple(rows), np.array(list(rows.values()) or np.empty((0, len(COHORTS))), dtype=float))
+        return cls(tuple(rows), tuple(rows.values()))
 
     def record(self, name: str) -> ObjectRecord:
         if name not in self._index:
@@ -96,8 +102,16 @@ class PyramidTable:
         return ObjectRecord.from_values(name, COHORTS, self.values[self._index[name]])
 
     def array(self) -> np.ndarray:
-        """All pyramids as one read-only (N, 34) array, rows in ingestion order."""
-        return self.values
+        """All pyramids as one read-only (N, 34) ndarray, rows in ingestion order.
+
+        Imports numpy and builds the array on the first call."""
+        if "_array" not in self.__dict__:
+            import numpy as np
+
+            array = np.array(self.values, dtype=float).reshape(len(self.values), len(COHORTS))
+            array.flags.writeable = False
+            object.__setattr__(self, "_array", array)
+        return self.__dict__["_array"]
 
     def records(self) -> Iterator[ObjectRecord]:
         for name in self.names:
@@ -117,52 +131,34 @@ def ingest(source: str | Path | IO[str], lenient: bool = False) -> PyramidTable:
     Malformed rows raise with the offending row number, or are collected in
     the returned table's row_errors when lenient is true.
     """
-    with _open_source(source) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty input: missing header row") from None
-        expected = ["name", *COHORTS]
-        if [h.strip() for h in header] != expected:
-            raise SchemaError(
-                f"bad header: expected {','.join(expected[:3])},...,{expected[-1]} "
-                f"({len(expected)} columns), got {len(header)} columns"
-            )
-        # a row without a name fails before the duplicate check, a non-numeric value after it
-        parsed: list[tuple[int, str, str]] = []
-        values: list[list[float]] = []
-        for rownum, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and row[0].strip() == ""):
-                continue
-            name, problem, cells = "", "", [0.0] * len(COHORTS)
-            if len(row) != len(expected):
-                problem = f"expected {len(expected)} fields, got {len(row)}"
-            elif not (name := row[0].strip()):
-                problem = "empty name"
-            else:
-                try:
-                    cells = list(map(float, row[1:]))
-                except ValueError as exc:
-                    problem = f"non-numeric value ({exc})"
-            parsed.append((rownum, name, problem))
-            values.append(cells)
-    shares, domain = _normalize_rows(np.array(values, dtype=float).reshape(len(values), len(COHORTS)))
-    kept: dict[str, int] = {}  # a name is a duplicate only of a row already accepted
+    expected = ["name", *COHORTS]
+    bad_header = f"bad header: expected name,m00,m05,...,f80 ({len(expected)} columns), got {{n}} columns"
+    kept: dict[str, tuple[float, ...]] = {}  # a name is a duplicate only of a row already accepted
     errors: list[str] = []
-    for i, (rownum, name, problem) in enumerate(parsed):
-        error = SchemaError
-        if name in kept:
+    for rownum, row in _csv_rows(source, expected, bad_header):
+        # a row without a name fails before the duplicate check, a non-numeric value after it
+        error, name = SchemaError, row[0].strip()
+        if len(row) != len(expected):
+            problem = f"expected {len(expected)} fields, got {len(row)}"
+        elif not name:
+            problem = "empty name"
+        elif name in kept:
             problem = f"duplicate name {name!r}"
-        elif not problem and domain[i]:
-            error, problem = DomainError, domain[i]
+        else:
+            try:
+                cells = list(map(float, row[1:]))
+            except ValueError as exc:
+                problem = f"non-numeric value ({exc})"
+            else:
+                error = DomainError
+                shares, problem = _normalize_row(cells)
         if not problem:
-            kept[name] = i
+            kept[name] = shares
         elif lenient:
             errors.append(f"row {rownum}: {problem}")
         else:
             raise error(f"row {rownum}: {problem}")
-    return PyramidTable(tuple(kept), shares[list(kept.values())], tuple(errors))
+    return PyramidTable(tuple(kept), tuple(kept.values()), tuple(errors))
 
 
 def long_to_wide(source: str | Path | IO[str]) -> PyramidTable:
@@ -172,41 +168,34 @@ def long_to_wide(source: str | Path | IO[str]) -> PyramidTable:
     ..., 80).  Every (name, sex, cohort) combination must appear exactly
     once.
     """
-    with _open_source(source) as fh:
-        reader = csv.reader(fh)
+    columns = ("name", "sex", "cohort", "value")
+    cells: dict[str, dict[str, float]] = {}
+    for rownum, row in _csv_rows(source, columns, "bad header: expected name,sex,cohort,value"):
+        if len(row) != 4:
+            raise SchemaError(f"row {rownum}: expected 4 fields, got {len(row)}")
+        name, sex, cohort, value_s = (c.strip() for c in row)
+        if sex not in ("m", "f"):
+            raise SchemaError(f"row {rownum}: sex must be 'm' or 'f', got {sex!r}")
+        label = f"{sex}{cohort}"
+        if label not in COHORTS:
+            raise SchemaError(f"row {rownum}: unknown cohort {cohort!r}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty input: missing header row") from None
-        if [h.strip() for h in header] != ["name", "sex", "cohort", "value"]:
-            raise SchemaError("bad header: expected name,sex,cohort,value")
-        cells: dict[str, dict[str, float]] = {}
-        for rownum, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and row[0].strip() == ""):
-                continue
-            if len(row) != 4:
-                raise SchemaError(f"row {rownum}: expected 4 fields, got {len(row)}")
-            name, sex, cohort, value_s = (c.strip() for c in row)
-            if sex not in ("m", "f"):
-                raise SchemaError(f"row {rownum}: sex must be 'm' or 'f', got {sex!r}")
-            label = f"{sex}{cohort}"
-            if label not in COHORTS:
-                raise SchemaError(f"row {rownum}: unknown cohort {cohort!r}")
-            try:
-                value = float(value_s)
-            except ValueError:
-                raise SchemaError(f"row {rownum}: non-numeric value {value_s!r}") from None
-            per_name = cells.setdefault(name, {})
-            if label in per_name:
-                raise SchemaError(f"row {rownum}: duplicate cell ({name!r}, {label})")
-            per_name[label] = value
-        rows: dict[str, np.ndarray] = {}
-        for name, per_name in cells.items():
-            missing = [c for c in COHORTS if c not in per_name]
-            if missing:
-                raise SchemaError(f"pyramid {name!r} is missing {len(missing)} cohorts (first: {missing[0]})")
-            rows[name] = normalize([per_name[c] for c in COHORTS])
-        return PyramidTable.from_rows(rows)
+            value = float(value_s)
+        except ValueError:
+            raise SchemaError(f"row {rownum}: non-numeric value {value_s!r}") from None
+        per_name = cells.setdefault(name, {})
+        if label in per_name:
+            raise SchemaError(f"row {rownum}: duplicate cell ({name!r}, {label})")
+        per_name[label] = value
+    rows: dict[str, tuple[float, ...]] = {}
+    for name, per_name in cells.items():
+        missing = [c for c in COHORTS if c not in per_name]
+        if missing:
+            raise SchemaError(f"pyramid {name!r} is missing {len(missing)} cohorts (first: {missing[0]})")
+        rows[name], problem = _normalize_row([per_name[c] for c in COHORTS])
+        if problem:
+            raise DomainError(problem)
+    return PyramidTable.from_rows(rows)
 
 
 def write_pyramid_csv(table: PyramidTable, sink: str | Path | IO[str]) -> None:
@@ -214,13 +203,8 @@ def write_pyramid_csv(table: PyramidTable, sink: str | Path | IO[str]) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["name", *COHORTS])
-    writer.writerows([name, *values] for name, values in zip(table.names, table.values.tolist()))
-    text = buffer.getvalue()
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sink.write(text)
+    writer.writerows([name, *values] for name, values in zip(table.names, table.values))
+    _write_text(buffer.getvalue(), sink)
 
 
 def uniform_model() -> ObjectRecord:
@@ -236,7 +220,7 @@ def exponential_model(rate: float) -> ObjectRecord:
     cohort k is 100 * q**k * (1 - q) / (1 - q**17) with q = 1 - rate.
     rate=0 reproduces the uniform model exactly.
     """
-    if not (np.isfinite(rate) and 0.0 <= rate < 1.0):
+    if not (math.isfinite(rate) and 0.0 <= rate < 1.0):
         raise DomainError(f"rate must lie in [0, 1), got {rate!r}")
     name = f"E{rate * 100:g}"
     if rate == 0.0:

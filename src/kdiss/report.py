@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from .errors import DomainError, SchemaError
-from .formats import IndexRow, _open_source
+from .formats import IndexRow, _csv_rows
 
 __all__ = [
     "IndicatorTable",
@@ -56,29 +56,20 @@ class ScatterSeries:
 
 def read_indicators(source: str | Path | IO[str]) -> IndicatorTable:
     """Read an indicator CSV with header ``name,indicator,value``."""
-    with _open_source(source) as fh:
-        reader = csv.reader(fh)
+    columns = ("name", "indicator", "value")
+    values: dict[tuple[str, str], float] = {}
+    for rownum, row in _csv_rows(source, columns, "bad header: expected name,indicator,value"):
+        if len(row) != 3:
+            raise SchemaError(f"row {rownum}: expected 3 fields, got {len(row)}")
+        name, indicator, value_s = (c.strip() for c in row)
+        key = (name, indicator)
+        if key in values:
+            raise SchemaError(f"row {rownum}: duplicate indicator row for ({name!r}, {indicator!r})")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty input: missing header row") from None
-        if [h.strip() for h in header] != ["name", "indicator", "value"]:
-            raise SchemaError("bad header: expected name,indicator,value")
-        values: dict[tuple[str, str], float] = {}
-        for rownum, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and row[0].strip() == ""):
-                continue
-            if len(row) != 3:
-                raise SchemaError(f"row {rownum}: expected 3 fields, got {len(row)}")
-            name, indicator, value_s = (c.strip() for c in row)
-            key = (name, indicator)
-            if key in values:
-                raise SchemaError(f"row {rownum}: duplicate indicator row for ({name!r}, {indicator!r})")
-            try:
-                values[key] = float(value_s)
-            except ValueError:
-                raise SchemaError(f"row {rownum}: non-numeric value {value_s!r}") from None
-        return IndicatorTable(values)
+            values[key] = float(value_s)
+        except ValueError:
+            raise SchemaError(f"row {rownum}: non-numeric value {value_s!r}") from None
+    return IndicatorTable(values)
 
 
 def ppb(birth_rate_per_1000: float) -> float:

@@ -1,10 +1,11 @@
-"""Ratio similarity, per-parameter similarity matrices, and their weighted blend.
+"""Per-parameter similarity matrices and their weighted blend.
 
 The building block is the ratio similarity ``r(a, b) = min(a, b) / max(a, b)``
 for non-negative values: 1 for identical values, 0 when exactly one value is
 zero, scale-invariant in between.  A set of objects sharing a parameter schema
 induces one similarity matrix per parameter; a weighted entrywise mean of
-those matrices gives a single matrix for the whole pattern.
+those matrices gives a single matrix for the whole pattern.  ObjectRecord
+and r_similarity live in the numpy-free kdiss.kernel.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, SchemaError
+from .kernel import ObjectRecord, r_similarity  # their numpy-free home
 
 __all__ = [
     "ObjectRecord",
@@ -27,53 +29,6 @@ __all__ = [
 ]
 
 _ENTRY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ObjectRecord:
-    """A named object with an ordered list of named non-negative values.
-
-    All objects compared together must carry the identical ordered parameter
-    list.  Values must be finite and >= 0; parameter names must be unique.
-    """
-
-    name: str
-    params: tuple[tuple[str, float], ...]
-
-    def __post_init__(self):
-        names = [p for p, _ in self.params]
-        if len(set(names)) != len(names):
-            raise SchemaError(f"object {self.name!r} has duplicate parameter names")
-        for pname, value in self.params:
-            if not np.isfinite(value):
-                raise DomainError(f"object {self.name!r}, parameter {pname!r}: non-finite value {value!r}")
-            if value < 0:
-                raise DomainError(f"object {self.name!r}, parameter {pname!r}: negative value {value!r}")
-
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(p for p, _ in self.params)
-
-    def values(self) -> np.ndarray:
-        return np.array([v for _, v in self.params], dtype=float)
-
-    def value_of(self, param_name: str) -> float:
-        for pname, value in self.params:
-            if pname == param_name:
-                return value
-        raise SchemaError(f"object {self.name!r} has no parameter {param_name!r}")
-
-    def with_param(self, param_name: str, value: float, name: str | None = None) -> "ObjectRecord":
-        """Copy with one extra parameter appended (used to attach probes)."""
-        if param_name in self.param_names:
-            raise SchemaError(f"object {self.name!r} already has parameter {param_name!r}")
-        return ObjectRecord(name or self.name, self.params + ((param_name, float(value)),))
-
-    @classmethod
-    def from_values(cls, name: str, param_names: Sequence[str], values: Sequence[float]) -> "ObjectRecord":
-        if len(param_names) != len(values):
-            raise SchemaError(f"object {name!r}: {len(param_names)} names vs {len(values)} values")
-        return cls(name, tuple(zip(param_names, (float(v) for v in values))))
 
 
 @dataclass(frozen=True)
@@ -138,22 +93,6 @@ class WeightedParameterSet:
     @classmethod
     def uniform(cls, names: Iterable[str]) -> "WeightedParameterSet":
         return cls(tuple((n, 1.0) for n in names))
-
-
-def r_similarity(a: float, b: float) -> float:
-    """Ratio similarity min(a, b) / max(a, b) for non-negative reals.
-
-    r(0, 0) = 1 (identical values) and r(0, x > 0) = 0, which keeps the
-    metric continuous along a == b and bounded in [0, 1].
-    """
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise DomainError(f"non-finite input ({a!r}, {b!r})")
-    if a < 0 or b < 0:
-        raise DomainError(f"negative input ({a!r}, {b!r})")
-    hi = max(a, b)
-    if hi == 0.0:
-        return 1.0
-    return min(a, b) / hi
 
 
 def _r_similarity_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ predicate.  D must agree exactly and K_cont within 1e-9 relative.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,8 @@ import kdiss.dissimilarity
 from kdiss.cli import main
 from kdiss.dissimilarity import IncrementStore, ProbeConfig, batch_compare, compare, switch_weight
 from kdiss.indexes import build_index_rows
-from kdiss.pyramids import write_pyramid_csv
+from kdiss.kernel import _sum8
+from kdiss.pyramids import COHORTS, PyramidTable, normalize, write_pyramid_csv
 
 from conftest import pair_with_sims, random_pair, synthetic_table
 
@@ -124,3 +126,45 @@ def test_batch_paths_never_run_the_search(monkeypatch, tmp_path, capsys):
     assert main(["punif", str(path), "--delta", "0.001"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 7
 
+
+
+def test_sum8_matches_numpy_bit_for_bit(rng):
+    """_sum8 adds in numpy's order: every sum the engine takes (a 34-value
+    row, a 17-cohort half, any other length) must be numpy's to the bit."""
+    for n in range(131):
+        for trial in range(24):
+            # each value of its own magnitude, from subnormal up to 1e300
+            row = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-320, 300, n)
+            if trial % 3 == 1:
+                row[rng.random(n) < 0.3] = 0.0
+            elif trial % 3 == 2:  # cancellation and signed zeros make the order show
+                row *= rng.choice([-1.0, 1.0], n)
+                row[rng.random(n) < 0.2] = -0.0
+            want = np.add.reduce(row)
+            got = _sum8(row.tolist())
+            assert type(got) is float
+            assert got.hex() == float(want).hex(), (n, trial)
+    assert _sum8([-0.0] * 34).hex() == float(np.add.reduce(np.full(34, -0.0))).hex()
+
+
+PYRAMID = st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6)), min_size=34, max_size=34).filter(
+    any
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PYRAMID, PYRAMID, PYRAMID, st.sampled_from(DELTAS))
+def test_property_k_is_a_metric(a, b, c, delta):
+    """K_cont / (1 + delta) = sum over cohorts of |q - t| / max(q, t) is a
+    metric on pyramids: zero from a pyramid to itself, symmetric, and within
+    rounding (a few ulps of the sums) it obeys the triangle inequality."""
+    table = PyramidTable.from_rows({"a": normalize(a), "b": normalize(b), "c": normalize(c)})
+    cfg = ProbeConfig(delta=delta)
+
+    def dist(x, y):
+        return compare(table.record(x), table.record(y), cfg).k_cont / (1.0 + delta)
+
+    ab, bc, ac = dist("a", "b"), dist("b", "c"), dist("a", "c")
+    assert ac <= ab + bc + 1e-12 * max(1.0, ab + bc)
+    assert dist("a", "a") == 0.0
+    assert ab == dist("b", "a")

@@ -1,12 +1,14 @@
-"""Which commands load numpy, and the import paths kept for moved names.
+"""No command loads numpy, and the import paths kept for moved names.
 
 Each command runs as ``python -X importtime -m kdiss.cli ...`` in a fresh
 interpreter with ``PYTHONPATH=src``; the import-time log on stderr lists
-every module the process imported.  ``report``, ``store combine``,
-``--help`` and usage errors must not import numpy.  The commands that
-compute K must still produce the tracked demo outputs byte for byte.
+every module the process imported.  No command, usage error or ``--help``
+may import numpy, and the commands that compute K must still produce the
+tracked demo outputs byte for byte.  The same commands also run in an
+interpreter where importing numpy fails.
 """
 
+import hashlib
 import os
 import re
 import subprocess
@@ -59,6 +61,12 @@ def kdiss(*args):
     return run_python("-m", "kdiss.cli", *args)
 
 
+def kdiss_without_numpy(*args):
+    """kdiss(*args) in an interpreter in which every numpy import raises ImportError."""
+    blocked = "import runpy, sys; sys.modules['numpy'] = None; runpy.run_module('kdiss.cli', run_name='__main__')"
+    return run_python("-c", blocked, *args)
+
+
 def test_import_cli_loads_no_numpy():
     code, _, messages, modules = run_python("-c", "import kdiss.cli")
     assert code == 0, messages
@@ -89,14 +97,14 @@ def test_report_loads_no_numpy(y, fmt, tracked):
     assert "numpy" not in modules
 
 
-def test_store_put_loads_numpy_and_combine_does_not(tmp_path):
+def test_store_put_and_combine_load_no_numpy(tmp_path):
     store = tmp_path / "increments.tsv"
     pair = ("--query", "country00", "--target", "country07")
     code, out, messages, modules = kdiss("store", "put", "--store", store, "--data", PYRAMIDS, *pair, "--delta", "0.001")
     assert code == 0, messages
     assert out == b"stored 34 increments for (country00, country07)\n"
     assert store.read_bytes() == (OUTPUT / "increments.tsv").read_bytes()
-    assert "numpy" in modules
+    assert "numpy" not in modules
 
     code, out, messages, modules = kdiss("store", "combine", "--store", store, *pair, "--params", "female")
     assert code == 0, messages
@@ -122,7 +130,63 @@ def test_engine_commands_keep_their_output(argv, tracked):
     code, out, messages, modules = kdiss(*argv)
     assert code == 0, messages
     assert out == (OUTPUT / tracked).read_bytes()
-    assert "numpy" in modules
+    assert "numpy" not in modules
+
+
+# sha256 of what the numpy engine printed for commands without a tracked output
+UNTRACKED = {
+    "batch-query": "9f7c54e5fb89a9a3cb4110b18cbdc197bfdeb53d7f4242a40c58af79f48e4fd1",
+    "model-exp": "429841c29074cc65e545f2f81ce26fa1b95e7dc3e4d734aac34134aa01839116",
+    "compare-increments": "fe9270cc13aa9e739421583eb9cd8dfa390f1d7b78f890f90ed6ce0f2c6854af",
+    "compare-out": "6f791acbae9e8de838462db4b9690a87563191877d4c84c016efb13b4572f049",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("ingest", PYRAMIDS), "normalized.csv"),
+        (("batch", PYRAMIDS, "--model", "exp:0.30", "--delta", "0.001"), "batch.csv"),
+        (("batch", PYRAMIDS, "--query", "country03", "--delta", "0.001"), "batch-query"),
+        (("mu", PYRAMIDS, "country07", "country00", "--delta", "0.001"), "index.csv"),
+        (("punif", PYRAMIDS, "--delta", "0.001"), "punif.csv"),
+        (("model", "--kind", "exp", "--rate", "0.30"), "model-exp"),
+        (("compare", PYRAMIDS, "country00", "country07", "--delta", "0.001", "--increments"), "compare-increments"),
+        (("report", "--indexes", OUTPUT / "index.csv", "--indicators", INDICATORS, "--x", "mu", "--y", "ppb"),
+         "mu_vs_ppb.csv"),
+        (("report", "--indexes", OUTPUT / "index.csv", "--indicators", INDICATORS, "--x", "mu", "--y", "gdp",
+          "--format", "svg"), "mu_vs_gdp.svg"),
+    ],
+)
+def test_commands_run_with_numpy_blocked(argv, expected):
+    code, out, messages, _ = kdiss_without_numpy(*argv)
+    assert code == 0, messages
+    if expected in UNTRACKED:
+        assert hashlib.sha256(out).hexdigest() == UNTRACKED[expected]
+    else:
+        assert out == (OUTPUT / expected).read_bytes()
+
+
+def test_numpy_is_really_blocked():
+    blocked = "import sys; sys.modules['numpy'] = None; import kdiss; kdiss.normalize([1])"
+    code, _, messages, _ = run_python("-c", blocked)
+    assert code == 1 and "import of numpy halted" in messages[-1]
+
+
+def test_store_put_and_compare_out_with_numpy_blocked(tmp_path):
+    store, table = tmp_path / "increments.tsv", tmp_path / "increments.csv"
+    pair = ("--query", "country00", "--target", "country07")
+    code, out, messages, _ = kdiss_without_numpy(
+        "store", "put", "--store", store, "--data", PYRAMIDS, *pair, "--delta", "0.001"
+    )
+    assert code == 0, messages
+    assert out == b"stored 34 increments for (country00, country07)\n"
+    assert store.read_bytes() == (OUTPUT / "increments.tsv").read_bytes()
+    code, _, messages, _ = kdiss_without_numpy(
+        "compare", PYRAMIDS, "country00", "country07", "--delta", "0.001", "--out", table
+    )
+    assert code == 0, messages
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == UNTRACKED["compare-out"]
 
 
 def test_moved_names_keep_their_old_paths():
