@@ -13,8 +13,6 @@ oracle (the similarity matrices, averaging and the search) and the ndarray
 accessors load numpy.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 _HOMES = {
@@ -79,7 +77,8 @@ __all__ = sorted(_MODULE_OF)
 def __getattr__(name: str):
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    # `from .module import name`: unlike importlib.import_module, it shows in -X importtime
+    value = globals()[name] = getattr(__import__(_MODULE_OF[name], globals(), None, (name,), 1), name)
     return value
 
 

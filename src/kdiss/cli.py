@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import importlib
 import io
 import math
 import os
@@ -22,17 +21,16 @@ from typing import TYPE_CHECKING
 
 from .errors import KdissError
 from .formats import FEMALE_COHORTS, MALE_COHORTS, read_index_csv, write_index_csv
-from .report import emit, fit_series, join, read_indicators
-from .store import IncrementStore
 
 if TYPE_CHECKING:
     from .pyramids import PyramidTable
 
-# Names of the engine, by module.  Each is bound as an attribute of this module
-# on its first lookup, and main binds them all before a command that computes K
-# runs, so `report`, `store combine` and `--help` skip importing the engine
-# modules (1-3 ms each), and a name set beforehand (a spy, a tracer) is kept.
-_ENGINE = {
+# The names each command looks up on this module, by the module that defines
+# them.  A name is bound on its first lookup; main binds only the modules its
+# command runs, so `report` never imports the engine or the store, the engine
+# commands never import the report or the store, and `--help` imports none of
+# them.  A name set beforehand (a test's spy, a tracer's wrapper) is kept.
+_LAZY = {
     "ProbeConfig": "kernel",
     "_closed_form": "kernel",
     "compare": "kernel",
@@ -44,21 +42,27 @@ _ENGINE = {
     "long_to_wide": "pyramids",
     "uniform_model": "pyramids",
     "write_pyramid_csv": "pyramids",
+    "emit": "report",
+    "fit_series": "report",
+    "join": "report",
+    "read_indicators": "report",
+    "IncrementStore": "store",
 }
+_ENGINE = ("kernel", "indexes", "pyramids")
 
 
 def __getattr__(name: str):
-    if name not in _ENGINE:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f".{_ENGINE[name]}", __package__), name)
+    # `from .module import name`: unlike importlib.import_module, it shows in -X importtime
+    value = globals()[name] = getattr(__import__(_LAZY[name], globals(), None, (name,), 1), name)
     return value
 
 
-def _bind_engine() -> None:
-    """Bind every engine name not bound yet.  A name already set, such as a
-    test's or a tracer's replacement, is kept."""
-    for name in _ENGINE:
-        if name not in globals():
+def _bind(*modules: str) -> None:
+    """Bind every name of these modules not bound yet."""
+    for name, module in _LAZY.items():
+        if module in modules and name not in globals():
             __getattr__(name)
 
 
@@ -362,8 +366,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _validate(args)
-        if not (args.command == "report" or getattr(args, "action", None) == "combine"):
-            _bind_engine()  # every other command computes K
+        if args.command == "report":
+            _bind("report")
+        elif args.command == "store":
+            _bind("store", *(_ENGINE if args.action == "put" else ()))
+        else:
+            _bind(*_ENGINE)
         return args.func(args)
     except (KdissError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,9 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterator, NamedTuple, Sequence
 
 from .errors import SchemaError, decode_utf8
 
@@ -65,8 +64,7 @@ def _write_text(text: str, sink: str | Path | IO[str]) -> None:
         sink.write(text)
 
 
-@dataclass(frozen=True)
-class IndexRow:
+class IndexRow(NamedTuple):
     """Per-target index values against two polar queries and the two models."""
 
     name: str

@@ -11,7 +11,6 @@ still uses numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, SchemaError
@@ -56,8 +55,13 @@ def _sum8(values: Sequence[float]) -> float:
     return total + 0.0
 
 
-@dataclass(frozen=True, init=False)
-class ObjectRecord:
+class _ObjectFields(NamedTuple):
+    name: str
+    param_names: tuple[str, ...]
+    param_values: tuple[float, ...]
+
+
+class ObjectRecord(_ObjectFields):
     """A named object with an ordered list of named non-negative values.
 
     All objects compared together must carry the identical ordered parameter
@@ -65,11 +69,9 @@ class ObjectRecord:
     ``ObjectRecord(name, ((param, value), ...))`` takes the pairs.
     """
 
-    name: str
-    param_names: tuple[str, ...]
-    param_values: tuple[float, ...]
+    __slots__ = ()
 
-    def __init__(self, name: str, params: Iterable[tuple[str, float]]):
+    def __new__(cls, name: str, params: Iterable[tuple[str, float]]):
         pairs = tuple(params)
         names, values = tuple(p for p, _ in pairs), tuple(float(v) for _, v in pairs)
         if len(set(names)) != len(names):
@@ -78,9 +80,10 @@ class ObjectRecord:
             if not (math.isfinite(value) and value >= 0.0):
                 kind = "negative" if math.isfinite(value) else "non-finite"
                 raise DomainError(f"object {name!r}, parameter {pname!r}: {kind} value {value!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "param_names", names)
-        object.__setattr__(self, "param_values", values)
+        return super().__new__(cls, name, names, values)
+
+    def __getnewargs__(self):
+        return self.name, self.params
 
     @property
     def params(self) -> tuple[tuple[str, float], ...]:
@@ -126,8 +129,12 @@ def r_similarity(a: float, b: float) -> float:
     return min(a, b) / hi
 
 
-@dataclass(frozen=True)
-class AveragingConfig:
+class _AveragingFields(NamedTuple):
+    max_iterations: int
+    convergence_tol: float
+
+
+class AveragingConfig(_AveragingFields):
     """Stopping and extraction knobs for the averaging loop.
 
     convergence_tol bounds the max absolute entry change per sweep for the
@@ -135,18 +142,24 @@ class AveragingConfig:
     criterion and only honors max_iterations.
     """
 
-    max_iterations: int = 200
-    convergence_tol: float = 1e-9
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_iterations < 1:
+    def __new__(cls, max_iterations: int = 200, convergence_tol: float = 1e-9):
+        if max_iterations < 1:
             raise DomainError("max_iterations must be >= 1")
-        if not self.convergence_tol > 0:
+        if not convergence_tol > 0:
             raise DomainError("convergence_tol must be > 0")
+        return super().__new__(cls, max_iterations, convergence_tol)
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
+class _ProbeFields(NamedTuple):
+    delta: float
+    max_weight: float
+    weight_tol: float
+    averaging: AveragingConfig
+
+
+class ProbeConfig(_ProbeFields):
     """Probe delta, search bounds, and the averaging loop configuration.
 
     delta is the probe-value difference between the two clones.  The anchor
@@ -156,22 +169,25 @@ class ProbeConfig:
     closed form behind compare uses neither.
     """
 
-    delta: float = 1e-4
-    max_weight: float = 1e12
-    weight_tol: float = 1e-12
-    averaging: AveragingConfig = field(default_factory=lambda: AveragingConfig(max_iterations=500))
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise DomainError(f"delta must be positive and finite, got {self.delta!r}")
-        if not (math.isfinite(self.max_weight) and self.max_weight > 0):
+    def __new__(
+        cls,
+        delta: float = 1e-4,
+        max_weight: float = 1e12,
+        weight_tol: float = 1e-12,
+        averaging: AveragingConfig = AveragingConfig(max_iterations=500),
+    ):
+        if not (math.isfinite(delta) and delta > 0):
+            raise DomainError(f"delta must be positive and finite, got {delta!r}")
+        if not (math.isfinite(max_weight) and max_weight > 0):
             raise DomainError("max_weight must be positive and finite")
-        if not (math.isfinite(self.weight_tol) and self.weight_tol > 0):
+        if not (math.isfinite(weight_tol) and weight_tol > 0):
             raise DomainError("weight_tol must be positive and finite")
+        return super().__new__(cls, delta, max_weight, weight_tol, averaging)
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     """One query-target comparison: critical weight, counts, and increments.
 
     k_cont = w_star * delta; d = max(1, ceil(w_star)), except that an

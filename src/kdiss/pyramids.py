@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterator, Mapping, Sequence
 
@@ -76,20 +75,32 @@ def _normalize_row(values: Sequence[float]) -> tuple[tuple[float, ...], str]:
     return tuple([v * scale for v in values]), ""
 
 
-@dataclass(frozen=True, eq=False)
 class PyramidTable:
-    """Normalized pyramids: names in ingestion order, their 34 shares each as a tuple of floats."""
+    """Normalized pyramids: names in ingestion order, their 34 shares each as a tuple of floats.
 
-    names: tuple[str, ...]
-    values: tuple[tuple[float, ...], ...]
-    row_errors: tuple[str, ...] = field(default=())
+    Immutable, and equal only to itself."""
 
-    def __post_init__(self):
-        values = tuple(tuple(map(float, row)) for row in self.values)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_index", {name: i for i, name in enumerate(self.names)})
-        if not (len(values) == len(self._index) == len(self.names) and all(len(r) == len(COHORTS) for r in values)):
-            raise SchemaError(f"need {len(self.names)} distinct names and as many rows of {len(COHORTS)} values")
+    __slots__ = ("names", "values", "row_errors", "_index", "_array")
+
+    def __init__(self, names: tuple[str, ...], values: Sequence[Sequence[float]], row_errors: tuple[str, ...] = ()):
+        values = tuple(tuple(map(float, row)) for row in values)
+        index = {name: i for i, name in enumerate(names)}
+        if not (len(values) == len(index) == len(names) and all(len(r) == len(COHORTS) for r in values)):
+            raise SchemaError(f"need {len(names)} distinct names and as many rows of {len(COHORTS)} values")
+        for slot, value in zip(self.__slots__, (names, values, row_errors, index, None)):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return PyramidTable, (self.names, self.values, self.row_errors)
+
+    def __repr__(self) -> str:
+        return f"PyramidTable(names={self.names!r}, values={self.values!r}, row_errors={self.row_errors!r})"
 
     @classmethod
     def from_rows(cls, rows: Mapping[str, Sequence[float]]) -> PyramidTable:
@@ -105,13 +116,13 @@ class PyramidTable:
         """All pyramids as one read-only (N, 34) ndarray, rows in ingestion order.
 
         Imports numpy and builds the array on the first call."""
-        if "_array" not in self.__dict__:
+        if self._array is None:
             import numpy as np
 
             array = np.array(self.values, dtype=float).reshape(len(self.values), len(COHORTS))
             array.flags.writeable = False
             object.__setattr__(self, "_array", array)
-        return self.__dict__["_array"]
+        return self._array
 
     def records(self) -> Iterator[ObjectRecord]:
         for name in self.names:
@@ -174,6 +185,8 @@ def long_to_wide(source: str | Path | IO[str]) -> PyramidTable:
         if len(row) != 4:
             raise SchemaError(f"row {rownum}: expected 4 fields, got {len(row)}")
         name, sex, cohort, value_s = (c.strip() for c in row)
+        if not name:
+            raise SchemaError(f"row {rownum}: empty name")
         if sex not in ("m", "f"):
             raise SchemaError(f"row {rownum}: sex must be 'm' or 'f', got {sex!r}")
         label = f"{sex}{cohort}"

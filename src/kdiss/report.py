@@ -10,9 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 from .errors import DomainError, SchemaError
 from .formats import IndexRow, _csv_rows
@@ -30,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IndicatorTable:
+class IndicatorTable(NamedTuple):
     """(name, indicator) -> value records; the key pairs are unique."""
 
     values: dict[tuple[str, str], float]
@@ -43,8 +41,7 @@ class IndicatorTable:
         return self.values.get((name, indicator))
 
 
-@dataclass(frozen=True)
-class ScatterSeries:
+class ScatterSeries(NamedTuple):
     """Labelled (x, y, name) points with an optional OLS fit attached."""
 
     label: str
@@ -89,7 +86,7 @@ def _resolve(
     row: IndexRow, indicators: IndicatorTable | None, field_name: str
 ) -> float | None:
     """Value of an index column, an indicator, or the derived ppb field."""
-    if field_name in IndexRow.__dataclass_fields__ and field_name != "name":
+    if field_name in IndexRow._fields and field_name != "name":
         return getattr(row, field_name)
     if indicators is None:
         return None

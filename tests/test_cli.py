@@ -72,6 +72,14 @@ class TestIngest:
         assert code == 0
         assert out.splitlines()[1].startswith("aa,")
 
+    def test_from_long_empty_name_fails_like_wide(self, tmp_path, capsys):
+        long_src, wide_src = tmp_path / "long.csv", tmp_path / "wide.csv"
+        long_src.write_text("name,sex,cohort,value\n ,m,00,5\n")
+        wide_src.write_text("name," + ",".join(COHORTS) + "\n ," + ",".join(["5"] * 34) + "\n")
+        code, out, err = run(capsys, "ingest", long_src, "--from-long")
+        assert (code, out, err) == (1, "", "error: row 2: empty name\n")
+        assert run(capsys, "ingest", wide_src) == (1, "", "error: row 2: empty name\n")
+
 
 class TestCompare:
     def test_self_comparison(self, pyramid_csv, capsys):

@@ -175,6 +175,14 @@ class TestLongToWide:
         with pytest.raises(SchemaError, match="duplicate"):
             long_to_wide(io.StringIO("\n".join(lines) + "\n"))
 
+    @pytest.mark.parametrize("name", ["", " ", "\t"])
+    def test_empty_name_names_its_row(self, name):
+        # the message ingest gives the same row of a wide CSV
+        lines = ["name,sex,cohort,value", "aa,m,00,5", f"{name},m,00,5"]
+        with pytest.raises(SchemaError) as exc_info:
+            long_to_wide(io.StringIO("\n".join(lines) + "\n"))
+        assert str(exc_info.value) == "row 3: empty name"
+
 
 def reference_normalize(raw):
     """normalize() as one row at a time, the way ingest worked before it

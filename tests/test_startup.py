@@ -1,11 +1,13 @@
-"""No command loads numpy, and the import paths kept for moved names.
+"""Each command imports only what it runs, and the import paths kept for moved names.
 
 Each command runs as ``python -X importtime -m kdiss.cli ...`` in a fresh
 interpreter with ``PYTHONPATH=src``; the import-time log on stderr lists
 every module the process imported.  No command, usage error or ``--help``
-may import numpy, and the commands that compute K must still produce the
-tracked demo outputs byte for byte.  The same commands also run in an
-interpreter where importing numpy fails.
+may import numpy, ``dataclasses`` or ``inspect``; the engine commands leave
+out the report and the store, and ``report`` and ``store combine`` leave out
+the engine.  The commands that compute K must still produce the tracked demo
+outputs byte for byte.  The same commands also run in an interpreter where
+importing numpy fails.
 """
 
 import hashlib
@@ -73,6 +75,55 @@ def test_import_cli_loads_no_numpy():
     assert "kdiss.cli" in modules
     assert "numpy" not in modules
     assert not {"kdiss.dissimilarity", "kdiss.pyramids", "kdiss.indexes", "kdiss.similarity"} & modules
+
+
+# kdiss modules every CLI process imports, and those of the engine
+CORE = {"kdiss", "kdiss.errors", "kdiss.formats"}
+ENGINE = CORE | {"kdiss.kernel", "kdiss.pyramids", "kdiss.indexes"}
+# stdlib modules that cost more to import than a whole engine command runs
+HEAVY = {"dataclasses", "inspect"}
+PAIR = ("--query", "country00", "--target", "country07")
+REPORT = ("report", "--indexes", OUTPUT / "index.csv", "--indicators", INDICATORS, "--x", "mu")
+
+
+def test_import_cli_loads_only_its_own_modules():
+    code, _, messages, modules = run_python("-c", "import kdiss.cli")
+    assert code == 0, messages
+    assert not HEAVY & modules
+    assert {m for m in modules if m.startswith("kdiss")} == CORE | {"kdiss.cli"}
+
+
+def test_package_name_loads_only_its_module():
+    code, _, messages, modules = run_python("-c", "import kdiss; kdiss.IncrementStore")
+    assert code == 0, messages
+    assert {m for m in modules if m.startswith("kdiss")} == {"kdiss", "kdiss.errors", "kdiss.store"}
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, expected",
+    [
+        (("--help",), 0, CORE),
+        (("report", "--help"), 0, CORE),
+        (("mu", PYRAMIDS), 2, CORE),
+        (("ingest", PYRAMIDS), 0, ENGINE),
+        (("compare", PYRAMIDS, "country00", "country07"), 0, ENGINE),
+        (("batch", PYRAMIDS, "--model", "exp:0.30"), 0, ENGINE),
+        (("batch", PYRAMIDS, "--query", "country03"), 0, ENGINE),
+        (("mu", PYRAMIDS, "country07", "country00"), 0, ENGINE),
+        (("model", "--kind", "uniform"), 0, ENGINE),
+        (("punif", PYRAMIDS), 0, ENGINE),
+        (("store", "put", "--store", "{tmp}", "--data", PYRAMIDS, *PAIR), 0, ENGINE | {"kdiss.store"}),
+        (("store", "combine", "--store", OUTPUT / "increments.tsv", *PAIR), 0, CORE | {"kdiss.store"}),
+        ((*REPORT, "--y", "ppb"), 0, CORE | {"kdiss.report"}),
+        ((*REPORT, "--y", "gdp", "--format", "svg"), 0, CORE | {"kdiss.report"}),
+    ],
+)
+def test_each_command_imports_only_what_it_runs(argv, exit_code, expected, tmp_path):
+    # ENGINE holds modules the CLI binds lazily, so the log is seen to list them
+    code, _, messages, modules = kdiss(*(tmp_path / "increments.tsv" if a == "{tmp}" else a for a in argv))
+    assert code == exit_code, messages
+    assert not HEAVY & modules
+    assert {m for m in modules if m.startswith("kdiss")} == expected
 
 
 def test_help_and_usage_errors_load_no_numpy():
