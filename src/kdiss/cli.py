@@ -100,13 +100,10 @@ def _load_table(path: str, lenient: bool) -> PyramidTable:
 
 def _pick_query(args, table: PyramidTable) -> tuple[float, ...]:
     """Query values from a table name or a model spec (uniform / exp:RATE)."""
-    if getattr(args, "model", None):
-        spec = args.model
-        if spec == "uniform":
-            return uniform_model().param_values
-        if spec.startswith("exp:"):
-            return exponential_model(float(spec[4:])).param_values
-        raise KdissError(f"bad model spec {spec!r}: use 'uniform' or 'exp:RATE'")
+    if args.model == "uniform":
+        return uniform_model().param_values
+    if args.model is not None:  # exp:RATE, checked by _validate
+        return exponential_model(float(args.model[4:])).param_values
     return table.record(args.query).param_values
 
 
@@ -347,25 +344,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(args) -> None:
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _validate(args) -> str:
+    """The usage error in option values argparse accepts but no command can run with, or ""."""
     delta = getattr(args, "delta", None)
     if delta is not None and not (0.0 < delta <= 1.0):
-        raise KdissError(f"--delta must lie in (0, 1], got {delta!r}")
+        return f"--delta must lie in (0, 1], got {delta!r}"
     parallel = getattr(args, "parallel", 1)
     if parallel < 1:
-        raise KdissError(f"--parallel must be >= 1, got {parallel!r}")
+        return f"--parallel must be >= 1, got {parallel!r}"
+    model = getattr(args, "model", None)
+    if model is not None and model != "uniform" and not (model.startswith("exp:") and _is_float(model[4:])):
+        return f"bad model spec {model!r}: use 'uniform' or 'exp:RATE'"
     if getattr(args, "command", "") == "store" and args.action == "put":
         if not args.data:
-            raise KdissError("store put requires --data")
+            return "store put requires --data"
         if args.delta is None:
             args.delta = 1e-4
+    return ""
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _validate(args)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     try:
-        _validate(args)
         if args.command == "report":
             _bind("report")
         elif args.command == "store":

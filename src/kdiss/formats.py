@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from pathlib import Path
 from typing import IO, Iterator, NamedTuple, Sequence
 
@@ -78,18 +77,12 @@ class IndexRow(NamedTuple):
     p_un: float
 
 
-def _format(value: float) -> str:
-    if math.isnan(value):
-        return "nan"
-    return f"{value:.6f}"
-
-
 def write_index_csv(rows: Sequence[IndexRow], sink: str | Path | IO[str]) -> None:
     """Write rows as CSV with the fixed column order of INDEX_COLUMNS."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(INDEX_COLUMNS)
-    writer.writerows([row.name, *(_format(getattr(row, column)) for column in INDEX_COLUMNS[1:])] for row in rows)
+    writer.writerows([row.name, *(format(value, ".6f") for value in row[1:])] for row in rows)
     _write_text(buffer.getvalue(), sink)
 
 

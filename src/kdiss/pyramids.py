@@ -83,7 +83,18 @@ class PyramidTable:
     __slots__ = ("names", "values", "row_errors", "_index", "_array")
 
     def __init__(self, names: tuple[str, ...], values: Sequence[Sequence[float]], row_errors: tuple[str, ...] = ()):
-        values = tuple(tuple(map(float, row)) for row in values)
+        self._fill(names, tuple(tuple(map(float, row)) for row in values), row_errors)
+
+    @classmethod
+    def _of_floats(
+        cls, names: tuple[str, ...], values: tuple[tuple[float, ...], ...], row_errors: tuple[str, ...] = ()
+    ) -> PyramidTable:
+        """A table of rows that already are tuples of floats, such as ingest builds: kept, not copied."""
+        table = object.__new__(cls)
+        table._fill(names, values, row_errors)
+        return table
+
+    def _fill(self, names: tuple[str, ...], values: tuple[tuple[float, ...], ...], row_errors: tuple[str, ...]) -> None:
         index = {name: i for i, name in enumerate(names)}
         if not (len(values) == len(index) == len(names) and all(len(r) == len(COHORTS) for r in values)):
             raise SchemaError(f"need {len(names)} distinct names and as many rows of {len(COHORTS)} values")
@@ -169,7 +180,7 @@ def ingest(source: str | Path | IO[str], lenient: bool = False) -> PyramidTable:
             errors.append(f"row {rownum}: {problem}")
         else:
             raise error(f"row {rownum}: {problem}")
-    return PyramidTable(tuple(kept), tuple(kept.values()), tuple(errors))
+    return PyramidTable._of_floats(tuple(kept), tuple(kept.values()), tuple(errors))
 
 
 def long_to_wide(source: str | Path | IO[str]) -> PyramidTable:
@@ -208,7 +219,7 @@ def long_to_wide(source: str | Path | IO[str]) -> PyramidTable:
         rows[name], problem = _normalize_row([per_name[c] for c in COHORTS])
         if problem:
             raise DomainError(problem)
-    return PyramidTable.from_rows(rows)
+    return PyramidTable._of_floats(tuple(rows), tuple(rows.values()))
 
 
 def write_pyramid_csv(table: PyramidTable, sink: str | Path | IO[str]) -> None:

@@ -65,22 +65,24 @@ class IncrementStore:
         elif tail:
             warnings.warn(f"{path}:{len(lines)}: skipped a torn final line (no newline, does not parse)")
         index = self._index
-        # put writes a pair's records as consecutive lines: resolve their dict once per run
-        run: list[str] | None = None
-        for lineno, line in enumerate(lines, start=1):
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise SchemaError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(parts)}")
-            try:
-                if parts[:3] != run:
-                    delta = float(parts[2])
-                    run = parts[:3]
-                    incs = index.setdefault((parts[0], parts[1]), {}).setdefault(delta, {})
-                incs[parts[3]] = float(parts[4])
-            except ValueError as exc:
+        # put writes a pair's records as consecutive lines behind one "query\ttarget\tdelta" head:
+        # split a line once from the right, and resolve its dict only when the head changes
+        head = None
+        try:
+            for lineno, line in enumerate(lines, start=1):
+                if line:
+                    key, param, value = line.rsplit("\t", 2)
+                    if key != head:
+                        query, target, delta = key.split("\t")
+                        incs = index.setdefault((query, target), {}).setdefault(float(delta), {})
+                        head = key
+                    incs[param] = float(value)
+            return
+        except ValueError as exc:  # a wrong field count, or a number that does not parse
+            fields = line.count("\t") + 1
+            if fields == 5:
                 raise SchemaError(f"{path}:{lineno}: bad numeric field ({exc})") from exc
+        raise SchemaError(f"{path}:{lineno}: expected 5 tab-separated fields, got {fields}")
 
     @staticmethod
     def _check_token(token: str) -> str:
@@ -116,10 +118,11 @@ class IncrementStore:
         if result.increments:  # an empty delta dict would make deltas_for list a delta without records
             self._index.setdefault((query, target), {}).setdefault(delta, {}).update(result.increments)
         if self._path is not None:
-            lines = [f"{query}\t{target}\t{delta!r}\t{p}\t{float(v)!r}\n" for p, v in result.increments.items()]
+            head = f"{query}\t{target}\t{delta!r}\t"
+            text = "".join([f"{head}{p}\t{float(v)!r}\n" for p, v in result.increments.items()])
             with open(self._path, "a+b") as fh:
                 self._start_line(fh)
-                fh.write("".join(lines).encode("utf-8"))
+                fh.write(text.encode("utf-8"))
 
     def deltas_for(self, query: str, target: str) -> list[float]:
         return sorted(self._index.get((query, target), ()))

@@ -164,8 +164,19 @@ class TestBatch:
 
     def test_bad_model_spec(self, pyramid_csv, capsys):
         code, _, err = run(capsys, "batch", pyramid_csv, "--model", "quadratic")
-        assert code == 1
+        assert code == 2
         assert "model spec" in err
+
+    @pytest.mark.parametrize("spec", ["exp:abc", "exp:", "exp", ""])
+    def test_unparsed_model_rate_is_a_usage_error(self, pyramid_csv, capsys, spec):
+        code, out, err = run(capsys, "batch", pyramid_csv, "--model", spec)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad model spec {spec!r}: use 'uniform' or 'exp:RATE'\n"
+
+    def test_out_of_range_model_rate_is_a_data_error(self, pyramid_csv, capsys):
+        code, _, err = run(capsys, "batch", pyramid_csv, "--model", "exp:2")
+        assert code == 1
+        assert err == "error: rate must lie in [0, 1), got 2.0\n"
 
 
 class TestMu:
@@ -374,8 +385,20 @@ class TestEngineNames:
 class TestValidation:
     def test_delta_range(self, pyramid_csv, capsys):
         code, _, err = run(capsys, "compare", pyramid_csv, "country00", "country01", "--delta", "2.0")
-        assert code == 1
+        assert code == 2
         assert "--delta" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("batch", "{csv}", "--model", "uniform", "--delta", "0"), "--delta must lie in (0, 1], got 0.0"),
+            (("mu", "{csv}", "country00", "country01", "--parallel", "0"), "--parallel must be >= 1, got 0"),
+            (("store", "put", "--store", "inc.tsv", "--query", "a", "--target", "b"), "store put requires --data"),
+        ],
+    )
+    def test_usage_errors_exit_2(self, pyramid_csv, capsys, argv, message):
+        code, out, err = run(capsys, *(pyramid_csv if a == "{csv}" else a for a in argv))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_subnormal_delta_fails_cleanly(self, pyramid_csv, capsys):
         code, _, err = run(capsys, "batch", pyramid_csv, "--model", "uniform", "--delta", "5e-324")

@@ -316,6 +316,67 @@ class TestIncrementStore:
         assert reloaded.as_mapping() == store.as_mapping()
         assert reloaded.combine("q", "t", delta=0.5) == 1.0
 
+    def test_interleaved_runs_load_like_a_per_line_reference(self, tmp_path):
+        # the pair (a, b) is interrupted by (c, d) and spells one delta two ways; (a, b, m00) is rewritten
+        text = (
+            "a\tb\t0.0001\tm00\t0.5\n"
+            "a\tb\t0.0001\tm05\t0.25\n"
+            "c\td\t0.001\tf80\t1.5\n"
+            "\n"
+            "a\tb\t1e-4\tm10\t2.0\n"
+            "c\td\t1e-06\tm00\t3.0\n"
+            "a\tb\t0.0001\tm00\t0.75\n"
+            "c\td\t0.001\tf75\t-0.0\n"
+        )
+        path = tmp_path / "inc.tsv"
+        path.write_text(text, encoding="utf-8")
+        reference: dict = {}  # (query, target) -> delta -> param -> value, one line at a time
+        for line in text.splitlines():
+            if line:
+                query, target, delta, param, value = line.split("\t")
+                reference.setdefault((query, target), {}).setdefault(float(delta), {})[param] = float(value)
+        expected = [
+            ((q, t, d, p), v)
+            for (q, t), deltas in reference.items()
+            for d, incs in deltas.items()
+            for p, v in incs.items()
+        ]
+        store = IncrementStore(path)
+        assert list(store.as_mapping().items()) == expected
+        # one (a, b, 1e-4) dict, in first-put order
+        assert [key[3] for key, _ in expected[:3]] == ["m00", "m05", "m10"]
+        assert store.deltas_for("c", "d") == [1e-6, 1e-3]
+        assert store.combine("a", "b", ["m00", "m10"]) == 2.75
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            ("a\tb\t0.0001\tm05", "expected 5 tab-separated fields, got 4"),
+            ("a\tb\t0.0001\tm05\t0.5\t1", "expected 5 tab-separated fields, got 6"),
+            ("a\tb\t0.0001\tm05\t\t0.5", "expected 5 tab-separated fields, got 6"),
+            ("a\tb", "expected 5 tab-separated fields, got 2"),
+            ("a\tb\t1e-4x\tm05\t0.5", "bad numeric field (could not convert string to float: '1e-4x')"),
+            ("a\tb\t0.0001\tm05\t0,5", "bad numeric field (could not convert string to float: '0,5')"),
+        ],
+    )
+    def test_bad_line_messages(self, tmp_path, bad_line, message):
+        # line 2 continues line 1's run of (a, b, 0.0001); a bad delta opens a new run
+        path = tmp_path / "inc.tsv"
+        path.write_text(f"a\tb\t0.0001\tm00\t0.5\n{bad_line}\na\tb\t0.0001\tm10\t0.5\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            IncrementStore(path)
+        assert str(info.value) == f"{path}:2: {message}"
+        if message.startswith("bad numeric"):
+            assert type(info.value.__cause__) is ValueError
+        else:  # raised outside any handler: no cause and no context
+            assert info.value.__cause__ is None and info.value.__context__ is None
+
+    def test_put_writes_one_line_per_increment(self, tmp_path):
+        path = tmp_path / "inc.tsv"
+        incs = {"m00": 0.1, "f80": np.float64(1e-300), "m05": 2}
+        IncrementStore(path).put(ComparisonResult("q", "t", np.float64(1e-4), 1.0, 1, 1e-4, 1.0, incs))
+        assert path.read_bytes() == b"q\tt\t0.0001\tm00\t0.1\nq\tt\t0.0001\tf80\t1e-300\nq\tt\t0.0001\tm05\t2.0\n"
+
 
 _PAIRS = [("a", "b"), ("a", "c"), ("b", "a")]
 _PARAMS = ["p0", "p1", "p2", "p3"]

@@ -312,6 +312,17 @@ class TestPyramidTable:
             PyramidTable(("aa",), np.ones((2, 34)))
         with pytest.raises(SchemaError, match="name not found"):
             PyramidTable(("aa",), np.ones((1, 34))).record("bb")
+        with pytest.raises(SchemaError):
+            PyramidTable._of_floats(("aa", "aa"), ((1.0,) * 34,) * 2)
+
+    def test_rows_are_tuples_of_floats(self, table):
+        # ingest's rows are kept as it built them; rows a caller passes in are converted
+        long = io.StringIO("name,sex,cohort,value\n" + "".join(f"aa,{c[0]},{c[1:]},2\n" for c in COHORTS))
+        for built in (table, long_to_wide(long)):
+            assert all(type(row) is tuple and set(map(type, row)) == {float} for row in built.values)
+        converted = PyramidTable(("aa", "bb"), np.arange(68).reshape(2, 34))
+        assert converted.values == tuple(tuple(map(float, range(i, i + 34))) for i in (0, 34))
+        assert all(set(map(type, row)) == {float} for row in converted.values)
 
 
 def test_non_utf8_names_its_line(tmp_path, capsys):

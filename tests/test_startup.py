@@ -116,6 +116,7 @@ def test_package_name_loads_only_its_module():
         (("store", "combine", "--store", OUTPUT / "increments.tsv", *PAIR), 0, CORE | {"kdiss.store"}),
         ((*REPORT, "--y", "ppb"), 0, CORE | {"kdiss.report"}),
         ((*REPORT, "--y", "gdp", "--format", "svg"), 0, CORE | {"kdiss.report"}),
+        (("batch", PYRAMIDS, "--model", "quadratic"), 2, CORE),
     ],
 )
 def test_each_command_imports_only_what_it_runs(argv, exit_code, expected, tmp_path):
