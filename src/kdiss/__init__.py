@@ -16,7 +16,7 @@ accessors load numpy.
 __version__ = "0.1.0"
 
 _HOMES = {
-    "averaging": ("Bipartition", "average_once", "bipartition", "pair_max_split"),
+    "averaging": ("AveragingConfig", "Bipartition", "average_once", "bipartition", "pair_max_split"),
     "dissimilarity": ("grouped_with_target", "switch_weight"),
     "errors": (
         "DegenerateSymmetryError",
@@ -37,7 +37,6 @@ _HOMES = {
     ),
     "indexes": ("build_index_rows", "mu_index", "p_uniform", "sex_split_k", "sum_constancy"),
     "kernel": (
-        "AveragingConfig",
         "ComparisonResult",
         "ObjectRecord",
         "ProbeConfig",

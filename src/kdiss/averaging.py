@@ -21,11 +21,11 @@ fixed point, which matters when the two leading entries are nearly tied.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateSymmetryError, NonPolarizedError, SchemaError
-from .kernel import AveragingConfig  # its numpy-free home, so ProbeConfig needs no numpy
+from .errors import DegenerateSymmetryError, DomainError, NonPolarizedError, SchemaError
 from .similarity import SimilarityMatrix
 
 __all__ = [
@@ -35,6 +35,29 @@ __all__ = [
     "bipartition",
     "pair_max_split",
 ]
+
+# the general (n > 3) loop stops once no entry moves by more than this in a sweep
+_CONVERGENCE_TOL = 1e-9
+
+
+class _AveragingFields(NamedTuple):
+    max_iterations: int
+
+
+class AveragingConfig(_AveragingFields):
+    """The sweep limit of the averaging loop.
+
+    The 3-object path stops on its own provably-final criterion and raises
+    NonPolarizedError after max_iterations sweeps; the general loop stops at
+    _CONVERGENCE_TOL or after max_iterations sweeps, whichever comes first.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, max_iterations: int = 200):
+        if max_iterations < 1:
+            raise DomainError("max_iterations must be >= 1")
+        return super().__new__(cls, max_iterations)
 
 
 @dataclass(frozen=True)
@@ -172,7 +195,7 @@ def bipartition(m: SimilarityMatrix, cfg: AveragingConfig | None = None) -> Bipa
         sweeps += 1
         delta = float(np.max(np.abs(nxt.entries - current.entries)))
         current = nxt
-        if delta <= cfg.convergence_tol:
+        if delta <= _CONVERGENCE_TOL:
             converged = True
             break
     group_a, group_b = _split_offdiagonal(current.entries, labels)

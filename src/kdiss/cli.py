@@ -34,8 +34,8 @@ _LAZY = {
     "ProbeConfig": "kernel",
     "_closed_form": "kernel",
     "compare": "kernel",
+    "_model_distances": "indexes",
     "build_index_rows": "indexes",
-    "p_uniform": "indexes",
     "cohort_totals": "pyramids",
     "exponential_model": "pyramids",
     "ingest": "pyramids",
@@ -167,7 +167,7 @@ def cmd_mu(args) -> int:
     query_a = table.record(args.query_a)
     query_b = table.record(args.query_b)
     cfg = ProbeConfig(delta=args.delta)
-    rows, problems = build_index_rows(table, query_a, query_b, cfg, args.rate, args.variant)
+    rows, problems = build_index_rows(table, query_a, query_b, cfg)
     buffer = io.StringIO()
     write_index_csv(rows, buffer)
     _write_out(buffer.getvalue(), args.out)
@@ -191,19 +191,14 @@ def cmd_model(args) -> int:
 
 def cmd_punif(args) -> int:
     table = _load_table(args.data, args.lenient)
-    d_uns = [c.k_cont for c in _closed_form(uniform_model().param_values, table.values, args.delta)]
-    d_es = [c.k_cont for c in _closed_form(exponential_model(args.rate).param_values, table.values, args.delta)]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["name", "d_un", "d_e30", "p_un"])
     problems = []
-    for name, d_un, d_e in zip(table.names, d_uns, d_es):
-        try:
-            p_un_s = f"{p_uniform(d_un, d_e, args.variant):.6f}"
-        except KdissError:
-            p_un_s = "nan"
-            problems.append(f"{name}: p_un undefined")
-        writer.writerow([name, f"{d_un:.6f}", f"{d_e:.6f}", p_un_s])
+    for name, (d_un, d_e, p_un, problem) in zip(table.names, _model_distances(table, args.delta)):
+        writer.writerow([name, f"{d_un:.6f}", f"{d_e:.6f}", f"{p_un:.6f}"])
+        if problem:
+            problems.append(problem)
     _write_out(buffer.getvalue(), args.out)
     for message in problems:
         print(f"warning: {message}", file=sys.stderr)
@@ -299,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, parallel=True)
     p.add_argument("query_a", help="pole scored 100 (k_mt role)")
     p.add_argument("query_b", help="pole scored 0 (k_ut role)")
-    p.add_argument("--rate", type=float, default=0.30, help="exponential model rate (default 0.30)")
-    p.add_argument("--variant", choices=["normalized", "as_written"], default="normalized")
     p.set_defaults(func=cmd_mu)
 
     p = sub.add_parser("model", help="print a model pyramid")
@@ -311,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("punif", help="uniform-component share per pyramid")
     add_common(p, parallel=True)
-    p.add_argument("--rate", type=float, default=0.30)
-    p.add_argument("--variant", choices=["normalized", "as_written"], default="normalized")
     p.set_defaults(func=cmd_punif)
 
     p = sub.add_parser("store", help="persist or recombine per-parameter increments")
@@ -360,9 +351,13 @@ def _validate(args) -> str:
     parallel = getattr(args, "parallel", 1)
     if parallel < 1:
         return f"--parallel must be >= 1, got {parallel!r}"
-    model = getattr(args, "model", None)
-    if model is not None and model != "uniform" and not (model.startswith("exp:") and _is_float(model[4:])):
-        return f"bad model spec {model!r}: use 'uniform' or 'exp:RATE'"
+    model, rate = getattr(args, "model", None), getattr(args, "rate", 0.0)
+    if model is not None and model != "uniform":
+        if not (model.startswith("exp:") and _is_float(model[4:])):
+            return f"bad model spec {model!r}: use 'uniform' or 'exp:RATE'"
+        rate = float(model[4:])
+    if not 0.0 <= rate < 1.0:
+        return f"rate must lie in [0, 1), got {rate!r}"
     if getattr(args, "command", "") == "store" and args.action == "put":
         if not args.data:
             return "store put requires --data"

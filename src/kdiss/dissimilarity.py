@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .averaging import _polarize3, bipartition
+from .averaging import AveragingConfig, _polarize3, bipartition
 from .errors import DegenerateSymmetryError, DomainError, NonPolarizedError, NotSwitchedError
 from .kernel import ComparisonResult, ObjectRecord, ProbeConfig, batch_compare, closed_form_k, compare
 from .kernel import _check_schema, _clone_similarity, _ratio_sims, _sum8
@@ -49,6 +49,9 @@ TARGET_LABEL = "target"
 
 _WEIGHT_FLOOR = 1e-30
 _BRACKET_STEP = 16.0
+_MAX_WEIGHT = 1e12  # the bracketing search gives up above this weight
+_WEIGHT_TOL = 1e-12  # relative bracket width at which the bisection stops
+_AVERAGING = AveragingConfig(max_iterations=500)
 
 
 class _ProbeProblem:
@@ -56,7 +59,7 @@ class _ProbeProblem:
 
     def __init__(self, query: ObjectRecord, target: ObjectRecord, cfg: ProbeConfig):
         _check_schema(query, target)
-        self.cfg = cfg
+        self.delta = cfg.delta
         self.n_params = len(query.param_names)
         self.base_sum = _sum8(_ratio_sims(query.param_values, target.param_values))
         # the clones' probe similarity; anchor and target share probe value 1
@@ -73,7 +76,7 @@ class _ProbeProblem:
     def anchor_with_target(self, weight: float) -> bool:
         u, x, y = self.entries(weight)
         try:
-            winner, _ = _polarize3(u, x, y, self.cfg.averaging.max_iterations)
+            winner, _ = _polarize3(u, x, y, _AVERAGING.max_iterations)
         except NonPolarizedError:
             winner = None
         if winner is not None:
@@ -113,14 +116,13 @@ def grouped_with_target(
     )
     matrix = blend_from_objects(records, pset)
     try:
-        parts = bipartition(matrix, cfg.averaging)
+        parts = bipartition(matrix, _AVERAGING)
     except (DegenerateSymmetryError, NonPolarizedError):
         return matrix.entry(ANCHOR_LABEL, TARGET_LABEL) >= matrix.entry(ANCHOR_LABEL, OFFSET_LABEL)
     return parts.together(ANCHOR_LABEL, TARGET_LABEL)
 
 
 def _search_switch(problem: _ProbeProblem) -> float:
-    cfg = problem.cfg
     if problem.anchor_with_target(1.0):
         hi = 1.0
         w = 1.0
@@ -138,16 +140,16 @@ def _search_switch(problem: _ProbeProblem) -> float:
         w = 1.0
         while True:
             w *= _BRACKET_STEP
-            if w > cfg.max_weight:
+            if w > _MAX_WEIGHT:
                 raise NotSwitchedError(
-                    f"no switch up to weight {cfg.max_weight:g} "
-                    f"(delta={cfg.delta:g} may be too small for this pair)"
+                    f"no switch up to weight {_MAX_WEIGHT:g} "
+                    f"(delta={problem.delta:g} may be too small for this pair)"
                 )
             if problem.anchor_with_target(w):
                 hi = w
                 break
             lo = w
-    while hi - lo > cfg.weight_tol * hi:
+    while hi - lo > _WEIGHT_TOL * hi:
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             break
@@ -169,11 +171,11 @@ def switch_weight(query: ObjectRecord, target: ObjectRecord, cfg: ProbeConfig | 
 
     The paper's search, kept as the oracle for the closed form: the
     grouping predicate is monotone in the weight, so the minimum is located
-    by exponential bracketing and bisection down to cfg.weight_tol relative
-    width.  Returns 0.0 when the target is indistinguishable from the query
+    by exponential bracketing and bisection down to a relative width of
+    1e-12.  Returns 0.0 when the target is indistinguishable from the query
     (the predicate holds at arbitrarily small weights).  Raises
-    NotSwitchedError if the predicate is still false at cfg.max_weight; it
-    is the only function that can.
+    NotSwitchedError if the predicate is still false at weight 1e12; it is
+    the only function that can.
     """
     cfg = cfg or ProbeConfig()
     return _search_switch(_ProbeProblem(query, target, cfg))

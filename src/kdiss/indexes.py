@@ -2,7 +2,7 @@
 
 MU places a pyramid between two polar query pyramids (0 = identical to the
 first pole, 100 = identical to the second); the uniform-component share does
-the same against the uniform and exponential model pyramids.  Only
+the same against the uniform and E30 model pyramids.  Only
 sum_constancy imports numpy, when it is called.
 """
 
@@ -104,13 +104,29 @@ def _cohort_values(record: ObjectRecord) -> tuple[float, ...]:
     return record.param_values
 
 
+def _model_distances(table: PyramidTable, delta: float) -> list[tuple[float, float, float, str]]:
+    """(d_un, d_e30, p_un, problem) for every pyramid, one closed-form pass per model.
+
+    d_un and d_e30 are the K_cont to the uniform and E30 models, p_un the
+    normalized uniform-component share.  Where both distances are zero p_un
+    is nan and problem the message that says so; elsewhere problem is "".
+    """
+    d_un = _closed_form(uniform_model().param_values, table.values, delta)
+    d_e = _closed_form(exponential_model(0.30).param_values, table.values, delta)
+    out = []
+    for name, un, e in zip(table.names, d_un, d_e):
+        try:
+            out.append((un.k_cont, e.k_cont, p_uniform(un.k_cont, e.k_cont), ""))
+        except DomainError:
+            out.append((un.k_cont, e.k_cont, math.nan, f"{name}: p_un undefined (both model distances are zero)"))
+    return out
+
+
 def build_index_rows(
     table: PyramidTable,
     query_a: ObjectRecord,
     query_b: ObjectRecord,
     cfg: ProbeConfig | None = None,
-    exp_rate: float = 0.30,
-    variant: str = "normalized",
 ) -> tuple[list[IndexRow], list[str]]:
     """Index rows for every pyramid: K to both poles, MU, model distances.
 
@@ -123,8 +139,7 @@ def build_index_rows(
     targets = table.values
     pole_a = _closed_form(_cohort_values(query_a), targets, delta)
     k_ut = [c.k_cont for c in _closed_form(_cohort_values(query_b), targets, delta)]
-    d_un = [c.k_cont for c in _closed_form(uniform_model().param_values, targets, delta)]
-    d_e = [c.k_cont for c in _closed_form(exponential_model(exp_rate).param_values, targets, delta)]
+    models = _model_distances(table, delta)
     rows: list[IndexRow] = []
     problems: list[str] = []
     for i, name in enumerate(table.names):
@@ -134,13 +149,11 @@ def build_index_rows(
         except DomainError:
             mu = float("nan")
             problems.append(f"{name}: MU undefined (both K values are zero)")
-        try:
-            p_un = p_uniform(d_un[i], d_e[i], variant)
-        except DomainError:
-            p_un = float("nan")
-            problems.append(f"{name}: p_un undefined (both model distances are zero)")
+        d_un, d_e, p_un, p_un_problem = models[i]
+        if p_un_problem:
+            problems.append(p_un_problem)
         increments = pole_a[i].increments()
         k_male = math.fsum(increments[: len(MALE_COHORTS)])
         k_female = math.fsum(increments[len(MALE_COHORTS) :])
-        rows.append(IndexRow(name, k_mt, k_ut[i], k_male, k_female, mu, d_un[i], d_e[i], p_un))
+        rows.append(IndexRow(name, k_mt, k_ut[i], k_male, k_female, mu, d_un, d_e, p_un))
     return rows, problems

@@ -3,9 +3,9 @@
 Every CLI command computes K here, over tuples of floats, without numpy.
 The results are bit for bit numpy's: min, max, divide, multiply and ceil
 round alike in both, and every row sum goes through _sum8, which adds in
-numpy's order.  kdiss.similarity, kdiss.averaging and kdiss.dissimilarity
-re-export these names; the paper's mechanism, kept there as the oracle,
-still uses numpy.
+numpy's order.  kdiss.similarity and kdiss.dissimilarity re-export these
+names; the paper's mechanism, kept there and in kdiss.averaging as the
+oracle, still uses numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ObjectRecord",
     "r_similarity",
-    "AveragingConfig",
     "ProbeConfig",
     "ComparisonResult",
     "closed_form_k",
@@ -129,62 +128,23 @@ def r_similarity(a: float, b: float) -> float:
     return min(a, b) / hi
 
 
-class _AveragingFields(NamedTuple):
-    max_iterations: int
-    convergence_tol: float
-
-
-class AveragingConfig(_AveragingFields):
-    """Stopping and extraction knobs for the averaging loop.
-
-    convergence_tol bounds the max absolute entry change per sweep for the
-    general (n > 3) loop; the 3-object path stops on its own provably-final
-    criterion and only honors max_iterations.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, max_iterations: int = 200, convergence_tol: float = 1e-9):
-        if max_iterations < 1:
-            raise DomainError("max_iterations must be >= 1")
-        if not convergence_tol > 0:
-            raise DomainError("convergence_tol must be > 0")
-        return super().__new__(cls, max_iterations, convergence_tol)
-
-
 class _ProbeFields(NamedTuple):
     delta: float
-    max_weight: float
-    weight_tol: float
-    averaging: AveragingConfig
 
 
 class ProbeConfig(_ProbeFields):
-    """Probe delta, search bounds, and the averaging loop configuration.
+    """The probe delta: the probe-value difference between the two clones.
 
-    delta is the probe-value difference between the two clones.  The anchor
-    clone and all plain objects carry probe value 1; the offset clone
-    carries 1 + delta.  max_weight caps switch_weight's bracketing search
-    and weight_tol is the relative width at which its bisection stops; the
-    closed form behind compare uses neither.
+    The anchor clone and all plain objects carry probe value 1; the offset
+    clone carries 1 + delta.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        delta: float = 1e-4,
-        max_weight: float = 1e12,
-        weight_tol: float = 1e-12,
-        averaging: AveragingConfig = AveragingConfig(max_iterations=500),
-    ):
+    def __new__(cls, delta: float = 1e-4):
         if not (math.isfinite(delta) and delta > 0):
             raise DomainError(f"delta must be positive and finite, got {delta!r}")
-        if not (math.isfinite(max_weight) and max_weight > 0):
-            raise DomainError("max_weight must be positive and finite")
-        if not (math.isfinite(weight_tol) and weight_tol > 0):
-            raise DomainError("weight_tol must be positive and finite")
-        return super().__new__(cls, delta, max_weight, weight_tol, averaging)
+        return super().__new__(cls, delta)
 
 
 class ComparisonResult(NamedTuple):

@@ -105,7 +105,6 @@ def join(
     y_field: str,
     x_transform: str | None = None,
     y_transform: str | None = None,
-    label: str | None = None,
 ) -> tuple[ScatterSeries, list[str]]:
     """Inner-join index rows with indicator values into a scatter series.
 
@@ -137,10 +136,9 @@ def join(
             unmatched.append(f"{row.name}: transform domain error")
             continue
         points.append((float(x), float(y), row.name))
-    series_label = label if label is not None else f"{y_field} vs {x_field}"
     x_name = f"{x_transform}({x_field})" if x_transform else x_field
     y_name = f"{y_transform}({y_field})" if y_transform else y_field
-    return ScatterSeries(series_label, tuple(points), None, x_name, y_name), unmatched
+    return ScatterSeries(f"{y_field} vs {x_field}", tuple(points), None, x_name, y_name), unmatched
 
 
 def _centered(values: list[float]) -> tuple[list[float], float]:

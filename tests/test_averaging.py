@@ -131,8 +131,6 @@ class TestBipartition:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             AveragingConfig(max_iterations=0)
-        with pytest.raises(DomainError):
-            AveragingConfig(convergence_tol=0.0)
 
 
 class TestPairMaxSplit:

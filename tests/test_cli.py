@@ -173,9 +173,9 @@ class TestBatch:
         assert (code, out) == (2, "")
         assert err == f"error: bad model spec {spec!r}: use 'uniform' or 'exp:RATE'\n"
 
-    def test_out_of_range_model_rate_is_a_data_error(self, pyramid_csv, capsys):
-        code, _, err = run(capsys, "batch", pyramid_csv, "--model", "exp:2")
-        assert code == 1
+    def test_out_of_range_model_rate_is_a_usage_error(self, pyramid_csv, capsys):
+        code, out, err = run(capsys, "batch", pyramid_csv, "--model", "exp:2")
+        assert (code, out) == (2, "")
         assert err == "error: rate must lie in [0, 1), got 2.0\n"
 
 
@@ -228,6 +228,33 @@ class TestPunif:
         assert lines[0] == "name,d_un,d_e30,p_un"
         for line in lines[1:]:
             assert 0.0 <= float(line.split(",")[3]) <= 100.0
+
+    def test_model_columns_match_mu_and_batch(self, pyramid_csv, capsys):
+        def columns(*argv):
+            code, out, err = run(capsys, *argv, "--delta", "0.001")
+            assert code == 0, err
+            lines = [line.split(",") for line in out.splitlines()]
+            return {name: [row[lines[0].index(name)] for row in lines[1:]] for name in lines[0]}
+
+        punif = columns("punif", pyramid_csv)
+        mu = columns("mu", pyramid_csv, "country00", "country09")
+        for name in ("name", "d_un", "d_e30", "p_un"):
+            assert punif[name] == mu[name]
+        assert punif["d_un"] == columns("batch", pyramid_csv, "--model", "uniform")["k_cont"]
+        assert punif["d_e30"] == columns("batch", pyramid_csv, "--model", "exp:0.30")["k_cont"]
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("mu", "{csv}", "country00", "country09", "--rate", "0.5"), "--rate"),
+            (("punif", "{csv}", "--variant", "as_written"), "--variant"),
+        ],
+    )
+    def test_model_options_are_gone(self, pyramid_csv, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc_info:
+            main([str(pyramid_csv) if a == "{csv}" else a for a in argv])
+        assert exc_info.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 class TestStore:
@@ -394,6 +421,7 @@ class TestValidation:
             (("batch", "{csv}", "--model", "uniform", "--delta", "0"), "--delta must lie in (0, 1], got 0.0"),
             (("mu", "{csv}", "country00", "country01", "--parallel", "0"), "--parallel must be >= 1, got 0"),
             (("store", "put", "--store", "inc.tsv", "--query", "a", "--target", "b"), "store put requires --data"),
+            (("model", "--kind", "uniform", "--rate", "5"), "rate must lie in [0, 1), got 5.0"),
         ],
     )
     def test_usage_errors_exit_2(self, pyramid_csv, capsys, argv, message):

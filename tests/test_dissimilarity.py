@@ -77,9 +77,10 @@ class TestSwitchWeight:
         assert w == pytest.approx(80.8, rel=1e-9)
 
     def test_not_switched_when_capped(self):
+        # w* = 0.8 * (1 + 1e-13) / 1e-13 lies above the search's fixed cap of 1e12
         q, t = pair_with_sims([0.5, 0.7])
-        with pytest.raises(NotSwitchedError):
-            switch_weight(q, t, ProbeConfig(delta=1e-7, max_weight=10.0))
+        with pytest.raises(NotSwitchedError, match=r"no switch up to weight 1e\+12"):
+            switch_weight(q, t, ProbeConfig(delta=1e-13))
 
     def test_schema_mismatch(self):
         q = ObjectRecord.from_values("q", ["a"], [1.0])

@@ -10,9 +10,10 @@ import pickle
 
 import pytest
 
+from kdiss.averaging import AveragingConfig
 from kdiss.errors import DomainError, SchemaError
 from kdiss.formats import INDEX_COLUMNS, IndexRow
-from kdiss.kernel import AveragingConfig, ComparisonResult, ObjectRecord, ProbeConfig, compare
+from kdiss.kernel import ComparisonResult, ObjectRecord, ProbeConfig, compare
 from kdiss.pyramids import PyramidTable
 from kdiss.report import IndicatorTable, ScatterSeries
 
@@ -22,10 +23,8 @@ ROW = IndexRow("aa", 1.0, 2.0, 3.0, 4.0, 50.0, 5.0, 6.0, 0.5)
 
 def test_reprs_are_unchanged():
     assert repr(RECORD) == "ObjectRecord(name='x', param_names=('a', 'b'), param_values=(1.0, 2.5))"
-    assert repr(ProbeConfig()) == (
-        "ProbeConfig(delta=0.0001, max_weight=1000000000000.0, weight_tol=1e-12, "
-        "averaging=AveragingConfig(max_iterations=500, convergence_tol=1e-09))"
-    )
+    assert repr(ProbeConfig()) == "ProbeConfig(delta=0.0001)"
+    assert repr(AveragingConfig()) == "AveragingConfig(max_iterations=200)"
     result = compare(RECORD, ObjectRecord("y", (("a", 2), ("b", 2.5))), ProbeConfig(delta=0.01))
     assert repr(result) == (
         "ComparisonResult(query='x', target='y', delta=0.01, w_star=50.5, d=51, k=0.51, k_cont=0.505, "
@@ -67,10 +66,7 @@ def test_attributes_cannot_be_set_or_deleted(instance, field):
     [
         (lambda: ProbeConfig(delta=0), DomainError, "delta must be positive and finite, got 0"),
         (lambda: ProbeConfig(delta=float("inf")), DomainError, "delta must be positive and finite, got inf"),
-        (lambda: ProbeConfig(max_weight=-1.0), DomainError, "max_weight must be positive and finite"),
-        (lambda: ProbeConfig(weight_tol=0.0), DomainError, "weight_tol must be positive and finite"),
         (lambda: AveragingConfig(max_iterations=0), DomainError, "max_iterations must be >= 1"),
-        (lambda: AveragingConfig(convergence_tol=0.0), DomainError, "convergence_tol must be > 0"),
         (lambda: ObjectRecord("x", (("p", 1.0), ("p", 2.0))), SchemaError, "object 'x' has duplicate parameter names"),
         (lambda: ObjectRecord("x", (("p", -1.0),)), DomainError, "object 'x', parameter 'p': negative value -1.0"),
         (lambda: ObjectRecord("x", (("p", float("nan")),)), DomainError, "object 'x', parameter 'p': non-finite value nan"),
@@ -90,9 +86,13 @@ def test_validation_errors_are_unchanged(make, error, message):
 def test_default_config_equals_the_explicit_one():
     assert ProbeConfig() == ProbeConfig(delta=1e-4)
     assert hash(ProbeConfig()) == hash(ProbeConfig(delta=1e-4))
-    assert ProbeConfig().averaging == AveragingConfig(max_iterations=500)
     assert ProbeConfig(delta=1e-3) != ProbeConfig()
-    assert AveragingConfig() == AveragingConfig(200, 1e-9)
+    assert AveragingConfig() == AveragingConfig(200)
+
+
+def test_configs_hold_only_the_settings_callers_set():
+    assert ProbeConfig._fields == ("delta",)
+    assert AveragingConfig._fields == ("max_iterations",)
 
 
 def test_records_compare_and_hash_by_value():
