@@ -5,14 +5,13 @@ randomness anywhere.  ``--parallel N`` is accepted for compatibility and
 changes nothing: every command runs single-process, one closed-form pass
 per query in plain Python, and none loads numpy.  Exit status is 0 when no
 row-level problem occurred (or with ``--lenient``), 1 on data errors, 2 on
-usage errors.
+usage errors and on a path that cannot be read or written.  Every output is
+UTF-8: stdout gets the bytes ``--out`` would write, whatever the locale.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import os
 import sys
@@ -20,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import KdissError
-from .formats import FEMALE_COHORTS, MALE_COHORTS, read_index_csv, write_index_csv
+from .formats import FEMALE_COHORTS, MALE_COHORTS, _csv_text, _write_text, read_index_csv, write_index_csv
 
 if TYPE_CHECKING:
     from .pyramids import PyramidTable
@@ -81,19 +80,6 @@ def _resolve_path(path: str) -> Path:
     raise FileNotFoundError(f"no such file: {path}" + (f" (also tried ${DATA_DIR_ENV})" if data_dir else ""))
 
 
-def _write_out(text_or_bytes, out: str | None) -> None:
-    if isinstance(text_or_bytes, bytes):
-        if out:
-            Path(out).write_bytes(text_or_bytes)
-        else:
-            sys.stdout.buffer.write(text_or_bytes)
-    else:
-        if out:
-            Path(out).write_text(text_or_bytes, encoding="utf-8")
-        else:
-            sys.stdout.write(text_or_bytes)
-
-
 def _load_table(path: str, lenient: bool) -> PyramidTable:
     return ingest(_resolve_path(path), lenient=lenient)
 
@@ -108,12 +94,9 @@ def _pick_query(args, table: PyramidTable) -> tuple[float, ...]:
 
 
 def cmd_ingest(args) -> int:
-    table = (long_to_wide if args.from_long else ingest)(
-        _resolve_path(args.data), **({} if args.from_long else {"lenient": args.lenient})
-    )
-    buffer = io.StringIO()
-    write_pyramid_csv(table, buffer)
-    _write_out(buffer.getvalue(), args.out)
+    path = _resolve_path(args.data)
+    table = long_to_wide(path) if args.from_long else ingest(path, lenient=args.lenient)
+    write_pyramid_csv(table, args.out)
     for message in table.row_errors:
         print(f"warning: skipped {message}", file=sys.stderr)
     return 0
@@ -123,42 +106,38 @@ def cmd_compare(args) -> int:
     table = _load_table(args.data, args.lenient)
     query = table.record(args.query)
     result = compare(query, table.record(args.target), ProbeConfig(delta=args.delta))
-    print(f"query   = {result.query}")
-    print(f"target  = {result.target}")
-    print(f"delta   = {result.delta:g}")
-    print(f"w*      = {result.w_star:.6f}")
-    print(f"D       = {result.d}")
-    print(f"K       = {result.k:.6f}")
-    print(f"K_cont  = {result.k_cont:.6f}")
+    lines = [
+        f"query   = {result.query}",
+        f"target  = {result.target}",
+        f"delta   = {result.delta:g}",
+        f"w*      = {result.w_star:.6f}",
+        f"D       = {result.d}",
+        f"K       = {result.k:.6f}",
+        f"K_cont  = {result.k_cont:.6f}",
+    ]
     if args.increments:
-        print("increments:")
-        for param, inc in result.increments.items():
-            print(f"  {param}  {inc:.6f}")
-        print(f"  sum  {math.fsum(result.increments.values()):.6f}")
+        lines.append("increments:")
+        lines.extend(f"  {param}  {inc:.6f}" for param, inc in result.increments.items())
+        lines.append(f"  sum  {math.fsum(result.increments.values()):.6f}")
+    _write_text("".join(f"{line}\n" for line in lines))
     if args.out:
-        buffer = io.StringIO()
-        buffer.write(
+        head = (
             f"# query={result.query} target={result.target} delta={result.delta!r} "
             f"w_star={result.w_star!r} d={result.d} k={result.k!r} k_cont={result.k_cont!r}\n"
         )
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["param", "increment"])
-        for param, inc in result.increments.items():
-            writer.writerow([param, repr(inc)])
-        Path(args.out).write_text(buffer.getvalue(), encoding="utf-8")
+        rows = ([param, repr(inc)] for param, inc in result.increments.items())
+        _write_text(head + _csv_text(["param", "increment"], rows), args.out)
     return 0
 
 
 def cmd_batch(args) -> int:
     table = _load_table(args.data, args.lenient)
     closed = _closed_form(_pick_query(args, table), table.values, args.delta)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["name", "d", "k", "k_cont"])
+    rows = []
     for name, c in zip(table.names, closed):
         d = c.d(args.delta)
-        writer.writerow([name, int(d), f"{d * args.delta:.6f}", f"{c.k_cont:.6f}"])
-    _write_out(buffer.getvalue(), args.out)
+        rows.append([name, int(d), f"{d * args.delta:.6f}", f"{c.k_cont:.6f}"])
+    _write_text(_csv_text(["name", "d", "k", "k_cont"], rows), args.out)
     return 0
 
 
@@ -168,9 +147,7 @@ def cmd_mu(args) -> int:
     query_b = table.record(args.query_b)
     cfg = ProbeConfig(delta=args.delta)
     rows, problems = build_index_rows(table, query_a, query_b, cfg)
-    buffer = io.StringIO()
-    write_index_csv(rows, buffer)
-    _write_out(buffer.getvalue(), args.out)
+    write_index_csv(rows, args.out)
     for message in problems:
         print(f"warning: {message}", file=sys.stderr)
     return 0 if (args.lenient or not problems) else 1
@@ -178,28 +155,22 @@ def cmd_mu(args) -> int:
 
 def cmd_model(args) -> int:
     record = uniform_model() if args.kind == "uniform" else exponential_model(args.rate)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["age", "male", "female", "combined"])
-    for age_label, combined in cohort_totals(record):
-        male = record.value_of(f"m{age_label}")
-        female = record.value_of(f"f{age_label}")
-        writer.writerow([age_label, f"{male:.6f}", f"{female:.6f}", f"{combined:.6f}"])
-    _write_out(buffer.getvalue(), args.out)
+    rows = (
+        [age, f"{record.value_of('m' + age):.6f}", f"{record.value_of('f' + age):.6f}", f"{combined:.6f}"]
+        for age, combined in cohort_totals(record)
+    )
+    _write_text(_csv_text(["age", "male", "female", "combined"], rows), args.out)
     return 0
 
 
 def cmd_punif(args) -> int:
     table = _load_table(args.data, args.lenient)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["name", "d_un", "d_e30", "p_un"])
-    problems = []
+    rows, problems = [], []
     for name, (d_un, d_e, p_un, problem) in zip(table.names, _model_distances(table, args.delta)):
-        writer.writerow([name, f"{d_un:.6f}", f"{d_e:.6f}", f"{p_un:.6f}"])
+        rows.append([name, f"{d_un:.6f}", f"{d_e:.6f}", f"{p_un:.6f}"])
         if problem:
             problems.append(problem)
-    _write_out(buffer.getvalue(), args.out)
+    _write_text(_csv_text(["name", "d_un", "d_e30", "p_un"], rows), args.out)
     for message in problems:
         print(f"warning: {message}", file=sys.stderr)
     return 0 if (args.lenient or not problems) else 1
@@ -212,7 +183,7 @@ def cmd_store(args) -> int:
         query = table.record(args.query)
         result = compare(query, table.record(args.target), ProbeConfig(delta=args.delta))
         store.put(result)
-        print(f"stored {len(result.increments)} increments for ({result.query}, {result.target})")
+        _write_text(f"stored {len(result.increments)} increments for ({result.query}, {result.target})\n")
         return 0
     # combine
     subset: list[str] | None
@@ -225,7 +196,7 @@ def cmd_store(args) -> int:
     else:
         subset = [p.strip() for p in args.params.split(",") if p.strip()]
     total = store.combine(args.query, args.target, subset, delta=args.delta)
-    print(repr(total))
+    _write_text(f"{total!r}\n")
     return 0
 
 
@@ -244,7 +215,7 @@ def cmd_report(args) -> int:
         series = fit_series(series)
     except KdissError as exc:
         print(f"warning: no fit ({exc})", file=sys.stderr)
-    _write_out(emit(series, args.format), args.out)
+    _write_text(emit(series, args.format).decode("utf-8"), args.out)
     for message in unmatched:
         print(f"unmatched: {message}", file=sys.stderr)
     return 0
@@ -258,12 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, data=True, parallel=False):
-        if data:
-            p.add_argument("data", help="pyramid CSV (name,m00,...,m80,f00,...,f80)")
+    def add_common(p, parallel=False, out_help="output path (default stdout)"):
+        p.add_argument("data", help="pyramid CSV (name,m00,...,m80,f00,...,f80)")
         p.add_argument("--delta", type=float, default=1e-4, help="probe delta (default 1e-4)")
         p.add_argument("--lenient", action="store_true", help="skip bad rows instead of failing")
-        p.add_argument("--out", help="output path (default stdout)")
+        p.add_argument("--out", help=out_help)
         if parallel:
             p.add_argument(
                 "--parallel", type=int, default=1, help="accepted for compatibility; runs single-process"
@@ -277,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("compare", help="compare one query pyramid to one target")
-    add_common(p)
+    add_common(p, out_help="also write the increments CSV here; the summary stays on stdout")
     p.add_argument("query")
     p.add_argument("target")
     p.add_argument("--increments", action="store_true", help="print the per-cohort K increments")
@@ -358,7 +328,12 @@ def _validate(args) -> str:
         rate = float(model[4:])
     if not 0.0 <= rate < 1.0:
         return f"rate must lie in [0, 1), got {rate!r}"
-    if getattr(args, "command", "") == "store" and args.action == "put":
+    if getattr(args, "from_long", False) and args.lenient:
+        return "--lenient does not apply to --from-long input"
+    store_action = getattr(args, "action", "")
+    if store_action == "combine" and not args.params.replace(",", "").strip():  # cmd_store's split keeps no name
+        return f"--params {args.params!r} names no parameter"
+    if store_action == "put":
         if not args.data:
             return "store put requires --data"
         if args.delta is None:
@@ -381,9 +356,10 @@ def main(argv=None) -> int:
         else:
             _bind(*_ENGINE)
         return args.func(args)
-    except (KdissError, FileNotFoundError, ValueError) as exc:
+    except (KdissError, OSError, ValueError) as exc:
+        # an OSError here names a path given on the command line
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, FileNotFoundError) else 1
+        return 2 if isinstance(exc, OSError) else 1
 
 
 if __name__ == "__main__":

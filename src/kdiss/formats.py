@@ -2,15 +2,18 @@
 
 The report path (``kdiss report``) and the increment store read and write
 only these formats, so they start without loading numpy.  ``kdiss.pyramids``
-and ``kdiss.indexes`` re-export the names defined here.
+and ``kdiss.indexes`` re-export the names defined here.  Every command
+output but the increment store leaves through ``_write_text``, and every
+output CSV is ``_csv_text``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import sys
 from pathlib import Path
-from typing import IO, Iterator, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SchemaError, decode_utf8
 
@@ -54,9 +57,25 @@ def _csv_rows(source: str | Path | IO[str], columns: Sequence[str], bad_header: 
             yield rownum, row
 
 
-def _write_text(text: str, sink: str | Path | IO[str]) -> None:
-    """Write text to a path (UTF-8, newlines as given) or to an open stream."""
-    if isinstance(sink, (str, Path)):
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A header and rows as CSV text, each line ended by "\n"."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def _write_text(text: str, sink: str | Path | IO[str] | None = None) -> None:
+    """Write text as UTF-8 to a path or, with sink None, to stdout; or to an open text stream.
+
+    Newlines are written as given, and stdout gets the same bytes a path
+    would, whatever the locale's encoding.
+    """
+    if sink is None:
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+    elif isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
@@ -77,13 +96,10 @@ class IndexRow(NamedTuple):
     p_un: float
 
 
-def write_index_csv(rows: Sequence[IndexRow], sink: str | Path | IO[str]) -> None:
-    """Write rows as CSV with the fixed column order of INDEX_COLUMNS."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(INDEX_COLUMNS)
-    writer.writerows([row.name, *(format(value, ".6f") for value in row[1:])] for row in rows)
-    _write_text(buffer.getvalue(), sink)
+def write_index_csv(rows: Sequence[IndexRow], sink: str | Path | IO[str] | None) -> None:
+    """Write rows as CSV with the fixed column order of INDEX_COLUMNS (sink None: stdout)."""
+    lines = ([row.name, *(format(value, ".6f") for value in row[1:])] for row in rows)
+    _write_text(_csv_text(INDEX_COLUMNS, lines), sink)
 
 
 def read_index_csv(source: str | Path | IO[str]) -> list[IndexRow]:

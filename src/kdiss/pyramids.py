@@ -10,14 +10,12 @@ numpy, when called, to return ndarrays.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .errors import DomainError, SchemaError
-from .formats import AGE_STARTS, COHORTS, FEMALE_COHORTS, MALE_COHORTS, _csv_rows, _write_text
+from .formats import AGE_STARTS, COHORTS, FEMALE_COHORTS, MALE_COHORTS, _csv_rows, _csv_text, _write_text
 from .kernel import ObjectRecord, _sum8
 
 if TYPE_CHECKING:
@@ -222,13 +220,10 @@ def long_to_wide(source: str | Path | IO[str]) -> PyramidTable:
     return PyramidTable._of_floats(tuple(rows), tuple(rows.values()))
 
 
-def write_pyramid_csv(table: PyramidTable, sink: str | Path | IO[str]) -> None:
-    """Write the wide CSV back out; shares use repr so they round-trip."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["name", *COHORTS])
-    writer.writerows([name, *values] for name, values in zip(table.names, table.values))
-    _write_text(buffer.getvalue(), sink)
+def write_pyramid_csv(table: PyramidTable, sink: str | Path | IO[str] | None) -> None:
+    """Write the wide CSV back out (sink None: stdout); shares use repr so they round-trip."""
+    rows = ([name, *values] for name, values in zip(table.names, table.values))
+    _write_text(_csv_text(["name", *COHORTS], rows), sink)
 
 
 def uniform_model() -> ObjectRecord:

@@ -7,14 +7,12 @@ so reruns can be diffed.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from pathlib import Path
 from typing import IO, NamedTuple, Sequence
 
 from .errors import DomainError, SchemaError
-from .formats import IndexRow, _csv_rows
+from .formats import IndexRow, _csv_rows, _csv_text
 
 __all__ = [
     "IndicatorTable",
@@ -199,17 +197,12 @@ def emit(series: ScatterSeries, format: str = "csv") -> bytes:
 
 
 def _emit_csv(series: ScatterSeries) -> bytes:
-    buffer = io.StringIO()
-    buffer.write(f"# label={series.label}\n")
-    buffer.write(f"# n={len(series.points)}\n")
+    head = f"# label={series.label}\n# n={len(series.points)}\n"
     if series.fit is not None:
         slope, intercept, r = series.fit
-        buffer.write(f"# fit slope={_fmt(slope)} intercept={_fmt(intercept)} pearson_r={_fmt(r)}\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["name", "x", "y"])
-    for x, y, name in series.points:
-        writer.writerow([name, _fmt(x), _fmt(y)])
-    return buffer.getvalue().encode("utf-8")
+        head += f"# fit slope={_fmt(slope)} intercept={_fmt(intercept)} pearson_r={_fmt(r)}\n"
+    rows = ([name, _fmt(x), _fmt(y)] for x, y, name in series.points)
+    return (head + _csv_text(["name", "x", "y"], rows)).encode("utf-8")
 
 
 _SVG_W, _SVG_H = 640, 480

@@ -1,5 +1,8 @@
-import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -422,6 +425,11 @@ class TestValidation:
             (("mu", "{csv}", "country00", "country01", "--parallel", "0"), "--parallel must be >= 1, got 0"),
             (("store", "put", "--store", "inc.tsv", "--query", "a", "--target", "b"), "store put requires --data"),
             (("model", "--kind", "uniform", "--rate", "5"), "rate must lie in [0, 1), got 5.0"),
+            (("ingest", "{csv}", "--from-long", "--lenient"), "--lenient does not apply to --from-long input"),
+            (("store", "combine", "--store", "inc.tsv", "--query", "a", "--target", "b", "--params", ","),
+             "--params ',' names no parameter"),
+            (("store", "combine", "--store", "inc.tsv", "--query", "a", "--target", "b", "--params", " "),
+             "--params ' ' names no parameter"),
         ],
     )
     def test_usage_errors_exit_2(self, pyramid_csv, capsys, argv, message):
@@ -438,8 +446,57 @@ class TestValidation:
         assert code == 2
         assert "no such file" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("batch", "{dir}", "--model", "uniform"),
+            ("batch", "{csv}", "--model", "uniform", "--out", "{dir}"),
+            ("batch", "{csv}", "--model", "uniform", "--out", "{dir}/missing/batch.csv"),
+            ("store", "combine", "--store", "{dir}", "--query", "a", "--target", "b"),
+        ],
+        ids=["input", "out", "out-in-missing-dir", "store"],
+    )
+    def test_unusable_path_exits_2(self, pyramid_csv, tmp_path, capsys, argv):
+        code, out, err = run(capsys, *(a.format(csv=pyramid_csv, dir=tmp_path) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_data_dir_env(self, pyramid_csv, capsys, monkeypatch):
         monkeypatch.setenv("KDISS_DATA_DIR", str(pyramid_csv.parent))
         code, out, _ = run(capsys, "batch", pyramid_csv.name, "--model", "uniform", "--delta", "0.01")
         assert code == 0
         assert len(out.splitlines()) == 11
+
+
+# every command with --out; "{table}" holds a row named "Việt Nam", "{index}" is mu's output on it
+OUT_COMMANDS = {
+    "ingest": ("ingest", "{table}"),
+    "batch-model": ("batch", "{table}", "--model", "exp:0.30"),
+    "batch-query": ("batch", "{table}", "--query", "Việt Nam"),
+    "mu": ("mu", "{table}", "Việt Nam", "country00"),
+    "punif": ("punif", "{table}"),
+    "model": ("model", "--kind", "exp"),
+    "report-csv": ("report", "--indexes", "{index}", "--x", "mu", "--y", "k_mt"),
+    "report-svg": ("report", "--indexes", "{index}", "--x", "mu", "--y", "k_mt", "--format", "svg"),
+}
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS.values(), ids=OUT_COMMANDS.keys())
+def test_stdout_is_the_out_file_whatever_the_locale(pyramid_csv, tmp_path, argv):
+    table, index, out = tmp_path / "viet.csv", tmp_path / "index.csv", tmp_path / "out"
+    table.write_text(pyramid_csv.read_text(encoding="utf-8").replace("country03", "Việt Nam"), encoding="utf-8")
+    assert main(["mu", str(table), "Việt Nam", "country00", "--out", str(index)]) == 0
+    argv = [a.format(table=table, index=index) for a in argv]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="cp1252")
+
+    def kdiss(*extra):
+        return subprocess.run(
+            [sys.executable, "-m", "kdiss.cli", *argv, *extra], env=env, capture_output=True, timeout=120
+        )
+
+    to_stdout, to_file = kdiss(), kdiss("--out", out)
+    assert (to_stdout.returncode, to_stdout.stderr) == (0, to_file.stderr), to_stdout.stderr
+    assert (to_file.returncode, to_file.stdout) == (0, b"")
+    assert to_stdout.stdout == out.read_bytes()
+    assert argv[0] == "model" or "Việt Nam".encode("utf-8") in to_stdout.stdout
