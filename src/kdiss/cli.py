@@ -6,12 +6,13 @@ changes nothing: every command runs single-process, one closed-form pass
 per query in plain Python, and none loads numpy.  Exit status is 0 when no
 row-level problem occurred (or with ``--lenient``), 1 on data errors, 2 on
 usage errors and on a path that cannot be read or written.  Every output is
-UTF-8: stdout gets the bytes ``--out`` would write, whatever the locale.
+UTF-8 whatever the locale: stdout gets the bytes ``--out`` would write.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -19,7 +20,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import KdissError
-from .formats import FEMALE_COHORTS, MALE_COHORTS, _csv_text, _write_text, read_index_csv, write_index_csv
+from .formats import FEMALE_COHORTS, MALE_COHORTS, _csv_text, _six_places, _write_stderr, _write_text
+from .formats import read_index_csv, write_index_csv
 
 if TYPE_CHECKING:
     from .pyramids import PyramidTable
@@ -32,6 +34,7 @@ if TYPE_CHECKING:
 _LAZY = {
     "ProbeConfig": "kernel",
     "_closed_form": "kernel",
+    "_count": "kernel",
     "compare": "kernel",
     "_model_distances": "indexes",
     "build_index_rows": "indexes",
@@ -77,7 +80,8 @@ def _resolve_path(path: str) -> Path:
         candidate = Path(data_dir) / path
         if candidate.exists():
             return candidate
-    raise FileNotFoundError(f"no such file: {path}" + (f" (also tried ${DATA_DIR_ENV})" if data_dir else ""))
+    reason = os.strerror(errno.ENOENT) + (f" (also tried ${DATA_DIR_ENV})" if data_dir else "")
+    raise FileNotFoundError(errno.ENOENT, reason, path)
 
 
 def _load_table(path: str, lenient: bool) -> PyramidTable:
@@ -97,8 +101,7 @@ def cmd_ingest(args) -> int:
     path = _resolve_path(args.data)
     table = long_to_wide(path) if args.from_long else ingest(path, lenient=args.lenient)
     write_pyramid_csv(table, args.out)
-    for message in table.row_errors:
-        print(f"warning: skipped {message}", file=sys.stderr)
+    _write_stderr(f"warning: skipped {message}" for message in table.row_errors)
     return 0
 
 
@@ -119,37 +122,33 @@ def cmd_compare(args) -> int:
         lines.append("increments:")
         lines.extend(f"  {param}  {inc:.6f}" for param, inc in result.increments.items())
         lines.append(f"  sum  {math.fsum(result.increments.values()):.6f}")
-    _write_text("".join(f"{line}\n" for line in lines))
-    if args.out:
+    if args.out:  # first, so that an unwritable --out leaves stdout empty
         head = (
             f"# query={result.query} target={result.target} delta={result.delta!r} "
             f"w_star={result.w_star!r} d={result.d} k={result.k!r} k_cont={result.k_cont!r}\n"
         )
         rows = ([param, repr(inc)] for param, inc in result.increments.items())
         _write_text(head + _csv_text(["param", "increment"], rows), args.out)
+    _write_text("".join(f"{line}\n" for line in lines))
     return 0
 
 
 def cmd_batch(args) -> int:
     table = _load_table(args.data, args.lenient)
-    closed = _closed_form(_pick_query(args, table), table.values, args.delta)
-    rows = []
-    for name, c in zip(table.names, closed):
-        d = c.d(args.delta)
-        rows.append([name, int(d), f"{d * args.delta:.6f}", f"{c.k_cont:.6f}"])
+    delta = args.delta
+    k_cont, w_star, sim_sum, sims = _closed_form(_pick_query(args, table), table.columns(), delta)
+    d = [_count(len(sims), s, w, delta) for s, w in zip(sim_sum, w_star)]
+    rows = zip(table.names, map(int, d), _six_places([n * delta for n in d]), _six_places(k_cont))
     _write_text(_csv_text(["name", "d", "k", "k_cont"], rows), args.out)
     return 0
 
 
 def cmd_mu(args) -> int:
     table = _load_table(args.data, args.lenient)
-    query_a = table.record(args.query_a)
-    query_b = table.record(args.query_b)
     cfg = ProbeConfig(delta=args.delta)
-    rows, problems = build_index_rows(table, query_a, query_b, cfg)
+    rows, problems = build_index_rows(table, table.record(args.query_a), table.record(args.query_b), cfg)
     write_index_csv(rows, args.out)
-    for message in problems:
-        print(f"warning: {message}", file=sys.stderr)
+    _write_stderr(f"warning: {message}" for message in problems)
     return 0 if (args.lenient or not problems) else 1
 
 
@@ -165,14 +164,10 @@ def cmd_model(args) -> int:
 
 def cmd_punif(args) -> int:
     table = _load_table(args.data, args.lenient)
-    rows, problems = [], []
-    for name, (d_un, d_e, p_un, problem) in zip(table.names, _model_distances(table, args.delta)):
-        rows.append([name, f"{d_un:.6f}", f"{d_e:.6f}", f"{p_un:.6f}"])
-        if problem:
-            problems.append(problem)
+    d_un, d_e, p_un, problems = _model_distances(table.names, table.columns(), args.delta)
+    rows = zip(table.names, *map(_six_places, (d_un, d_e, p_un)))
     _write_text(_csv_text(["name", "d_un", "d_e30", "p_un"], rows), args.out)
-    for message in problems:
-        print(f"warning: {message}", file=sys.stderr)
+    _write_stderr(f"warning: {message}" for message in problems)
     return 0 if (args.lenient or not problems) else 1
 
 
@@ -185,16 +180,8 @@ def cmd_store(args) -> int:
         store.put(result)
         _write_text(f"stored {len(result.increments)} increments for ({result.query}, {result.target})\n")
         return 0
-    # combine
-    subset: list[str] | None
-    if args.params == "all":
-        subset = None
-    elif args.params == "male":
-        subset = list(MALE_COHORTS)
-    elif args.params == "female":
-        subset = list(FEMALE_COHORTS)
-    else:
-        subset = [p.strip() for p in args.params.split(",") if p.strip()]
+    named = {"all": None, "male": list(MALE_COHORTS), "female": list(FEMALE_COHORTS)}
+    subset = named[args.params] if args.params in named else [p.strip() for p in args.params.split(",") if p.strip()]
     total = store.combine(args.query, args.target, subset, delta=args.delta)
     _write_text(f"{total!r}\n")
     return 0
@@ -214,10 +201,9 @@ def cmd_report(args) -> int:
     try:
         series = fit_series(series)
     except KdissError as exc:
-        print(f"warning: no fit ({exc})", file=sys.stderr)
+        _write_stderr([f"warning: no fit ({exc})"])
     _write_text(emit(series, args.format).decode("utf-8"), args.out)
-    for message in unmatched:
-        print(f"unmatched: {message}", file=sys.stderr)
+    _write_stderr(f"unmatched: {message}" for message in unmatched)
     return 0
 
 
@@ -346,7 +332,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     problem = _validate(args)
     if problem:
-        print(f"error: {problem}", file=sys.stderr)
+        _write_stderr([f"error: {problem}"])
         return 2
     try:
         if args.command == "report":
@@ -356,10 +342,14 @@ def main(argv=None) -> int:
         else:
             _bind(*_ENGINE)
         return args.func(args)
-    except (KdissError, OSError, ValueError) as exc:
-        # an OSError here names a path given on the command line
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, OSError) else 1
+    except OSError as exc:
+        # one form for every path given on the command line: the path, then why it failed
+        reason = exc.strerror or str(exc)
+        _write_stderr([f"error: {exc.filename}: {reason[:1].lower()}{reason[1:]}" if exc.filename else f"error: {exc}"])
+        return 2
+    except (KdissError, ValueError) as exc:
+        _write_stderr([f"error: {exc}"])
+        return 1
 
 
 if __name__ == "__main__":

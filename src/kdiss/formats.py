@@ -3,8 +3,8 @@
 The report path (``kdiss report``) and the increment store read and write
 only these formats, so they start without loading numpy.  ``kdiss.pyramids``
 and ``kdiss.indexes`` re-export the names defined here.  Every command
-output but the increment store leaves through ``_write_text``, and every
-output CSV is ``_csv_text``.
+output but the increment store leaves through ``_write_text``, every
+message through ``_write_stderr``, and every output CSV is ``_csv_text``.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import sys
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -66,20 +67,34 @@ def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return buffer.getvalue()
 
 
+def _six_places(column: Iterable[float]) -> Iterator[str]:
+    """Each value in the "%.6f" format of the numeric output columns."""
+    return map(format, column, repeat(".6f"))
+
+
 def _write_text(text: str, sink: str | Path | IO[str] | None = None) -> None:
     """Write text as UTF-8 to a path or, with sink None, to stdout; or to an open text stream.
 
-    Newlines are written as given, and stdout gets the same bytes a path
-    would, whatever the locale's encoding.
+    Newlines are written as given, and stdout and stderr get the bytes a path
+    would, whatever the locale's encoding (a stream put in their place that
+    has no byte buffer, such as a StringIO, gets the text).
     """
-    if sink is None:
-        sys.stdout.flush()
-        sys.stdout.buffer.write(text.encode("utf-8"))
-    elif isinstance(sink, (str, Path)):
+    if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        return
+    sink = sys.stdout if sink is None else sink
+    if sink in (sys.stdout, sys.stderr) and hasattr(sink, "buffer"):
+        sink.flush()
+        sink.buffer.write(text.encode("utf-8"))
+        sink.buffer.flush()
     else:
         sink.write(text)
+
+
+def _write_stderr(lines: Iterable[str]) -> None:
+    """Write each line, ended by "\n", to stderr, as _write_text writes stdout."""
+    _write_text("".join(f"{line}\n" for line in lines), sys.stderr)
 
 
 class IndexRow(NamedTuple):
@@ -98,8 +113,8 @@ class IndexRow(NamedTuple):
 
 def write_index_csv(rows: Sequence[IndexRow], sink: str | Path | IO[str] | None) -> None:
     """Write rows as CSV with the fixed column order of INDEX_COLUMNS (sink None: stdout)."""
-    lines = ([row.name, *(format(value, ".6f") for value in row[1:])] for row in rows)
-    _write_text(_csv_text(INDEX_COLUMNS, lines), sink)
+    names, *values = list(zip(*rows)) or [()] * len(INDEX_COLUMNS)
+    _write_text(_csv_text(INDEX_COLUMNS, zip(names, *map(_six_places, values))), sink)
 
 
 def read_index_csv(source: str | Path | IO[str]) -> list[IndexRow]:

@@ -21,7 +21,7 @@ from .formats import (
     read_index_csv,
     write_index_csv,
 )
-from .kernel import ObjectRecord, ProbeConfig, _closed_form, compare
+from .kernel import ObjectRecord, ProbeConfig, _closed_form, _increment_columns, compare
 from .pyramids import PyramidTable, exponential_model, uniform_model
 
 __all__ = [
@@ -45,11 +45,16 @@ def mu_index(k_ut: float, k_mt: float) -> float:
     """
     if k_ut < 0 or k_mt < 0:
         raise DomainError("K values must be non-negative")
-    total = k_ut + k_mt
-    if total == 0:
+    if k_ut + k_mt == 0:
         raise DomainError("mu_index is undefined when both K values are zero")
-    # ratio first: k_ut / total <= 1 exactly, so the result never leaves [0, 100]
-    return 100.0 * (k_ut / total)
+    return _share(k_ut, k_mt)
+
+
+def _share(part: float, other: float) -> float:
+    """100 * part / (part + other), or nan where both are zero."""
+    total = part + other
+    # ratio first: part / total <= 1 exactly, so the result never leaves [0, 100]
+    return 100.0 * (part / total) if total else math.nan
 
 
 def p_uniform(d_un: float, d_e: float, variant: str = "normalized") -> float:
@@ -65,7 +70,7 @@ def p_uniform(d_un: float, d_e: float, variant: str = "normalized") -> float:
     if total == 0:
         raise DomainError("p_uniform is undefined when both distances are zero")
     if variant == "normalized":
-        return 100.0 * (d_e / total)
+        return _share(d_e, d_un)
     if variant == "as_written":
         return 100.0 * (1.0 - d_un) / total
     raise DomainError(f"unknown variant {variant!r}")
@@ -104,22 +109,15 @@ def _cohort_values(record: ObjectRecord) -> tuple[float, ...]:
     return record.param_values
 
 
-def _model_distances(table: PyramidTable, delta: float) -> list[tuple[float, float, float, str]]:
-    """(d_un, d_e30, p_un, problem) for every pyramid, one closed-form pass per model.
-
-    d_un and d_e30 are the K_cont to the uniform and E30 models, p_un the
-    normalized uniform-component share.  Where both distances are zero p_un
-    is nan and problem the message that says so; elsewhere problem is "".
-    """
-    d_un = _closed_form(uniform_model().param_values, table.values, delta)
-    d_e = _closed_form(exponential_model(0.30).param_values, table.values, delta)
-    out = []
-    for name, un, e in zip(table.names, d_un, d_e):
-        try:
-            out.append((un.k_cont, e.k_cont, p_uniform(un.k_cont, e.k_cont), ""))
-        except DomainError:
-            out.append((un.k_cont, e.k_cont, math.nan, f"{name}: p_un undefined (both model distances are zero)"))
-    return out
+def _model_distances(names: Sequence[str], columns: list[tuple[float, ...]], delta: float):
+    """d_un and d_e30, the K_cont to the uniform and E30 models, one closed-form pass
+    each over a table's columns; p_un, the normalized uniform-component share of
+    each pyramid; and a message for each pyramid whose p_un is nan (both are zero)."""
+    d_un = _closed_form(uniform_model().param_values, columns, delta)[0]
+    d_e = _closed_form(exponential_model(0.30).param_values, columns, delta)[0]
+    p_un = list(map(_share, d_e, d_un))
+    undefined = (name for name, p in zip(names, p_un) if math.isnan(p))
+    return d_un, d_e, p_un, [f"{name}: p_un undefined (both model distances are zero)" for name in undefined]
 
 
 def build_index_rows(
@@ -133,27 +131,19 @@ def build_index_rows(
     query_a plays the k_mt role (the pole where MU = 100), query_b the k_ut
     role.  Returns the rows plus messages for rows whose MU or p_un is
     undefined (those fields are set to nan).  Each of the four queries is
-    one closed-form pass over the table.
+    one closed-form pass over the table's columns; only pole A's similarity
+    columns are split into increments.
     """
     delta = (cfg or ProbeConfig()).delta
-    targets = table.values
-    pole_a = _closed_form(_cohort_values(query_a), targets, delta)
-    k_ut = [c.k_cont for c in _closed_form(_cohort_values(query_b), targets, delta)]
-    models = _model_distances(table, delta)
-    rows: list[IndexRow] = []
-    problems: list[str] = []
-    for i, name in enumerate(table.names):
-        k_mt = pole_a[i].k_cont
-        try:
-            mu = mu_index(k_ut[i], k_mt)
-        except DomainError:
-            mu = float("nan")
-            problems.append(f"{name}: MU undefined (both K values are zero)")
-        d_un, d_e, p_un, p_un_problem = models[i]
-        if p_un_problem:
-            problems.append(p_un_problem)
-        increments = pole_a[i].increments()
-        k_male = math.fsum(increments[: len(MALE_COHORTS)])
-        k_female = math.fsum(increments[len(MALE_COHORTS) :])
-        rows.append(IndexRow(name, k_mt, k_ut[i], k_male, k_female, mu, d_un, d_e, p_un))
-    return rows, problems
+    columns = table.columns()
+    k_mt, _, _, sims = _closed_form(_cohort_values(query_a), columns, delta)
+    increments = _increment_columns(sims, k_mt)
+    k_male = list(map(math.fsum, zip(*increments[: len(MALE_COHORTS)])))
+    k_female = list(map(math.fsum, zip(*increments[len(MALE_COHORTS) :])))
+    del sims, increments  # pole A's columns go before the next pass needs the memory
+    k_ut = _closed_form(_cohort_values(query_b), columns, delta)[0]
+    d_un, d_e, p_un, p_un_problems = _model_distances(table.names, columns, delta)
+    mu = list(map(_share, k_ut, k_mt))
+    problems = [f"{name}: MU undefined (both K values are zero)" for name, m in zip(table.names, mu) if math.isnan(m)]
+    rows = list(map(IndexRow._make, zip(table.names, k_mt, k_ut, k_male, k_female, mu, d_un, d_e, p_un)))
+    return rows, problems + p_un_problems

@@ -1,16 +1,19 @@
 """The closed-form engine in plain Python: records, ratio similarity and K.
 
-Every CLI command computes K here, over tuples of floats, without numpy.
-The results are bit for bit numpy's: min, max, divide, multiply and ceil
-round alike in both, and every row sum goes through _sum8, which adds in
-numpy's order.  kdiss.similarity and kdiss.dissimilarity re-export these
-names; the paper's mechanism, kept there and in kdiss.averaging as the
-oracle, still uses numpy.
+Every CLI command computes K here, over floats, without numpy.  An engine
+command runs each query as one pass over the table's columns (one sequence
+of N values per parameter); compare and batch_compare go row by row.  The
+results are bit for bit numpy's: min, max, divide, multiply and ceil round
+alike in both, and _sum8 (one row) and _row_sums (every row, a column at a
+time) add in numpy's order.  kdiss.similarity and kdiss.dissimilarity
+re-export these names; the paper's mechanism, kept there and in
+kdiss.averaging as the oracle, still uses numpy.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add, mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, SchemaError
@@ -182,54 +185,69 @@ def _ratio_sims(query: Sequence[float], target: Sequence[float]) -> list[float]:
     return [t / q if t < q else q / t if q < t else 1.0 for q, t in zip(query, target)]
 
 
-class _Closed(NamedTuple):
-    """Closed-form comparison of one query with one target."""
-
-    k_cont: float
-    w_star: float
-    sim_sum: float
-    sims: list[float]  # per-parameter ratio similarities
-
-    def d(self, delta: float) -> float:
-        """D: the least whole weight >= 1 that passes the switch test in the search's
-        arithmetic, tried around ceil(w*), so an integral w* gives D = w* exactly."""
-        n_params, sim_ab = len(self.sims), _clone_similarity(delta)
-
-        def switched(w: float) -> bool:
-            total = n_params + w
-            return (self.sim_sum + w) / total >= (n_params + w * sim_ab) / total
-
-        n = max(float(math.ceil(self.w_star)), 1.0)
-        below = max(n - 1.0, 1.0)
-        return below if switched(below) else n if switched(n) else n + 1.0
-
-    def increments(self) -> list[float]:
-        """K_cont split over the parameters in proportion to 1 - r."""
-        shortfalls = [1.0 - r for r in self.sims]
-        total = _sum8(shortfalls)
-        scale = self.k_cont / total if total > 0.0 and self.k_cont > 0.0 else 0.0
-        return [s * scale for s in shortfalls]
+def _row_sums(columns: Sequence[Sequence[float]]) -> list[float]:
+    """_sum8 of every row of a table given by its (one or more) columns, bit for bit:
+    _sum8's additions in _sum8's order, each made a whole column at a time."""
+    n = len(columns)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return list(map(add, _row_sums(columns[:half]), _row_sums(columns[half:])))
+    end = n - n % 8
+    if n >= 8:
+        acc = columns[:8]
+        for i in range(8, end, 8):
+            acc = [list(map(add, r, a)) for r, a in zip(acc, columns[i : i + 8])]
+        r0, r1, r2, r3, r4, r5, r6, r7 = acc
+        total = map(add, map(add, map(add, r0, r1), map(add, r2, r3)), map(add, map(add, r4, r5), map(add, r6, r7)))
+    else:
+        total = [0.0] * len(columns[0])
+    for column in columns[end:]:
+        total = map(add, total, column)
+    return [value + 0.0 for value in total]
 
 
-def _closed_form(query: Sequence[float], targets: Iterable[Sequence[float]], delta: float) -> list[_Closed]:
-    """Compare one query row with every target row.
+def _weights(n_params: int, sim_sums: Iterable[float], delta: float) -> tuple[list[float], list[float]]:
+    """K_cont and w* for each similarity sum S of a P-parameter comparison.  The switch
+    test, anchor-target entry (S + w) / (P + w) >= clone-clone entry (P + w * s) / (P + w)
+    with s = 1 / (1 + delta), gives w* = (P - S) * (1 + delta) / delta."""
+    k_cont = [(n_params - sim_sum) * (1.0 + delta) for sim_sum in sim_sums]
+    w_star = [k / delta for k in k_cont]
+    if math.inf in w_star:  # k_cont is finite, so w* is finite or overflows to inf
+        raise DomainError(f"delta={delta!r} is too small: the switch weight overflows")
+    return k_cont, w_star
 
-    The switch test "anchor-target entry >= clone-clone entry" reads
-    (S + w) / (P + w) >= (P + w * s) / (P + w) with S the similarity sum
-    and s = 1 / (1 + delta), so w* = (P - S) * (1 + delta) / delta.  D and
-    the increments are worked out only when a caller asks for them.
-    """
-    n_params = len(query)
-    out = []
-    for target in targets:
-        sims = _ratio_sims(query, target)
-        sim_sum = _sum8(sims)
-        k_cont = (n_params - sim_sum) * (1.0 + delta)
-        w_star = k_cont / delta
-        if not math.isfinite(w_star):
-            raise DomainError(f"delta={delta!r} is too small: the switch weight overflows")
-        out.append(_Closed(k_cont, w_star, sim_sum, sims))
-    return out
+
+def _count(n_params: int, sim_sum: float, w_star: float, delta: float) -> float:
+    """D: the least whole weight >= 1 that passes the switch test in the search's
+    arithmetic, tried around ceil(w*), so an integral w* gives D = w* exactly."""
+    sim_ab, n = _clone_similarity(delta), max(float(math.ceil(w_star)), 1.0)
+    for w in (max(n - 1.0, 1.0), n):
+        if (sim_sum + w) / (n_params + w) >= (n_params + w * sim_ab) / (n_params + w):
+            return w
+    return n + 1.0
+
+
+def _increments(sims: Sequence[float], k_cont: float) -> list[float]:
+    """K_cont split over the parameters of one comparison in proportion to 1 - r."""
+    shortfalls = [1.0 - r for r in sims]
+    total = _sum8(shortfalls)
+    scale = k_cont / total if total > 0.0 and k_cont > 0.0 else 0.0
+    return [s * scale for s in shortfalls]
+
+
+def _increment_columns(sim_columns: Sequence[Sequence[float]], k_cont: Sequence[float]) -> list[list[float]]:
+    """_increments of every row, a whole parameter column at a time, bit for bit."""
+    shortfalls = [[1.0 - r for r in column] for column in sim_columns]
+    scales = [k / total if total > 0.0 and k > 0.0 else 0.0 for k, total in zip(k_cont, _row_sums(shortfalls))]
+    return [list(map(mul, column, scales)) for column in shortfalls]
+
+
+def _closed_form(query: Sequence[float], columns: Sequence[Sequence[float]], delta: float):
+    """One query against every row of a table given by its columns: the lists K_cont,
+    w* and similarity sum, and the similarity columns, one comprehension each."""
+    sims = [[t / q if t < q else q / t if q < t else 1.0 for t in column] for q, column in zip(query, columns)]
+    sim_sums = _row_sums(sims)
+    return (*_weights(len(query), sim_sums, delta), sim_sums, sims)
 
 
 def closed_form_k(query: ObjectRecord, target: ObjectRecord, cfg: ProbeConfig | None = None) -> float:
@@ -264,8 +282,11 @@ def batch_compare(
     delta = (cfg or ProbeConfig()).delta
     for target in targets:
         _check_schema(query, target)
-    results = []
-    for t, c in zip(targets, _closed_form(query.param_values, [t.param_values for t in targets], delta)):
-        d, increments = c.d(delta), dict(zip(query.param_names, c.increments()))
-        results.append(ComparisonResult(query.name, t.name, delta, c.w_star, int(d), d * delta, c.k_cont, increments))
+    n_params, results = len(query.param_names), []
+    for t in targets:
+        sims = _ratio_sims(query.param_values, t.param_values)
+        sim_sum = _sum8(sims)
+        (k_cont,), (w_star,) = _weights(n_params, (sim_sum,), delta)
+        d, incs = _count(n_params, sim_sum, w_star, delta), dict(zip(query.param_names, _increments(sims, k_cont)))
+        results.append(ComparisonResult(query.name, t.name, delta, w_star, int(d), d * delta, k_cont, incs))
     return results

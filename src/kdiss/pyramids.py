@@ -133,6 +133,10 @@ class PyramidTable:
             object.__setattr__(self, "_array", array)
         return self._array
 
+    def columns(self) -> list[tuple[float, ...]]:
+        """The table transposed: one tuple of N shares per cohort, 34 in all."""
+        return list(zip(*self.values)) or [()] * len(COHORTS)
+
     def records(self) -> Iterator[ObjectRecord]:
         for name in self.names:
             yield self.record(name)

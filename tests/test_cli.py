@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -442,24 +444,29 @@ class TestValidation:
         assert "too small" in err
 
     def test_missing_file(self, capsys):
-        code, _, err = run(capsys, "batch", "nope.csv", "--model", "uniform")
-        assert code == 2
-        assert "no such file" in err
+        code, out, err = run(capsys, "batch", "nope.csv", "--model", "uniform")
+        assert (code, out, err) == (2, "", "error: nope.csv: no such file or directory\n")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, path, reason",
         [
-            ("batch", "{dir}", "--model", "uniform"),
-            ("batch", "{csv}", "--model", "uniform", "--out", "{dir}"),
-            ("batch", "{csv}", "--model", "uniform", "--out", "{dir}/missing/batch.csv"),
-            ("store", "combine", "--store", "{dir}", "--query", "a", "--target", "b"),
+            (("batch", "{dir}", "--model", "uniform"), "{dir}", "is a directory"),
+            (("batch", "{csv}", "--model", "uniform", "--out", "{dir}"), "{dir}", "is a directory"),
+            (
+                ("batch", "{csv}", "--model", "uniform", "--out", "{dir}/missing/batch.csv"),
+                "{dir}/missing/batch.csv",
+                "no such file or directory",
+            ),
+            (("store", "combine", "--store", "{dir}", "--query", "a", "--target", "b"), "{dir}", "is a directory"),
+            (("compare", "{csv}", "country00", "country03", "--out", "{dir}"), "{dir}", "is a directory"),
         ],
-        ids=["input", "out", "out-in-missing-dir", "store"],
+        ids=["input", "out", "out-in-missing-dir", "store", "compare-out"],
     )
-    def test_unusable_path_exits_2(self, pyramid_csv, tmp_path, capsys, argv):
+    def test_unusable_path_exits_2(self, pyramid_csv, tmp_path, capsys, argv, path, reason):
+        """One wording for every path that cannot be read or written, and
+        nothing on stdout: compare opens --out before it prints its summary."""
         code, out, err = run(capsys, *(a.format(csv=pyramid_csv, dir=tmp_path) for a in argv))
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (code, out, err) == (2, "", f"error: {path.format(dir=tmp_path)}: {reason}\n")
 
     def test_data_dir_env(self, pyramid_csv, capsys, monkeypatch):
         monkeypatch.setenv("KDISS_DATA_DIR", str(pyramid_csv.parent))
@@ -479,6 +486,48 @@ OUT_COMMANDS = {
     "report-csv": ("report", "--indexes", "{index}", "--x", "mu", "--y", "k_mt"),
     "report-svg": ("report", "--indexes", "{index}", "--x", "mu", "--y", "k_mt", "--format", "svg"),
 }
+
+
+# commands whose stderr names a row or a path, with a line it must hold in UTF-8
+STDERR_COMMANDS = {
+    "missing-file": (
+        ("batch", "nonexist_Việt.csv", "--model", "uniform"),
+        "error: nonexist_Việt.csv: no such file or directory",
+    ),
+    "ingest-lenient": (("ingest", "{table}", "--lenient"), "warning: skipped row 12: duplicate name 'Việt Nam'"),
+    "report-unmatched": (
+        ("report", "--indexes", "{index}", "--indicators", "{indicators}", "--x", "mu", "--y", "gdp"),
+        "unmatched: Việt Nam: no value for 'gdp'",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, line", STDERR_COMMANDS.values(), ids=STDERR_COMMANDS.keys())
+def test_stderr_is_utf8_whatever_the_locale(pyramid_csv, tmp_path, argv, line):
+    text = pyramid_csv.read_text(encoding="utf-8").replace("country03", "Việt Nam")
+    table, index, indicators = tmp_path / "viet.csv", tmp_path / "index.csv", tmp_path / "indicators.csv"
+    table.write_text(text + text.splitlines()[4] + "\n", encoding="utf-8")  # Việt Nam again, as row 12
+    assert main(["mu", str(table), "Việt Nam", "country00", "--lenient", "--out", str(index)]) == 0
+    indicators.write_text("name,indicator,value\ncountry00,gdp,5\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "kdiss.cli", *(a.format(table=table, index=index, indicators=indicators) for a in argv)],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="cp1252"),
+        cwd=tmp_path,
+        capture_output=True,
+        timeout=120,
+    )
+    assert line in done.stderr.decode("utf-8").splitlines()
+
+
+def test_std_streams_without_a_byte_buffer_get_the_text():
+    """A caller that puts a StringIO in place of stdout or stderr reads the text there."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["model", "--kind", "uniform"]) == 0
+        assert main(["batch", "nonexist_Việt.csv", "--model", "uniform"]) == 2
+    assert out.getvalue().startswith("age,male,female,combined\n00,2.941176,2.941176,5.882353\n")
+    assert err.getvalue() == "error: nonexist_Việt.csv: no such file or directory\n"
 
 
 @pytest.mark.parametrize("argv", OUT_COMMANDS.values(), ids=OUT_COMMANDS.keys())

@@ -9,14 +9,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kdiss.dissimilarity
 from kdiss.cli import main
 from kdiss.dissimilarity import IncrementStore, ProbeConfig, batch_compare, compare, switch_weight
 from kdiss.indexes import build_index_rows
-from kdiss.kernel import _sum8
+from kdiss.kernel import _closed_form, _increment_columns, _increments, _ratio_sims, _row_sums, _sum8
 from kdiss.pyramids import COHORTS, PyramidTable, normalize, write_pyramid_csv
 
 from conftest import pair_with_sims, random_pair, synthetic_table
@@ -145,6 +145,74 @@ def test_sum8_matches_numpy_bit_for_bit(rng):
             assert type(got) is float
             assert got.hex() == float(want).hex(), (n, trial)
     assert _sum8([-0.0] * 34).hex() == float(np.add.reduce(np.full(34, -0.0))).hex()
+
+
+# signed, from subnormal to 1e300, so that cancellation and signed zeros make the order show
+ADDENDS = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=4), st.data())
+@example(width=1, n_rows=2, data=None)  # tail only
+@example(width=8, n_rows=1, data=None)  # accumulators, no tail
+@example(width=34, n_rows=3, data=None)  # a pyramid
+@example(width=129, n_rows=2, data=None)  # the first split
+@example(width=300, n_rows=2, data=None)  # a split of a split
+def test_row_sums_match_numpy_bit_for_bit(width, n_rows, data):
+    """_row_sums adds a table's columns in _sum8's order: every row sum is
+    numpy's to the bit, whatever the width."""
+    if data is None:  # an explicit example: values of every magnitude, zeros of both signs
+        rng = np.random.default_rng(width)
+        rows = rng.uniform(-1.0, 1.0, (n_rows, width)) * 10.0 ** rng.uniform(-320, 300, (n_rows, width))
+        rows[rng.random((n_rows, width)) < 0.2] = -0.0
+        rows[-1] = -0.0  # numpy's reduction starts from 0.0, so this row sums to 0.0
+    else:
+        rows = np.array(data.draw(st.lists(ADDENDS, min_size=width * n_rows, max_size=width * n_rows)))
+        rows = rows.reshape(n_rows, width)
+    got = _row_sums(list(zip(*rows.tolist())))
+    assert [value.hex() for value in got] == [float(np.add.reduce(row)).hex() for row in rows]
+
+
+NON_NEGATIVE = st.floats(min_value=0.0, max_value=1e300)
+# few distinct values, so that rows tie with the query and with each other
+SHARES = st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0, 2.0, 1.0 / 3.0, 100.0 / 34.0, 1e300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40).flatmap(
+        lambda width: st.tuples(
+            st.lists(SHARES, min_size=width, max_size=width),
+            st.lists(st.lists(SHARES, min_size=width, max_size=width), max_size=4),
+            st.lists(st.integers(min_value=0, max_value=3), max_size=8),
+        )
+    ),
+    st.sampled_from(DELTAS),
+)
+def test_column_pass_matches_the_row_helpers(case, delta):
+    """One closed-form pass over a table's columns gives, for every row, the
+    similarity sum _sum8(_ratio_sims(q, t)) and the _increments of the
+    per-row helpers, bit for bit: zeros of both signs, ties, duplicated rows
+    and an empty table included."""
+    query, pool, picks = case
+    rows = [pool[i] for i in picks if i < len(pool)]  # a pool row picked twice is a duplicate
+    columns = list(zip(*rows)) or [()] * len(query)
+    k_cont, w_star, sim_sum, sims = _closed_form(query, columns, delta)
+    want = [_ratio_sims(query, row) for row in rows]
+    assert [s.hex() for s in sim_sum] == [_sum8(row).hex() for row in want]
+    assert [list(column) for column in zip(*sims)] == want
+    assert k_cont == [(len(query) - s) * (1.0 + delta) for s in sim_sum]
+    assert w_star == [k / delta for k in k_cont]
+    got = [[value.hex() for value in row] for row in zip(*_increment_columns(sims, k_cont))]
+    assert got == [[value.hex() for value in _increments(row, k)] for row, k in zip(want, k_cont)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(NON_NEGATIVE, NON_NEGATIVE), min_size=1))
+def test_similarity_sum_is_symmetric(pairs):
+    """Swapping query and target leaves every ratio, and so the sum, unchanged."""
+    q, t = zip(*pairs)
+    assert _sum8(_ratio_sims(q, t)).hex() == _sum8(_ratio_sims(t, q)).hex()
 
 
 PYRAMID = st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6)), min_size=34, max_size=34).filter(
