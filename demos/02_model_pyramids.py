@@ -16,7 +16,7 @@ print("1. The two model pyramids")
 print("=" * 70)
 uniform = uniform_model()
 e30 = exponential_model(0.30)
-print("   uniform: every cohort share =", f"{uniform.values()[0]:.4f}%")
+print("   uniform: every cohort share =", f"{uniform.param_values[0]:.4f}%")
 print("   exponential (30% decline), first four combined cohorts:")
 for age, share in cohort_totals(e30)[:4]:
     print(f"     age {age}+ : {share:6.2f}%")
@@ -28,7 +28,7 @@ print("=" * 70)
 lam_grid = [0.0, 0.25, 0.5, 0.75, 1.0]
 pyramids = []
 for lam in lam_grid:
-    mixed = normalize(lam * uniform.values() + (1 - lam) * e30.values())
+    mixed = normalize([lam * u + (1 - lam) * e for u, e in zip(uniform.param_values, e30.param_values)])
     pyramids.append(ObjectRecord.from_values(f"mix{int(lam * 100):03d}", COHORTS, mixed))
 print(f"   built {len(pyramids)} mixtures: 0% uniform ... 100% uniform")
 

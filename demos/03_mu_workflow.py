@@ -19,13 +19,13 @@ OUT_DIR.mkdir(exist_ok=True)
 print("=" * 70)
 print("1. A synthetic world of 12 pyramids")
 print("=" * 70)
-uniform = uniform_model().values()
+uniform = uniform_model().param_values
 rows = {}
 for i in range(12):
     lam = i / 11
     rate = 0.18 + 0.12 * ((i * 7) % 5) / 4  # deterministic variety, no RNG
-    expo = exponential_model(rate).values()
-    rows[f"country{i:02d}"] = normalize(lam * uniform + (1 - lam) * expo)
+    expo = exponential_model(rate).param_values
+    rows[f"country{i:02d}"] = normalize([lam * u + (1 - lam) * e for u, e in zip(uniform, expo)])
 table = PyramidTable.from_rows(rows)
 print(f"   countries: {', '.join(table.names)}")
 

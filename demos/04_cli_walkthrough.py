@@ -19,12 +19,12 @@ DATA.mkdir(exist_ok=True)
 OUT.mkdir(exist_ok=True)
 
 # deterministic synthetic world
-uniform = uniform_model().values()
+uniform = uniform_model().param_values
 rows = {}
 for i in range(8):
     lam = i / 7
-    expo = exponential_model(0.15 + 0.15 * (i % 3) / 2).values()
-    rows[f"country{i:02d}"] = normalize(lam * uniform + (1 - lam) * expo)
+    expo = exponential_model(0.15 + 0.15 * (i % 3) / 2).param_values
+    rows[f"country{i:02d}"] = normalize([lam * u + (1 - lam) * e for u, e in zip(uniform, expo)])
 pyramids_csv = DATA / "demo_pyramids.csv"
 write_pyramid_csv(PyramidTable.from_rows(rows), pyramids_csv)
 

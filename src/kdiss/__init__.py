@@ -8,9 +8,7 @@ oracle).  The resulting coefficient K is stable
 across delta, decomposes exactly over parameters, and underpins the
 pyramid-specific indices (MU, uniform-component share) and reporting tools.
 
-The public names below load their module on first use.  Only the paper's
-oracle (the similarity matrices, averaging and the search) and the ndarray
-accessors load numpy.
+The public names below load their module on first use.
 """
 
 __version__ = "0.1.0"

@@ -20,10 +20,8 @@ fixed point, which matters when the two leading entries are nearly tied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DegenerateSymmetryError, DomainError, NonPolarizedError, SchemaError
 from .similarity import SimilarityMatrix
@@ -60,14 +58,13 @@ class AveragingConfig(_AveragingFields):
         return super().__new__(cls, max_iterations)
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(NamedTuple):
     """Two disjoint, non-empty groups jointly exhausting the labels."""
 
     group_a: frozenset[str]
     group_b: frozenset[str]
     iterations_used: int
-    converged: bool = field(default=True)
+    converged: bool = True
 
     def together(self, label_x: str, label_y: str) -> bool:
         return (label_x in self.group_a and label_y in self.group_a) or (
@@ -76,16 +73,17 @@ class Bipartition:
 
 
 def average_once(m: SimilarityMatrix) -> SimilarityMatrix:
-    """One averaging sweep: rows compared coordinatewise, diagonal reset to 1."""
+    """One averaging sweep: rows compared coordinatewise, diagonal reset to 1.
+
+    Each mean is an exactly rounded sum, so entry (i, j) equals entry (j, i).
+    """
     if m.size < 2:
         raise SchemaError("need at least two objects")
-    e = m.entries
-    n = m.size
-    new = np.empty_like(e)
+    e, n = m.entries, m.size
+    new = [[1.0] * n for _ in range(n)]
     for i in range(n):
-        new[i] = 1.0 - np.abs(e[i][None, :] - e).mean(axis=1)
-    new = 0.5 * (new + new.T)
-    np.fill_diagonal(new, 1.0)
+        for j in range(i):
+            new[i][j] = new[j][i] = 1.0 - math.fsum([abs(a - b) for a, b in zip(e[i], e[j])]) / n
     return SimilarityMatrix(m.labels, new)
 
 
@@ -115,18 +113,22 @@ def _polarize3(a: float, b: float, c: float, max_iterations: int) -> tuple[int |
             return vals.index(max(vals)), sweeps
 
 
-def _split_offdiagonal(m: np.ndarray, labels: tuple[str, ...]) -> tuple[frozenset[str], frozenset[str]]:
+def _offdiagonal(m: tuple[tuple[float, ...], ...]) -> list[float]:
+    """The entries above the diagonal, row by row."""
+    return [x for i, row in enumerate(m) for x in row[i + 1 :]]
+
+
+def _split_offdiagonal(
+    m: tuple[tuple[float, ...], ...], labels: tuple[str, ...]
+) -> tuple[frozenset[str], frozenset[str]]:
     """Largest-gap threshold on off-diagonal entries, then connected components."""
     n = len(labels)
-    iu = np.triu_indices(n, 1)
-    vals = np.sort(m[iu])
-    gaps = np.diff(vals)
-    if gaps.size == 0 or gaps.max() <= 0:
+    vals = sorted(_offdiagonal(m))
+    gaps = [b - a for a, b in zip(vals, vals[1:])]
+    if not gaps or max(gaps) <= 0:
         raise DegenerateSymmetryError("all off-diagonal entries are equal; no gap to split on")
-    cut = int(np.argmax(gaps))
+    cut = gaps.index(max(gaps))
     threshold = 0.5 * (vals[cut] + vals[cut + 1])
-    adjacency = m >= threshold
-    np.fill_diagonal(adjacency, True)
 
     seen = [False] * n
     components: list[list[int]] = []
@@ -140,7 +142,7 @@ def _split_offdiagonal(m: np.ndarray, labels: tuple[str, ...]) -> tuple[frozense
             u = stack.pop()
             comp.append(u)
             for v in range(n):
-                if adjacency[u, v] and not seen[v]:
+                if (u == v or m[u][v] >= threshold) and not seen[v]:
                     seen[v] = True
                     stack.append(v)
         components.append(comp)
@@ -169,13 +171,12 @@ def bipartition(m: SimilarityMatrix, cfg: AveragingConfig | None = None) -> Bipa
         return Bipartition(frozenset({labels[0]}), frozenset({labels[1]}), 0)
 
     e = m.entries
-    iu = np.triu_indices(n, 1)
-    off = e[iu]
-    if np.all(off == off[0]):
+    off = _offdiagonal(e)
+    if all(x == off[0] for x in off):
         raise DegenerateSymmetryError("all off-diagonal entries are equal; no gap to split on")
 
     if n == 3:
-        a, b, c = float(e[0, 1]), float(e[0, 2]), float(e[1, 2])
+        a, b, c = e[0][1], e[0][2], e[1][2]
         winner, sweeps = _polarize3(a, b, c, cfg.max_iterations)
         if winner is None:
             raise DegenerateSymmetryError("two leading entries are exactly tied")
@@ -193,7 +194,7 @@ def bipartition(m: SimilarityMatrix, cfg: AveragingConfig | None = None) -> Bipa
     for _ in range(cfg.max_iterations):
         nxt = average_once(current)
         sweeps += 1
-        delta = float(np.max(np.abs(nxt.entries - current.entries)))
+        delta = max(abs(x - y) for new, old in zip(nxt.entries, current.entries) for x, y in zip(new, old))
         current = nxt
         if delta <= _CONVERGENCE_TOL:
             converged = True
@@ -213,7 +214,7 @@ def pair_max_split(m: SimilarityMatrix) -> Bipartition:
         raise SchemaError("pair_max_split is defined for exactly three objects")
     e = m.entries
     pairs = ((0, 1), (0, 2), (1, 2))
-    vals = [e[i, j] for i, j in pairs]
+    vals = [e[i][j] for i, j in pairs]
     order = sorted(range(3), key=lambda k: vals[k])
     if vals[order[2]] == vals[order[1]]:
         raise DegenerateSymmetryError("maximum off-diagonal entry is tied")

@@ -3,7 +3,7 @@
 All subcommands are deterministic for fixed inputs and flags; there is no
 randomness anywhere.  ``--parallel N`` is accepted for compatibility and
 changes nothing: every command runs single-process, one closed-form pass
-per query in plain Python, and none loads numpy.  Exit status is 0 when no
+per query in plain Python.  Exit status is 0 when no
 row-level problem occurred (or with ``--lenient``), 1 on data errors, 2 on
 usage errors and on a path that cannot be read or written.  Every output is
 UTF-8 whatever the locale: stdout gets the bytes ``--out`` would write.

@@ -13,10 +13,10 @@ act as a sensitivity dial rather than a noise source.
 With three objects and mean blending the split reduces to one test,
 "anchor-target entry >= clone-clone entry", so w* = (P - sum r) * (1 +
 delta) / delta in closed form.  compare, batch_compare and closed_form_k
-evaluate it in kdiss.kernel, without numpy; this module re-exports them,
-and IncrementStore from kdiss.store.  It keeps the paper's mechanism, on
-numpy, as the oracle the closed form must agree with: grouped_with_target
-(one evaluation of the grouping predicate) and switch_weight (exponential
+evaluate it in kdiss.kernel; this module re-exports them, and
+IncrementStore from kdiss.store.  It keeps the paper's mechanism as the
+oracle the closed form must agree with: grouped_with_target (one
+evaluation of the grouping predicate) and switch_weight (exponential
 bracketing plus bisection on that monotone predicate).
 """
 
@@ -30,7 +30,7 @@ from .errors import DegenerateSymmetryError, DomainError, NonPolarizedError, Not
 from .kernel import ComparisonResult, ObjectRecord, ProbeConfig, batch_compare, closed_form_k, compare
 from .kernel import _check_schema, _clone_similarity, _ratio_sims, _sum8
 from .similarity import WeightedParameterSet, blend_from_objects
-from .store import IncrementStore  # its old home; the store itself needs no numpy
+from .store import IncrementStore  # its old home
 
 __all__ = [
     "ProbeConfig",

@@ -2,8 +2,7 @@
 
 MU places a pyramid between two polar query pyramids (0 = identical to the
 first pole, 100 = identical to the second); the uniform-component share does
-the same against the uniform and E30 model pyramids.  Only
-sum_constancy imports numpy, when it is called.
+the same against the uniform and E30 model pyramids.
 """
 
 from __future__ import annotations
@@ -80,10 +79,9 @@ def sum_constancy(values: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """Mean and population standard deviation of pairwise sums k1 + k2."""
     if len(values) == 0:
         raise DomainError("need at least one pair")
-    import numpy as np
-
-    sums = np.array([a + b for a, b in values], dtype=float)
-    return float(sums.mean()), float(sums.std())
+    sums = [a + b for a, b in values]
+    mean = math.fsum(sums) / len(sums)
+    return mean, math.sqrt(math.fsum([(s - mean) * (s - mean) for s in sums]) / len(sums))
 
 
 def sex_split_k(

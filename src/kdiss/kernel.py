@@ -1,25 +1,22 @@
 """The closed-form engine in plain Python: records, ratio similarity and K.
 
-Every CLI command computes K here, over floats, without numpy.  An engine
-command runs each query as one pass over the table's columns (one sequence
-of N values per parameter); compare and batch_compare go row by row.  The
-results are bit for bit numpy's: min, max, divide, multiply and ceil round
-alike in both, and _sum8 (one row) and _row_sums (every row, a column at a
-time) add in numpy's order.  kdiss.similarity and kdiss.dissimilarity
-re-export these names; the paper's mechanism, kept there and in
-kdiss.averaging as the oracle, still uses numpy.
+Every CLI command computes K here, over floats.  An engine command runs
+each query as one pass over the table's columns (one sequence of N values
+per parameter); compare and batch_compare go row by row.  The results are
+bit for bit numpy's: min, max, divide, multiply and ceil round alike in
+both, and _sum8 (one row) and _row_sums (every row, a column at a time)
+add in numpy's order.  kdiss.similarity and kdiss.dissimilarity re-export
+these names; the paper's mechanism is kept there and in kdiss.averaging
+as the oracle.
 """
 
 from __future__ import annotations
 
 import math
 from operator import add, mul
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, SchemaError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "ObjectRecord",
@@ -90,12 +87,6 @@ class ObjectRecord(_ObjectFields):
     @property
     def params(self) -> tuple[tuple[str, float], ...]:
         return tuple(zip(self.param_names, self.param_values))
-
-    def values(self) -> np.ndarray:
-        """The values as a float64 ndarray (imports numpy)."""
-        import numpy as np
-
-        return np.array(self.param_values, dtype=float)
 
     def value_of(self, param_name: str) -> float:
         if param_name not in self.param_names:

@@ -4,22 +4,18 @@ A pyramid is 34 named cohort shares: 17 five-year male cohorts (m00, m05,
 ..., m75, m80 with m80 meaning 80+) followed by the 17 female cohorts
 (f00 ... f80), each a percentage of the country's total population.  Raw
 head counts are accepted and normalized to percent on ingestion.  Tables
-hold tuples of floats; only ``normalize`` and ``PyramidTable.array`` import
-numpy, when called, to return ndarrays.
+hold tuples of floats.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import IO, Iterator, Mapping, Sequence
 
 from .errors import DomainError, SchemaError
 from .formats import AGE_STARTS, COHORTS, FEMALE_COHORTS, MALE_COHORTS, _csv_rows, _csv_text, _write_text
 from .kernel import ObjectRecord, _sum8
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "AGE_STARTS",
@@ -40,17 +36,18 @@ __all__ = [
 _UNIFORM_SHARE = 100.0 / 34.0
 
 
-def normalize(raw: Sequence[float]) -> np.ndarray:
-    """Scale non-negative values to percentages summing to 100, as an ndarray (imports numpy)."""
-    import numpy as np
-
-    values = np.asarray(raw, dtype=float)
-    if values.ndim != 1 or values.size == 0:
+def normalize(raw: Sequence[float]) -> tuple[float, ...]:
+    """Scale non-negative values to percentages summing to 100, as a tuple of floats."""
+    try:
+        values = [] if isinstance(raw, str) else [float(v) for v in raw]
+    except TypeError:  # a scalar, or a sequence holding sequences
+        values = []
+    if not values:
         raise SchemaError("expected a non-empty 1-d sequence of values")
-    shares, problem = _normalize_row(values.tolist())
+    shares, problem = _normalize_row(values)
     if problem:
         raise DomainError(problem)
-    return np.array(shares)
+    return shares
 
 
 def _normalize_row(values: Sequence[float]) -> tuple[tuple[float, ...], str]:
@@ -78,7 +75,7 @@ class PyramidTable:
 
     Immutable, and equal only to itself."""
 
-    __slots__ = ("names", "values", "row_errors", "_index", "_array")
+    __slots__ = ("names", "values", "row_errors", "_index")
 
     def __init__(self, names: tuple[str, ...], values: Sequence[Sequence[float]], row_errors: tuple[str, ...] = ()):
         self._fill(names, tuple(tuple(map(float, row)) for row in values), row_errors)
@@ -96,7 +93,7 @@ class PyramidTable:
         index = {name: i for i, name in enumerate(names)}
         if not (len(values) == len(index) == len(names) and all(len(r) == len(COHORTS) for r in values)):
             raise SchemaError(f"need {len(names)} distinct names and as many rows of {len(COHORTS)} values")
-        for slot, value in zip(self.__slots__, (names, values, row_errors, index, None)):
+        for slot, value in zip(self.__slots__, (names, values, row_errors, index)):
             object.__setattr__(self, slot, value)
 
     def __setattr__(self, name: str, value) -> None:
@@ -120,18 +117,6 @@ class PyramidTable:
         if name not in self._index:
             raise SchemaError(f"name not found: {name!r}")
         return ObjectRecord.from_values(name, COHORTS, self.values[self._index[name]])
-
-    def array(self) -> np.ndarray:
-        """All pyramids as one read-only (N, 34) ndarray, rows in ingestion order.
-
-        Imports numpy and builds the array on the first call."""
-        if self._array is None:
-            import numpy as np
-
-            array = np.array(self.values, dtype=float).reshape(len(self.values), len(COHORTS))
-            array.flags.writeable = False
-            object.__setattr__(self, "_array", array)
-        return self._array
 
     def columns(self) -> list[tuple[float, ...]]:
         """The table transposed: one tuple of N shares per cohort, 34 in all."""

@@ -5,18 +5,16 @@ for non-negative values: 1 for identical values, 0 when exactly one value is
 zero, scale-invariant in between.  A set of objects sharing a parameter schema
 induces one similarity matrix per parameter; a weighted entrywise mean of
 those matrices gives a single matrix for the whole pattern.  ObjectRecord
-and r_similarity live in the numpy-free kdiss.kernel.
+and r_similarity live in kdiss.kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+import math
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, SchemaError
-from .kernel import ObjectRecord, r_similarity  # their numpy-free home
+from .kernel import ObjectRecord, _sum8, r_similarity
 
 __all__ = [
     "ObjectRecord",
@@ -31,40 +29,54 @@ __all__ = [
 _ENTRY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Dense symmetric matrix of pairwise similarities in [0, 1], unit diagonal."""
-
+class _MatrixFields(NamedTuple):
     labels: tuple[str, ...]
-    entries: np.ndarray
+    entries: tuple[tuple[float, ...], ...]
 
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", m)
-        n = len(self.labels)
-        if m.shape != (n, n):
-            raise SchemaError(f"matrix shape {m.shape} does not match {n} labels")
-        if len(set(self.labels)) != n:
+
+class SimilarityMatrix(_MatrixFields):
+    """Dense symmetric matrix of pairwise similarities in [0, 1], unit diagonal.
+
+    ``entries`` is a tuple of row tuples, read as ``entries[i][j]``; any
+    nested sequence of numbers, an ndarray included, is accepted and converted.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, labels: Sequence[str], entries: Sequence[Sequence[float]]):
+        labels = tuple(labels)
+        n = len(labels)
+        try:
+            m = tuple(tuple(map(float, row)) for row in entries)
+        except TypeError:  # not a sequence of rows, so not (n, n) either
+            m = None
+        if m is None or len(m) != n or any(len(row) != n for row in m):
+            shape = (len(m), *sorted({len(row) for row in m})) if m is not None else (len(entries),)
+            raise SchemaError(f"matrix shape {shape} does not match {n} labels")
+        if len(set(labels)) != n:
             raise SchemaError("matrix labels are not unique")
-        if not np.allclose(m, m.T, atol=_ENTRY_TOL, rtol=0.0):
+        # x == y lets equal infinities through to the range check
+        if not all(abs(m[i][j] - m[j][i]) <= _ENTRY_TOL or m[i][j] == m[j][i] for i in range(n) for j in range(i)):
             raise DomainError("matrix is not symmetric")
-        if np.any(m < -_ENTRY_TOL) or np.any(m > 1.0 + _ENTRY_TOL):
+        if any(x < -_ENTRY_TOL or x > 1.0 + _ENTRY_TOL for row in m for x in row):
             raise DomainError("matrix entries outside [0, 1]")
-        if not np.allclose(np.diag(m), 1.0, atol=_ENTRY_TOL, rtol=0.0):
+        if not all(abs(m[i][i] - 1.0) <= _ENTRY_TOL for i in range(n)):
             raise DomainError("matrix diagonal is not 1")
+        return super().__new__(cls, labels, m)
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
     def entry(self, label_a: str, label_b: str) -> float:
-        i = self.labels.index(label_a)
-        j = self.labels.index(label_b)
-        return float(self.entries[i, j])
+        return self.entries[self.labels.index(label_a)][self.labels.index(label_b)]
 
 
-@dataclass(frozen=True)
-class WeightedParameterSet:
+class _ParameterFields(NamedTuple):
+    base_params: tuple[tuple[str, float], ...]
+
+
+class WeightedParameterSet(_ParameterFields):
     """Ordered parameter names with positive weights.
 
     Weights are continuous: growing one parameter's weight is equivalent to
@@ -72,36 +84,29 @@ class WeightedParameterSet:
     the copies.
     """
 
-    base_params: tuple[tuple[str, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        names = [p for p, _ in self.base_params]
+    def __new__(cls, base_params: Iterable[tuple[str, float]]):
+        base_params = tuple(base_params)
+        names = [p for p, _ in base_params]
         if len(set(names)) != len(names):
             raise SchemaError("parameter set has duplicate names")
-        for pname, weight in self.base_params:
-            if not np.isfinite(weight) or weight <= 0:
+        for pname, weight in base_params:
+            if not math.isfinite(weight) or weight <= 0:
                 raise DomainError(f"parameter {pname!r}: weight must be positive and finite, got {weight!r}")
+        return super().__new__(cls, base_params)
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(p for p, _ in self.base_params)
 
     @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.base_params], dtype=float)
+    def weights(self) -> tuple[float, ...]:
+        return tuple(float(w) for _, w in self.base_params)
 
     @classmethod
     def uniform(cls, names: Iterable[str]) -> "WeightedParameterSet":
         return cls(tuple((n, 1.0) for n in names))
-
-
-def _r_similarity_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    hi = np.maximum(x, y)
-    lo = np.minimum(x, y)
-    out = np.ones_like(hi)
-    nz = hi > 0
-    out[nz] = lo[nz] / hi[nz]
-    return out
 
 
 def _check_schema(objects: Sequence[ObjectRecord]) -> tuple[str, ...]:
@@ -122,10 +127,8 @@ def parameter_matrix(objects: Sequence[ObjectRecord], param_name: str) -> Simila
     schema = _check_schema(objects)
     if param_name not in schema:
         raise SchemaError(f"parameter {param_name!r} not present in the shared schema")
-    vals = np.array([o.value_of(param_name) for o in objects], dtype=float)
-    m = _r_similarity_array(vals[:, None], vals[None, :])
-    np.fill_diagonal(m, 1.0)
-    return SimilarityMatrix(tuple(o.name for o in objects), m)
+    vals = [o.value_of(param_name) for o in objects]
+    return SimilarityMatrix(tuple(o.name for o in objects), [[r_similarity(a, b) for b in vals] for a in vals])
 
 
 def blend(matrices: Sequence[SimilarityMatrix], weights: Sequence[float]) -> SimilarityMatrix:
@@ -133,7 +136,11 @@ def blend(matrices: Sequence[SimilarityMatrix], weights: Sequence[float]) -> Sim
 
     All matrices must share labels in the same order; weights must be
     positive.  The result is a convex combination, so every entry stays
-    between the per-parameter extremes.
+    between the per-parameter extremes.  Each entry is the sum of its
+    weighted terms over the weight total, both added in _sum8's order, the
+    order in which switch_weight's predicate adds the similarities.  So the
+    probe blend of grouped_with_target holds, bit for bit, the entries that
+    predicate computes, and the two agree at every weight.
     """
     if len(matrices) == 0:
         raise SchemaError("need at least one matrix")
@@ -143,12 +150,14 @@ def blend(matrices: Sequence[SimilarityMatrix], weights: Sequence[float]) -> Sim
     for m in matrices[1:]:
         if m.labels != labels:
             raise SchemaError("matrix labels differ")
-    w = np.array(weights, dtype=float)
-    if np.any(~np.isfinite(w)) or np.any(w <= 0):
+    w = [float(x) for x in weights]
+    if not all(math.isfinite(x) and x > 0 for x in w):
         raise DomainError("weights must be positive and finite")
-    stack = np.stack([m.entries for m in matrices])
-    mixed = np.tensordot(w, stack, axes=1) / w.sum()
-    np.fill_diagonal(mixed, 1.0)
+    total, n = _sum8(w), len(labels)
+    mixed = [
+        [1.0 if i == j else _sum8([wk * m.entries[i][j] for wk, m in zip(w, matrices)]) / total for j in range(n)]
+        for i in range(n)
+    ]
     return SimilarityMatrix(labels, mixed)
 
 

@@ -1,6 +1,6 @@
 """The increment store: per-parameter K increments persisted as text.
 
-It needs no numpy, so ``kdiss store combine`` starts without loading it.
+``kdiss store combine`` loads it without the engine.
 ``kdiss.dissimilarity.IncrementStore`` is the same class.
 """
 

@@ -5,11 +5,11 @@ from kdiss.pyramids import PyramidTable, exponential_model, normalize, uniform_m
 from kdiss.similarity import ObjectRecord
 
 
-def mixture_pyramid(name: str, lam: float, rate: float) -> np.ndarray:
+def mixture_pyramid(name: str, lam: float, rate: float) -> tuple[float, ...]:
     """Deterministic synthetic pyramid: lam * uniform + (1 - lam) * exponential."""
-    uni = uniform_model().values()
-    exp = exponential_model(rate).values()
-    return normalize(lam * uni + (1.0 - lam) * exp)
+    uni = uniform_model().param_values
+    exp = exponential_model(rate).param_values
+    return normalize([lam * u + (1.0 - lam) * e for u, e in zip(uni, exp)])
 
 
 def synthetic_table(n: int = 10) -> PyramidTable:

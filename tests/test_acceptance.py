@@ -141,7 +141,7 @@ def test_model_pyramids():
     assert abs(combined0 - 30.07) <= 0.01
     assert abs(combined1 - 21.05) <= 0.01
     uniform = uniform_model()
-    assert all(v == 100.0 / 34.0 for v in uniform.values())
+    assert all(v == 100.0 / 34.0 for v in uniform.param_values)
     assert exponential_model(0.0).params == uniform.params
 
 

@@ -126,7 +126,7 @@ class TestBlend:
 
     def test_weighted_mean(self):
         out = blend([self._mat(0.4), self._mat(0.8)], [1.0, 3.0])
-        assert out.entries[0, 1] == pytest.approx(0.7, rel=1e-15)
+        assert out.entries[0][1] == pytest.approx(0.7, rel=1e-15)
 
     def test_errors(self):
         with pytest.raises(SchemaError):
@@ -140,8 +140,8 @@ class TestBlend:
         mats = [self._mat(rng.uniform(0, 1)) for _ in range(5)]
         weights = rng.uniform(0.1, 3.0, 5)
         out = blend(mats, weights)
-        entries = [m.entries[0, 1] for m in mats]
-        assert min(entries) - 1e-12 <= out.entries[0, 1] <= max(entries) + 1e-12
+        entries = [m.entries[0][1] for m in mats]
+        assert min(entries) - 1e-12 <= out.entries[0][1] <= max(entries) + 1e-12
 
 
 class TestBlendFromObjects:

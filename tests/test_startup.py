@@ -7,7 +7,9 @@ may import numpy, ``dataclasses`` or ``inspect``; the engine commands leave
 out the report and the store, and ``report`` and ``store combine`` leave out
 the engine.  The commands that compute K must still produce the tracked demo
 outputs byte for byte.  The same commands also run in an interpreter where
-importing numpy fails.
+importing numpy fails.  Neither the package's public names nor the paper's
+oracle (the search, the grouping predicate, a bipartition) import numpy or
+``dataclasses``.
 """
 
 import hashlib
@@ -219,8 +221,37 @@ def test_commands_run_with_numpy_blocked(argv, expected):
         assert out == (OUTPUT / expected).read_bytes()
 
 
+# every public name, then the paper's oracle: the search, one predicate call, a 5-object split
+ORACLE = """
+import kdiss
+for name in kdiss.__all__:
+    getattr(kdiss, name)
+q = kdiss.ObjectRecord.from_values("q", ("a", "b", "c"), (1.0, 2.0, 3.0))
+t = kdiss.ObjectRecord.from_values("t", ("a", "b", "c"), (1.5, 2.0, 2.0))
+cfg = kdiss.ProbeConfig(delta=0.01)
+w = kdiss.switch_weight(q, t, cfg)
+print(kdiss.grouped_with_target(q, t, cfg, w), kdiss.grouped_with_target(q, t, cfg, 0.5 * w))
+near, far = (0.9, 0.85, 0.8), (0.2, 0.25, 0.1)
+entries = [[1.0, near[0], near[1], far[0], far[1]],
+           [near[0], 1.0, near[2], far[1], far[2]],
+           [near[1], near[2], 1.0, far[2], far[0]],
+           [far[0], far[1], far[2], 1.0, near[0]],
+           [far[1], far[2], far[0], near[0], 1.0]]
+parts = kdiss.bipartition(kdiss.SimilarityMatrix(tuple("vwxyz"), entries))
+print(sorted(parts.group_a), sorted(parts.group_b), parts.converged)
+"""
+
+
+def test_public_names_and_oracle_load_neither_numpy_nor_dataclasses():
+    code, out, messages, modules = run_python("-c", ORACLE)
+    assert code == 0, messages
+    assert out.decode().splitlines() == ["True False", "['v', 'w', 'x'] ['y', 'z'] True"]
+    assert {"kdiss.similarity", "kdiss.averaging", "kdiss.dissimilarity"} <= modules
+    assert not {"numpy", "dataclasses"} & modules
+
+
 def test_numpy_is_really_blocked():
-    blocked = "import sys; sys.modules['numpy'] = None; import kdiss; kdiss.normalize([1])"
+    blocked = "import sys; sys.modules['numpy'] = None; import numpy"
     code, _, messages, _ = run_python("-c", blocked)
     assert code == 1 and "import of numpy halted" in messages[-1]
 
