@@ -50,8 +50,21 @@ class TestGroupedWithTarget:
         with pytest.raises(DomainError):
             grouped_with_target(q, t, ProbeConfig(), weight=0.0)
 
+    def test_matches_fast_predicate(self, rng):
+        from kdiss.dissimilarity import _ProbeProblem
+
+        cfg = ProbeConfig(delta=1e-3)
+        for _ in range(10):
+            q, t = random_pair(rng, 8)
+            problem = _ProbeProblem(q, t, cfg)
+            w_star = switch_weight(q, t, cfg)
+            for w in (0.3 * w_star, 0.9 * w_star, 1.1 * w_star, 3.0 * w_star):
+                if w <= 0:
+                    continue
+                assert grouped_with_target(q, t, cfg, w) == problem.anchor_with_target(w)
+
     @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
-    def test_matches_fast_predicate(self, rng, delta):
+    def test_matches_fast_predicate_near_switch_weight(self, rng, delta):
         # at w* and its float neighbours one ulp can decide, most often for a
         # target within 0.1% of the query: the blend adds in the search's
         # order, so the two agree there too
