@@ -9,7 +9,8 @@ scores each pyramid's uniform component from its distances to the models.
 """
 
 from kdiss import ObjectRecord, ProbeConfig, compare, p_uniform, sex_slice
-from kdiss.pyramids import COHORTS, cohort_totals, exponential_model, normalize, uniform_model
+from kdiss.formats import COHORTS
+from kdiss.pyramids import cohort_totals, exponential_model, normalize, uniform_model
 
 print("=" * 70)
 print("1. The two model pyramids")

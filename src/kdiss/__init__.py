@@ -26,8 +26,10 @@ _HOMES = {
         "StoreLookupError",
     ),
     "formats": (
+        "AGE_STARTS",
         "COHORTS",
         "FEMALE_COHORTS",
+        "INDEX_COLUMNS",
         "MALE_COHORTS",
         "IndexRow",
         "read_index_csv",
@@ -45,6 +47,7 @@ _HOMES = {
     ),
     "pyramids": (
         "PyramidTable",
+        "cohort_totals",
         "exponential_model",
         "ingest",
         "long_to_wide",

@@ -12,12 +12,11 @@ act as a sensitivity dial rather than a noise source.
 
 With three objects and mean blending the split reduces to one test,
 "anchor-target entry >= clone-clone entry", so w* = (P - sum r) * (1 +
-delta) / delta in closed form.  compare, batch_compare and closed_form_k
-evaluate it in kdiss.kernel; this module re-exports them, and
-IncrementStore from kdiss.store.  It keeps the paper's mechanism as the
-oracle the closed form must agree with: grouped_with_target (one
-evaluation of the grouping predicate) and switch_weight (exponential
-bracketing plus bisection on that monotone predicate).
+delta) / delta in closed form, which kdiss.kernel evaluates.  This module
+keeps the paper's mechanism as the oracle the closed form must agree with:
+grouped_with_target (one evaluation of the grouping predicate) and
+switch_weight (exponential bracketing plus bisection on that monotone
+predicate).
 """
 
 from __future__ import annotations
@@ -27,21 +26,14 @@ from typing import Sequence
 
 from .averaging import AveragingConfig, _polarize3, bipartition
 from .errors import DegenerateSymmetryError, DomainError, NonPolarizedError, NotSwitchedError
-from .kernel import ComparisonResult, ObjectRecord, ProbeConfig, batch_compare, closed_form_k, compare
-from .kernel import _check_schema, _clone_similarity, _ratio_sims, _sum8
+from .kernel import ObjectRecord, ProbeConfig, _check_schema, _clone_similarity, _ratio_sims, _sum8
 from .similarity import WeightedParameterSet, blend_from_objects
-from .store import IncrementStore  # its old home
 
-__all__ = [
-    "ProbeConfig",
-    "ComparisonResult",
-    "grouped_with_target",
-    "switch_weight",
-    "closed_form_k",
-    "compare",
-    "batch_compare",
-    "IncrementStore",
-]
+# not public here (see __all__); bench/child.py and bench/spans.py import these two from this module
+from .kernel import ComparisonResult
+from .store import IncrementStore
+
+__all__ = ["grouped_with_target", "switch_weight"]
 
 ANCHOR_LABEL = "clone-a"
 OFFSET_LABEL = "clone-b"

@@ -1,5 +1,15 @@
 """Exception types shared across the package, and the UTF-8 decode that raises one."""
 
+__all__ = [
+    "KdissError",
+    "DomainError",
+    "SchemaError",
+    "DegenerateSymmetryError",
+    "NonPolarizedError",
+    "NotSwitchedError",
+    "StoreLookupError",
+]
+
 
 class KdissError(Exception):
     """Base class for all kdiss errors."""

@@ -1,8 +1,7 @@
 """Text formats: cohort names, CSV sources, the index CSV.
 
 The report path (``kdiss report``) and the increment store read and write
-only these formats, so they start without loading the engine.  ``kdiss.pyramids``
-and ``kdiss.indexes`` re-export the names defined here.  Every command
+only these formats, so they start without loading the engine.  Every command
 output but the increment store leaves through ``_write_text``, every
 message through ``_write_stderr``, and every output CSV is ``_csv_text``.
 """

@@ -11,29 +11,11 @@ import math
 from typing import Sequence
 
 from .errors import DomainError, SchemaError
-from .formats import (
-    COHORTS,
-    FEMALE_COHORTS,
-    INDEX_COLUMNS,
-    MALE_COHORTS,
-    IndexRow,
-    read_index_csv,
-    write_index_csv,
-)
+from .formats import COHORTS, FEMALE_COHORTS, MALE_COHORTS, IndexRow
 from .kernel import ObjectRecord, ProbeConfig, _closed_form, _increment_columns, compare
 from .pyramids import PyramidTable, exponential_model, uniform_model
 
-__all__ = [
-    "IndexRow",
-    "mu_index",
-    "p_uniform",
-    "sum_constancy",
-    "sex_split_k",
-    "build_index_rows",
-    "write_index_csv",
-    "read_index_csv",
-    "INDEX_COLUMNS",
-]
+__all__ = ["mu_index", "p_uniform", "sum_constancy", "sex_split_k", "build_index_rows"]
 
 
 def mu_index(k_ut: float, k_mt: float) -> float:

@@ -5,9 +5,8 @@ each query as one pass over the table's columns (one sequence of N values
 per parameter); compare and batch_compare go row by row.  The results are
 bit for bit numpy's: min, max, divide, multiply and ceil round alike in
 both, and _sum8 (one row) and _row_sums (every row, a column at a time)
-add in numpy's order.  kdiss.similarity and kdiss.dissimilarity re-export
-these names; the paper's mechanism is kept there and in kdiss.averaging
-as the oracle.
+add in numpy's order.  The paper's mechanism is kept in kdiss.similarity,
+kdiss.averaging and kdiss.dissimilarity as the oracle.
 """
 
 from __future__ import annotations

@@ -18,10 +18,6 @@ from .formats import AGE_STARTS, COHORTS, FEMALE_COHORTS, MALE_COHORTS, _csv_row
 from .kernel import ObjectRecord, _sum8
 
 __all__ = [
-    "AGE_STARTS",
-    "MALE_COHORTS",
-    "FEMALE_COHORTS",
-    "COHORTS",
     "PyramidTable",
     "normalize",
     "ingest",
@@ -205,7 +201,7 @@ def long_to_wide(source: str | Path | IO[str]) -> PyramidTable:
             raise SchemaError(f"pyramid {name!r} is missing {len(missing)} cohorts (first: {missing[0]})")
         rows[name], problem = _normalize_row([per_name[c] for c in COHORTS])
         if problem:
-            raise DomainError(problem)
+            raise DomainError(f"pyramid {name!r}: {problem}")
     return PyramidTable._of_floats(tuple(rows), tuple(rows.values()))
 
 

@@ -4,8 +4,7 @@ The building block is the ratio similarity ``r(a, b) = min(a, b) / max(a, b)``
 for non-negative values: 1 for identical values, 0 when exactly one value is
 zero, scale-invariant in between.  A set of objects sharing a parameter schema
 induces one similarity matrix per parameter; a weighted entrywise mean of
-those matrices gives a single matrix for the whole pattern.  ObjectRecord
-and r_similarity live in kdiss.kernel.
+those matrices gives a single matrix for the whole pattern.
 """
 
 from __future__ import annotations
@@ -16,15 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import DomainError, SchemaError
 from .kernel import ObjectRecord, _sum8, r_similarity
 
-__all__ = [
-    "ObjectRecord",
-    "SimilarityMatrix",
-    "WeightedParameterSet",
-    "r_similarity",
-    "parameter_matrix",
-    "blend",
-    "blend_from_objects",
-]
+__all__ = ["SimilarityMatrix", "WeightedParameterSet", "parameter_matrix", "blend", "blend_from_objects"]
 
 _ENTRY_TOL = 1e-9
 

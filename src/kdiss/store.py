@@ -1,7 +1,6 @@
 """The increment store: per-parameter K increments persisted as text.
 
 ``kdiss store combine`` loads it without the engine.
-``kdiss.dissimilarity.IncrementStore`` is the same class.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import TYPE_CHECKING, BinaryIO, Iterable, Mapping
 from .errors import SchemaError, StoreLookupError, decode_utf8
 
 if TYPE_CHECKING:
-    from .dissimilarity import ComparisonResult
+    from .kernel import ComparisonResult
 
 __all__ = ["IncrementStore"]
 

@@ -1,8 +1,14 @@
-import numpy as np
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
 import pytest
 
+from kdiss.kernel import ObjectRecord
 from kdiss.pyramids import PyramidTable, exponential_model, normalize, uniform_model
-from kdiss.similarity import ObjectRecord
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def mixture_pyramid(name: str, lam: float, rate: float) -> tuple[float, ...]:
@@ -39,7 +45,7 @@ def pair_with_sims(sims, name_q="q", name_t="t"):
 
 @pytest.fixture
 def rng() -> np.random.Generator:
-    return np.random.default_rng(20260808)
+    return pytest.importorskip("numpy").random.default_rng(20260808)
 
 
 @pytest.fixture

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from kdiss.averaging import bipartition, pair_max_split
-from kdiss.dissimilarity import ProbeConfig, batch_compare, closed_form_k, compare
 from kdiss.errors import DegenerateSymmetryError
+from kdiss.formats import COHORTS
 from kdiss.indexes import build_index_rows, mu_index, sex_split_k, sum_constancy
-from kdiss.pyramids import COHORTS, exponential_model, ingest, uniform_model
+from kdiss.kernel import ObjectRecord, ProbeConfig, batch_compare, closed_form_k, compare
+from kdiss.pyramids import exponential_model, ingest, uniform_model
 from kdiss.report import linear_fit
-from kdiss.similarity import ObjectRecord, SimilarityMatrix
+from kdiss.similarity import SimilarityMatrix
 
 from conftest import random_pair, synthetic_table
 

@@ -10,7 +10,7 @@ import pytest
 
 import kdiss.cli
 from kdiss.cli import main
-from kdiss.pyramids import COHORTS
+from kdiss.formats import COHORTS
 
 
 def run(capsys, *argv):
@@ -84,6 +84,14 @@ class TestIngest:
         code, out, err = run(capsys, "ingest", long_src, "--from-long")
         assert (code, out, err) == (1, "", "error: row 2: empty name\n")
         assert run(capsys, "ingest", wide_src) == (1, "", "error: row 2: empty name\n")
+
+    def test_from_long_bad_pyramid_is_named(self, tmp_path, capsys):
+        src = tmp_path / "long.csv"
+        lines = ["name,sex,cohort,value"]
+        lines += [f"{name},{c[0]},{c[1:]},{value}" for name, value in (("A", 3), ("B", 0)) for c in COHORTS]
+        src.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "ingest", src, "--from-long")
+        assert (code, out, err) == (1, "", "error: pyramid 'B': cannot normalize an all-zero row\n")
 
 
 class TestCompare:

@@ -8,18 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdiss.dissimilarity import (
-    ComparisonResult,
-    IncrementStore,
-    ProbeConfig,
-    batch_compare,
-    closed_form_k,
-    compare,
-    grouped_with_target,
-    switch_weight,
-)
+from kdiss.dissimilarity import grouped_with_target, switch_weight
 from kdiss.errors import DomainError, NotSwitchedError, SchemaError, StoreLookupError
-from kdiss.similarity import ObjectRecord
+from kdiss.kernel import ComparisonResult, ObjectRecord, ProbeConfig, batch_compare, closed_form_k, compare
+from kdiss.store import IncrementStore
 
 from conftest import pair_with_sims, random_pair
 

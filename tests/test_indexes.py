@@ -5,18 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdiss.dissimilarity import ProbeConfig, compare
 from kdiss.errors import DomainError, SchemaError
-from kdiss.indexes import (
-    INDEX_COLUMNS,
-    build_index_rows,
-    mu_index,
-    p_uniform,
-    read_index_csv,
-    sex_split_k,
-    sum_constancy,
-    write_index_csv,
-)
+from kdiss.formats import INDEX_COLUMNS, read_index_csv, write_index_csv
+from kdiss.indexes import build_index_rows, mu_index, p_uniform, sex_split_k, sum_constancy
+from kdiss.kernel import ProbeConfig, compare
 from kdiss.pyramids import PyramidTable, exponential_model, normalize, uniform_model
 
 from conftest import synthetic_table
@@ -117,7 +109,7 @@ class TestSexSplitK:
         assert sex_split_k(uniform_model(), uniform_model(), ProbeConfig(delta=1e-3)) == (0.0, 0.0)
 
     def test_non_pyramid_schema_rejected(self):
-        from kdiss.similarity import ObjectRecord
+        from kdiss.kernel import ObjectRecord
 
         q = ObjectRecord.from_values("q", ["a", "b"], [1.0, 2.0])
         t = ObjectRecord.from_values("t", ["a", "b"], [2.0, 1.0])

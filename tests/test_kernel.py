@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 import kdiss.dissimilarity
 from kdiss.cli import main
-from kdiss.dissimilarity import IncrementStore, ProbeConfig, batch_compare, compare, switch_weight
+from kdiss.dissimilarity import switch_weight
 from kdiss.indexes import build_index_rows
+from kdiss.kernel import ProbeConfig, batch_compare, compare
 from kdiss.kernel import _closed_form, _increment_columns, _increments, _ratio_sims, _row_sums, _sum8
-from kdiss.pyramids import COHORTS, PyramidTable, normalize, write_pyramid_csv
+from kdiss.pyramids import PyramidTable, normalize, write_pyramid_csv
+from kdiss.store import IncrementStore
 
 from conftest import pair_with_sims, random_pair, synthetic_table
 

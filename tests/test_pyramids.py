@@ -12,11 +12,8 @@ from hypothesis import strategies as st
 
 from kdiss.cli import main
 from kdiss.errors import DomainError, SchemaError
-from kdiss.indexes import INDEX_COLUMNS, read_index_csv
+from kdiss.formats import COHORTS, FEMALE_COHORTS, INDEX_COLUMNS, MALE_COHORTS, read_index_csv
 from kdiss.pyramids import (
-    COHORTS,
-    FEMALE_COHORTS,
-    MALE_COHORTS,
     PyramidTable,
     _normalize_row,
     cohort_totals,
@@ -183,6 +180,38 @@ class TestLongToWide:
         with pytest.raises(SchemaError) as exc_info:
             long_to_wide(io.StringIO("\n".join(lines) + "\n"))
         assert str(exc_info.value) == "row 3: empty name"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("aa,m,00", "row 3: expected 4 fields, got 3"),
+            ("aa,x,00,5", "row 3: sex must be 'm' or 'f', got 'x'"),
+            ("aa,m,07,5", "row 3: unknown cohort '07'"),
+            ("aa,m,05,lots", "row 3: non-numeric value 'lots'"),
+            ("aa,m,00,6", "row 3: duplicate cell ('aa', m00)"),
+        ],
+    )
+    def test_row_error_message(self, line, message):
+        lines = ["name,sex,cohort,value", "aa,m,00,5", line]
+        with pytest.raises(SchemaError) as exc_info:
+            long_to_wide(io.StringIO("\n".join(lines) + "\n"))
+        assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize(
+        "first, rest, problem",
+        [
+            ("0", "0", "cannot normalize an all-zero row"),
+            ("inf", "1", "values must be finite"),
+            ("-1", "1", "values must be non-negative"),
+        ],
+    )
+    def test_bad_pyramid_is_named(self, first, rest, problem):
+        rows = {"A": ["1"] * 34, "B": [first] + [rest] * 33, "C": ["1"] * 34}
+        lines = ["name,sex,cohort,value"]
+        lines += [f"{name},{c[0]},{c[1:]},{v}" for name, row in rows.items() for c, v in zip(COHORTS, row)]
+        with pytest.raises(DomainError) as exc_info:
+            long_to_wide(io.StringIO("\n".join(lines) + "\n"))
+        assert str(exc_info.value) == f"pyramid 'B': {problem}"
 
 
 def reference_normalize(raw):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kdiss.errors import DomainError, SchemaError
-from kdiss.indexes import IndexRow
+from kdiss.formats import IndexRow
 from kdiss.report import (
     ScatterSeries,
     emit,
@@ -43,6 +43,19 @@ class TestReadIndicators:
     def test_bad_header(self):
         with pytest.raises(SchemaError):
             read_indicators(io.StringIO("nom,ind,val\n"))
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("aa,gdp", "row 3: expected 3 fields, got 2"),
+            ("aa,iq,high", "row 3: non-numeric value 'high'"),
+            ("aa,gdp,2", "row 3: duplicate indicator row for ('aa', 'gdp')"),
+        ],
+    )
+    def test_row_error_message(self, line, message):
+        with pytest.raises(SchemaError) as exc_info:
+            read_indicators(io.StringIO(f"name,indicator,value\naa,gdp,1\n{line}\n"))
+        assert str(exc_info.value) == message
 
     def test_utf8_bom_accepted(self, tmp_path):
         path = tmp_path / "bom.csv"

@@ -4,15 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kdiss.errors import DomainError, SchemaError
-from kdiss.similarity import (
-    ObjectRecord,
-    SimilarityMatrix,
-    WeightedParameterSet,
-    blend,
-    blend_from_objects,
-    parameter_matrix,
-    r_similarity,
-)
+from kdiss.kernel import ObjectRecord, r_similarity
+from kdiss.similarity import SimilarityMatrix, WeightedParameterSet, blend, blend_from_objects, parameter_matrix
 
 finite_nonneg = st.floats(min_value=0.0, max_value=1e12, allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
