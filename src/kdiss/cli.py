@@ -172,6 +172,8 @@ def cmd_punif(args) -> int:
 
 
 def cmd_store(args) -> int:
+    if args.action == "combine" and not os.path.exists(args.store):  # put creates a missing store
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.store)
     store = IncrementStore(args.store)
     if args.action == "put":
         table = _load_table(args.data, args.lenient)

@@ -9,7 +9,7 @@ import math
 import os
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import SchemaError, StoreLookupError, decode_utf8
 
@@ -29,6 +29,31 @@ def _is_record(line: bytes) -> bool:
     return True
 
 
+# O_BINARY (Windows only) keeps the bytes from newline translation
+_APPEND = os.O_RDWR | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def _end_last_line(fd: int) -> bytes:
+    """Ready a store opened with _APPEND for a run of lines: cut off a torn
+    final line, and return the newline an intact unterminated one lacks."""
+    size = os.lseek(fd, 0, os.SEEK_END)
+    if size == 0:
+        return b""
+    os.lseek(fd, size - 1, os.SEEK_SET)
+    if os.read(fd, 1) == b"\n":
+        return b""
+    os.lseek(fd, 0, os.SEEK_SET)
+    chunks = []
+    while chunk := os.read(fd, size):
+        chunks.append(chunk)
+    data = b"".join(chunks)
+    start = data.rfind(b"\n") + 1
+    if _is_record(data[start:]):
+        return b"\n"
+    os.ftruncate(fd, start)
+    return b""
+
+
 class IncrementStore:
     """Persisted per-parameter K increments, recombinable by summation.
 
@@ -41,10 +66,12 @@ class IncrementStore:
     record for the same (query, target, delta, param_name) key replaces
     the earlier one on load.  A final line without its newline that does
     not parse, as a crash mid-write leaves it, is skipped with a warning,
-    and the next put writes over it.  Records are indexed by (query,
-    target), so every lookup touches one pair's records, whatever the
-    store's size.  Writers must be serialized by the caller; concurrent
-    reads of a loaded store are safe.
+    and the next put writes over it.  A put checks its names in one pass,
+    then appends the pair's run of lines through one file descriptor, after
+    the check of the file's last line; it does not fsync.  Records are
+    indexed by (query, target), so every lookup touches one pair's records,
+    whatever the store's size.  Writers must be serialized by the caller;
+    concurrent reads of a loaded store are safe.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -83,45 +110,27 @@ class IncrementStore:
                 raise SchemaError(f"{path}:{lineno}: bad numeric field ({exc})") from exc
         raise SchemaError(f"{path}:{lineno}: expected 5 tab-separated fields, got {fields}")
 
-    @staticmethod
-    def _check_token(token: str) -> str:
-        if "\t" in token or "\n" in token:
-            raise SchemaError(f"store field {token!r} may not contain tabs or newlines")
-        return token
-
-    @staticmethod
-    def _start_line(fh: BinaryIO) -> None:
-        """Leave an append-mode file ending in a newline: end an intact final
-        line, or cut off a torn one."""
-        size = fh.seek(0, os.SEEK_END)
-        if size == 0:
-            return
-        fh.seek(size - 1)
-        if fh.read(1) == b"\n":
-            return
-        fh.seek(0)
-        data = fh.read()
-        start = data.rfind(b"\n") + 1
-        if _is_record(data[start:]):
-            fh.write(b"\n")
-        else:
-            fh.truncate(start)
-
     def put(self, result: ComparisonResult) -> None:
         """Record every per-parameter increment of one comparison."""
-        query = self._check_token(result.query)
-        target = self._check_token(result.target)
-        for param in result.increments:
-            self._check_token(param)
+        query, target, increments = result.query, result.target, result.increments
+        names = "".join([query, target, *increments])
+        if "\t" in names or "\n" in names:
+            for token in (query, target, *increments):  # the first bad name is the one reported
+                if "\t" in token or "\n" in token:
+                    raise SchemaError(f"store field {token!r} may not contain tabs or newlines")
         delta = float(result.delta)  # the repr of a numpy float would not parse back
-        if result.increments:  # an empty delta dict would make deltas_for list a delta without records
-            self._index.setdefault((query, target), {}).setdefault(delta, {}).update(result.increments)
+        if increments:  # an empty delta dict would make deltas_for list a delta without records
+            self._index.setdefault((query, target), {}).setdefault(delta, {}).update(increments)
         if self._path is not None:
             head = f"{query}\t{target}\t{delta!r}\t"
-            text = "".join([f"{head}{p}\t{float(v)!r}\n" for p, v in result.increments.items()])
-            with open(self._path, "a+b") as fh:
-                self._start_line(fh)
-                fh.write(text.encode("utf-8"))
+            data = "".join([f"{head}{p}\t{float(v)!r}\n" for p, v in increments.items()]).encode("utf-8")
+            fd = os.open(self._path, _APPEND, 0o666)
+            try:
+                data = _end_last_line(fd) + data
+                while data:  # a write may be partial
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
 
     def deltas_for(self, query: str, target: str) -> list[float]:
         return sorted(self._index.get((query, target), ()))

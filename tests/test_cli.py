@@ -466,9 +466,14 @@ class TestValidation:
                 "no such file or directory",
             ),
             (("store", "combine", "--store", "{dir}", "--query", "a", "--target", "b"), "{dir}", "is a directory"),
+            (
+                ("store", "combine", "--store", "{dir}/missing.tsv", "--query", "a", "--target", "b"),
+                "{dir}/missing.tsv",
+                "no such file or directory",
+            ),
             (("compare", "{csv}", "country00", "country03", "--out", "{dir}"), "{dir}", "is a directory"),
         ],
-        ids=["input", "out", "out-in-missing-dir", "store", "compare-out"],
+        ids=["input", "out", "out-in-missing-dir", "store", "store-combine-missing", "compare-out"],
     )
     def test_unusable_path_exits_2(self, pyramid_csv, tmp_path, capsys, argv, path, reason):
         """One wording for every path that cannot be read or written, and
