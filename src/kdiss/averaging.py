@@ -14,8 +14,9 @@ and cyclically for b, c.  The gap between the largest entry and the runner-up
 is preserved by every sweep while the gap between the two smaller entries
 contracts by a factor of 3.  The split that groups the initially closest
 pair is therefore final as soon as the top gap strictly exceeds the lower
-gap, and the 3-object path stops right there instead of iterating to the
-fixed point, which matters when the two leading entries are nearly tied.
+gap, and bipartition stops right there instead of iterating to the fixed
+point, which matters when the two leading entries are nearly tied.  The
+probe mechanism splits exactly three objects, so bipartition takes 2 or 3.
 """
 
 from __future__ import annotations
@@ -34,20 +35,15 @@ __all__ = [
     "pair_max_split",
 ]
 
-# the general (n > 3) loop stops once no entry moves by more than this in a sweep
-_CONVERGENCE_TOL = 1e-9
-
-
 class _AveragingFields(NamedTuple):
     max_iterations: int
 
 
 class AveragingConfig(_AveragingFields):
-    """The sweep limit of the averaging loop.
+    """The sweep limit of bipartition.
 
-    The 3-object path stops on its own provably-final criterion and raises
-    NonPolarizedError after max_iterations sweeps; the general loop stops at
-    _CONVERGENCE_TOL or after max_iterations sweeps, whichever comes first.
+    bipartition stops on its own provably-final criterion and raises
+    NonPolarizedError if that takes more than max_iterations sweeps.
     """
 
     __slots__ = ()
@@ -64,7 +60,6 @@ class Bipartition(NamedTuple):
     group_a: frozenset[str]
     group_b: frozenset[str]
     iterations_used: int
-    converged: bool = True
 
     def together(self, label_x: str, label_y: str) -> bool:
         return (label_x in self.group_a and label_y in self.group_a) or (
@@ -113,94 +108,37 @@ def _polarize3(a: float, b: float, c: float, max_iterations: int) -> tuple[int |
             return vals.index(max(vals)), sweeps
 
 
-def _offdiagonal(m: tuple[tuple[float, ...], ...]) -> list[float]:
-    """The entries above the diagonal, row by row."""
-    return [x for i, row in enumerate(m) for x in row[i + 1 :]]
-
-
-def _split_offdiagonal(
-    m: tuple[tuple[float, ...], ...], labels: tuple[str, ...]
-) -> tuple[frozenset[str], frozenset[str]]:
-    """Largest-gap threshold on off-diagonal entries, then connected components."""
-    n = len(labels)
-    vals = sorted(_offdiagonal(m))
-    gaps = [b - a for a, b in zip(vals, vals[1:])]
-    if not gaps or max(gaps) <= 0:
-        raise DegenerateSymmetryError("all off-diagonal entries are equal; no gap to split on")
-    cut = gaps.index(max(gaps))
-    threshold = 0.5 * (vals[cut] + vals[cut + 1])
-
-    seen = [False] * n
-    components: list[list[int]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in range(n):
-                if (u == v or m[u][v] >= threshold) and not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        components.append(comp)
-    if len(components) != 2:
-        raise NonPolarizedError(f"converged matrix has {len(components)} groups, expected 2")
-    first, second = components
-    if 0 in second:
-        first, second = second, first
-    return frozenset(labels[i] for i in first), frozenset(labels[i] for i in second)
-
-
 def bipartition(m: SimilarityMatrix, cfg: AveragingConfig | None = None) -> Bipartition:
-    """Average until the matrix polarizes, then split into two groups.
+    """Split two objects apart, or average three until their split is final.
 
-    Raises DegenerateSymmetryError when the decisive entries are tied (the
-    matrix averages toward uniformity, e.g. equal off-diagonal everywhere)
-    and NonPolarizedError when the converged matrix does not separate into
-    exactly two connected groups.
+    Raises SchemaError for any other object count, DegenerateSymmetryError
+    when the decisive entries are tied (the matrix averages toward
+    uniformity, e.g. equal off-diagonal everywhere) and NonPolarizedError
+    when the split is not final after max_iterations sweeps.
     """
     cfg = cfg or AveragingConfig()
-    n = m.size
+    n, labels = m.size, m.labels
     if n < 2:
         raise SchemaError("need at least two objects")
-    labels = m.labels
+    if n > 3:
+        raise SchemaError(f"bipartition splits two or three objects, got {n}")
     if n == 2:
         return Bipartition(frozenset({labels[0]}), frozenset({labels[1]}), 0)
 
     e = m.entries
-    off = _offdiagonal(e)
-    if all(x == off[0] for x in off):
+    a, b, c = e[0][1], e[0][2], e[1][2]
+    if a == b == c:
         raise DegenerateSymmetryError("all off-diagonal entries are equal; no gap to split on")
-
-    if n == 3:
-        a, b, c = e[0][1], e[0][2], e[1][2]
-        winner, sweeps = _polarize3(a, b, c, cfg.max_iterations)
-        if winner is None:
-            raise DegenerateSymmetryError("two leading entries are exactly tied")
-        pair = ((0, 1), (0, 2), (1, 2))[winner]
-        lone = ({0, 1, 2} - set(pair)).pop()
-        group_pair = frozenset(labels[i] for i in pair)
-        group_lone = frozenset({labels[lone]})
-        if 0 in pair:
-            return Bipartition(group_pair, group_lone, sweeps)
-        return Bipartition(group_lone, group_pair, sweeps)
-
-    current = m
-    converged = False
-    sweeps = 0
-    for _ in range(cfg.max_iterations):
-        nxt = average_once(current)
-        sweeps += 1
-        delta = max(abs(x - y) for new, old in zip(nxt.entries, current.entries) for x, y in zip(new, old))
-        current = nxt
-        if delta <= _CONVERGENCE_TOL:
-            converged = True
-            break
-    group_a, group_b = _split_offdiagonal(current.entries, labels)
-    return Bipartition(group_a, group_b, sweeps, converged)
+    winner, sweeps = _polarize3(a, b, c, cfg.max_iterations)
+    if winner is None:
+        raise DegenerateSymmetryError("two leading entries are exactly tied")
+    pair = ((0, 1), (0, 2), (1, 2))[winner]
+    lone = ({0, 1, 2} - set(pair)).pop()
+    group_pair = frozenset(labels[i] for i in pair)
+    group_lone = frozenset({labels[lone]})
+    if 0 in pair:
+        return Bipartition(group_pair, group_lone, sweeps)
+    return Bipartition(group_lone, group_pair, sweeps)
 
 
 def pair_max_split(m: SimilarityMatrix) -> Bipartition:

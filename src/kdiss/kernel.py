@@ -1,12 +1,11 @@
 """The closed-form engine in plain Python: records, ratio similarity and K.
 
-Every CLI command computes K here, over floats.  An engine command runs
-each query as one pass over the table's columns (one sequence of N values
-per parameter); compare and batch_compare go row by row.  The results are
-bit for bit numpy's: min, max, divide, multiply and ceil round alike in
-both, and _sum8 (one row) and _row_sums (every row, a column at a time)
-add in numpy's order.  The paper's mechanism is kept in kdiss.similarity,
-kdiss.averaging and kdiss.dissimilarity as the oracle.
+Every CLI command, compare and batch_compare compute K here, over floats, each
+query as one pass over the targets' columns (one sequence of N values per
+parameter).  The results are bit for bit numpy's: min, max, divide, multiply
+and ceil round alike in both, and _sum8 (one row) and _row_sums (every row, a
+column at a time) add in numpy's order.  The paper's mechanism is kept in
+kdiss.similarity, kdiss.averaging and kdiss.dissimilarity as the oracle.
 """
 
 from __future__ import annotations
@@ -217,16 +216,9 @@ def _count(n_params: int, sim_sum: float, w_star: float, delta: float) -> float:
     return n + 1.0
 
 
-def _increments(sims: Sequence[float], k_cont: float) -> list[float]:
-    """K_cont split over the parameters of one comparison in proportion to 1 - r."""
-    shortfalls = [1.0 - r for r in sims]
-    total = _sum8(shortfalls)
-    scale = k_cont / total if total > 0.0 and k_cont > 0.0 else 0.0
-    return [s * scale for s in shortfalls]
-
-
 def _increment_columns(sim_columns: Sequence[Sequence[float]], k_cont: Sequence[float]) -> list[list[float]]:
-    """_increments of every row, a whole parameter column at a time, bit for bit."""
+    """Each row's K_cont split over its parameters in proportion to 1 - r, a whole
+    parameter column at a time; a row whose K_cont or shortfall sum is 0 gets zeros."""
     shortfalls = [[1.0 - r for r in column] for column in sim_columns]
     scales = [k / total if total > 0.0 and k > 0.0 else 0.0 for k, total in zip(k_cont, _row_sums(shortfalls))]
     return [list(map(mul, column, scales)) for column in shortfalls]
@@ -272,11 +264,13 @@ def batch_compare(
     delta = (cfg or ProbeConfig()).delta
     for target in targets:
         _check_schema(query, target)
-    n_params, results = len(query.param_names), []
-    for t in targets:
-        sims = _ratio_sims(query.param_values, t.param_values)
-        sim_sum = _sum8(sims)
-        (k_cont,), (w_star,) = _weights(n_params, (sim_sum,), delta)
-        d, incs = _count(n_params, sim_sum, w_star, delta), dict(zip(query.param_names, _increments(sims, k_cont)))
-        results.append(ComparisonResult(query.name, t.name, delta, w_star, int(d), d * delta, k_cont, incs))
-    return results
+    if not targets:
+        return []
+    names, columns = query.param_names, list(zip(*(t.param_values for t in targets)))
+    k_cont, w_star, sim_sum, sims = _closed_form(query.param_values, columns, delta)
+    d = [_count(len(names), s, w, delta) for s, w in zip(sim_sum, w_star)]
+    incs = zip(*_increment_columns(sims, k_cont))
+    return [
+        ComparisonResult(query.name, t.name, delta, w, int(n), n * delta, k, dict(zip(names, row)))
+        for t, w, n, k, row in zip(targets, w_star, d, k_cont, incs)
+    ]

@@ -29,6 +29,15 @@ def _is_record(line: bytes) -> bool:
     return True
 
 
+def _encodes(text: str) -> bool:
+    """Whether text encodes as UTF-8: it holds no lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 # O_BINARY (Windows only) keeps the bytes from newline translation
 _APPEND = os.O_RDWR | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
@@ -114,10 +123,12 @@ class IncrementStore:
         """Record every per-parameter increment of one comparison."""
         query, target, increments = result.query, result.target, result.increments
         names = "".join([query, target, *increments])
-        if "\t" in names or "\n" in names:
+        if "\t" in names or "\n" in names or not (names.isascii() or _encodes(names)):
             for token in (query, target, *increments):  # the first bad name is the one reported
                 if "\t" in token or "\n" in token:
                     raise SchemaError(f"store field {token!r} may not contain tabs or newlines")
+                if not _encodes(token):
+                    raise SchemaError(f"store field {token!r} cannot be encoded as UTF-8")
         delta = float(result.delta)  # the repr of a numpy float would not parse back
         if increments:  # an empty delta dict would make deltas_for list a delta without records
             self._index.setdefault((query, target), {}).setdefault(delta, {}).update(increments)

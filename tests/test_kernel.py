@@ -17,11 +17,21 @@ from kdiss.cli import main
 from kdiss.dissimilarity import switch_weight
 from kdiss.indexes import build_index_rows
 from kdiss.kernel import ProbeConfig, batch_compare, compare
-from kdiss.kernel import _closed_form, _increment_columns, _increments, _ratio_sims, _row_sums, _sum8
+from kdiss.kernel import _closed_form, _increment_columns, _ratio_sims, _row_sums, _sum8
 from kdiss.pyramids import PyramidTable, normalize, write_pyramid_csv
 from kdiss.store import IncrementStore
 
 from conftest import pair_with_sims, random_pair, synthetic_table
+
+
+def _increments(sims, k_cont):
+    """The per-row reference for _increment_columns: K_cont split over the
+    parameters of one comparison in proportion to 1 - r."""
+    shortfalls = [1.0 - r for r in sims]
+    total = _sum8(shortfalls)
+    scale = k_cont / total if total > 0.0 and k_cont > 0.0 else 0.0
+    return [s * scale for s in shortfalls]
+
 
 DELTAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 K_REL = 1e-9

@@ -224,7 +224,7 @@ def test_commands_run_with_numpy_blocked(argv, expected):
         assert out == (OUTPUT / expected).read_bytes()
 
 
-# every public name, then the paper's oracle: the search, one predicate call, a 5-object split
+# every public name, then the paper's oracle: the search, one predicate call, a 3-object split
 ORACLE = """
 import kdiss
 for name in kdiss.__all__:
@@ -234,21 +234,16 @@ t = kdiss.ObjectRecord.from_values("t", ("a", "b", "c"), (1.5, 2.0, 2.0))
 cfg = kdiss.ProbeConfig(delta=0.01)
 w = kdiss.switch_weight(q, t, cfg)
 print(kdiss.grouped_with_target(q, t, cfg, w), kdiss.grouped_with_target(q, t, cfg, 0.5 * w))
-near, far = (0.9, 0.85, 0.8), (0.2, 0.25, 0.1)
-entries = [[1.0, near[0], near[1], far[0], far[1]],
-           [near[0], 1.0, near[2], far[1], far[2]],
-           [near[1], near[2], 1.0, far[2], far[0]],
-           [far[0], far[1], far[2], 1.0, near[0]],
-           [far[1], far[2], far[0], near[0], 1.0]]
-parts = kdiss.bipartition(kdiss.SimilarityMatrix(tuple("vwxyz"), entries))
-print(sorted(parts.group_a), sorted(parts.group_b), parts.converged)
+entries = [[1.0, 0.2, 0.9], [0.2, 1.0, 0.25], [0.9, 0.25, 1.0]]
+parts = kdiss.bipartition(kdiss.SimilarityMatrix(tuple("xyz"), entries))
+print(sorted(parts.group_a), sorted(parts.group_b), parts.iterations_used)
 """
 
 
 def test_public_names_and_oracle_load_neither_numpy_nor_dataclasses():
     code, out, messages, modules = run_python("-c", ORACLE)
     assert code == 0, messages
-    assert out.decode().splitlines() == ["True False", "['v', 'w', 'x'] ['y', 'z'] True"]
+    assert out.decode().splitlines() == ["True False", "['x', 'z'] ['y'] 1"]
     assert {"kdiss.similarity", "kdiss.averaging", "kdiss.dissimilarity"} <= modules
     assert not {"numpy", "dataclasses"} & modules
 

@@ -109,6 +109,37 @@ class TestIncrementStore:
         assert path.read_bytes() == before
         assert store.as_mapping() == mapping
 
+    @pytest.mark.parametrize("with_path", [True, False], ids=["path", "no-path"])
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            ({"query": "a\ud800"}, "store field 'a\\ud800' cannot be encoded as UTF-8"),
+            ({"target": "a\ud800"}, "store field 'a\\ud800' cannot be encoded as UTF-8"),
+            ({"param": "a\udfff"}, "store field 'a\\udfff' cannot be encoded as UTF-8"),
+            ({"target": "a\ud800", "param": "b\udfff"}, "store field 'a\\ud800' cannot be encoded as UTF-8"),
+            ({"target": "a\ud800", "param": "a\tb"}, "store field 'a\\ud800' cannot be encoded as UTF-8"),
+            ({"target": "a\tb", "param": "a\ud800"}, "store field 'a\\tb' may not contain tabs or newlines"),
+            ({"query": "é\ud800", "param": "ü"}, "store field 'é\\ud800' cannot be encoded as UTF-8"),
+        ],
+        ids=["query", "target", "param", "target-and-param", "target-before-tab", "tab-before-param", "non-ascii"],
+    )
+    def test_unencodable_put_changes_nothing(self, tmp_path, names, message, with_path):
+        """A name with a lone surrogate is rejected before the index or the file
+        is touched, with or without a path; the first bad name is the one named."""
+        path = tmp_path / "inc.tsv"
+        store = IncrementStore(path if with_path else None)
+        store.put(self._result())
+        before, mapping = path.read_bytes() if with_path else b"", store.as_mapping()
+        names = {"query": "q", "target": "t", "param": "p1", **names}
+        increments = {"p0": 0.25, names["param"]: 0.5}
+        result = ComparisonResult(names["query"], names["target"], 1e-3, 1.0, 1, 1e-3, 0.75, increments)
+        with pytest.raises(SchemaError) as info:
+            store.put(result)
+        assert str(info.value) == message
+        assert (path.read_bytes() if with_path else b"") == before
+        assert path.exists() == with_path
+        assert store.as_mapping() == mapping
+
     def test_torn_final_line_skipped_with_warning(self, tmp_path):
         path = tmp_path / "inc.tsv"
         path.write_text("a\tb\t0.0001\tm00\t0.5\na\tb\t0.00", encoding="utf-8")
