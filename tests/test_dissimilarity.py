@@ -9,6 +9,10 @@ from kdiss.kernel import ObjectRecord, ProbeConfig, batch_compare, closed_form_k
 
 from conftest import pair_with_sims, random_pair
 
+# The store's tests live in test_store.py, which runs without numpy; imported here,
+# they are also collected under this module, where they were first written.
+from test_store import TestIncrementStore, test_store_matches_naive_model  # noqa: F401
+
 
 class TestGroupedWithTarget:
     def test_clones_group_at_small_weight(self):
