@@ -75,9 +75,10 @@ class IncrementStore:
     record for the same (query, target, delta, param_name) key replaces
     the earlier one on load.  A final line without its newline that does
     not parse, as a crash mid-write leaves it, is skipped with a warning,
-    and the next put writes over it.  A put checks its names in one pass,
-    then appends the pair's run of lines through one file descriptor, after
-    the check of the file's last line; it does not fsync.  Records are
+    and the next put writes over it.  A put checks its names in one pass and
+    converts its values with float() in another, then indexes those floats and
+    appends the pair's run of lines through one file descriptor, after the
+    check of the file's last line; it does not fsync.  Records are
     indexed by (query, target), so every lookup touches one pair's records,
     whatever the store's size.  Writers must be serialized by the caller;
     concurrent reads of a loaded store are safe.
@@ -130,11 +131,17 @@ class IncrementStore:
                 if not _encodes(token):
                     raise SchemaError(f"store field {token!r} cannot be encoded as UTF-8")
         delta = float(result.delta)  # the repr of a numpy float would not parse back
-        if increments:  # an empty delta dict would make deltas_for list a delta without records
-            self._index.setdefault((query, target), {}).setdefault(delta, {}).update(increments)
+        floats = {}  # the values indexed and written, so the two agree
+        for param, value in increments.items():
+            try:
+                floats[param] = float(value)
+            except (TypeError, ValueError, OverflowError):
+                raise SchemaError(f"store increment {param!r} is not a number: {value!r}") from None
+        if floats:  # an empty delta dict would make deltas_for list a delta without records
+            self._index.setdefault((query, target), {}).setdefault(delta, {}).update(floats)
         if self._path is not None:
             head = f"{query}\t{target}\t{delta!r}\t"
-            data = "".join([f"{head}{p}\t{float(v)!r}\n" for p, v in increments.items()]).encode("utf-8")
+            data = "".join([f"{head}{p}\t{v!r}\n" for p, v in floats.items()]).encode("utf-8")
             fd = os.open(self._path, _APPEND, 0o666)
             try:
                 data = _end_last_line(fd) + data

@@ -1,14 +1,11 @@
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import random
 
 import pytest
 
 from kdiss.kernel import ObjectRecord
 from kdiss.pyramids import PyramidTable, exponential_model, normalize, uniform_model
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def mixture_pyramid(name: str, lam: float, rate: float) -> tuple[float, ...]:
@@ -28,10 +25,10 @@ def synthetic_table(n: int = 10) -> PyramidTable:
     return PyramidTable.from_rows(rows)
 
 
-def random_pair(rng: np.random.Generator, n_params: int, lo: float = 0.5, hi: float = 1.5):
+def random_pair(rng: random.Random, n_params: int, lo: float = 0.5, hi: float = 1.5):
     names = [f"p{i:02d}" for i in range(n_params)]
-    q = ObjectRecord.from_values("q", names, rng.uniform(lo, hi, n_params))
-    t = ObjectRecord.from_values("t", names, rng.uniform(lo, hi, n_params))
+    q = ObjectRecord.from_values("q", names, [rng.uniform(lo, hi) for _ in range(n_params)])
+    t = ObjectRecord.from_values("t", names, [rng.uniform(lo, hi) for _ in range(n_params)])
     return q, t
 
 
@@ -43,9 +40,19 @@ def pair_with_sims(sims, name_q="q", name_t="t"):
     return q, t
 
 
+def allclose(got, want, rtol=1e-5, atol=1e-8):
+    """numpy.allclose's test, |got - want| <= atol + rtol * |want|, on numbers or
+    nested sequences of one shape; a number as want stands for every entry."""
+    if not isinstance(got, (tuple, list)):
+        return abs(got - want) <= atol + rtol * abs(want)
+    if not isinstance(want, (tuple, list)):
+        want = [want] * len(got)
+    return len(got) == len(want) and all(allclose(x, y, rtol, atol) for x, y in zip(got, want))
+
+
 @pytest.fixture
-def rng() -> np.random.Generator:
-    return pytest.importorskip("numpy").random.default_rng(20260808)
+def rng() -> random.Random:
+    return random.Random(20260808)
 
 
 @pytest.fixture

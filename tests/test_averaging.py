@@ -1,5 +1,4 @@
 import math
-import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,19 +8,16 @@ from kdiss.averaging import AveragingConfig, _polarize3, average_once, bipartiti
 from kdiss.errors import DegenerateSymmetryError, DomainError, NonPolarizedError, SchemaError
 from kdiss.similarity import SimilarityMatrix
 
-
-@pytest.fixture
-def rand() -> random.Random:
-    return random.Random(20260808)
+from conftest import allclose
 
 
 def sym3(a, b, c, labels=("x", "y", "z")):
     return SimilarityMatrix(labels, [[1.0, a, b], [a, 1.0, c], [b, c, 1.0]])
 
 
-def random_symmetric(rand, n):
+def random_symmetric(rng, n):
     """(raw + raw^T) / 2 of an n x n matrix of uniform [0, 1) draws, with a unit diagonal."""
-    raw = [[rand.uniform(0, 1) for _ in range(n)] for _ in range(n)]
+    raw = [[rng.uniform(0, 1) for _ in range(n)] for _ in range(n)]
     return [[1.0 if i == j else (raw[i][j] + raw[j][i]) / 2 for j in range(n)] for i in range(n)]
 
 
@@ -34,11 +30,6 @@ def brute_average(entries):
             agreements = [1.0 - abs(entries[i][k] - entries[j][k]) for k in range(n)]
             out[i][j] = 1.0 if i == j else sum(agreements) / n
     return out
-
-
-def allclose(got, want, atol):
-    """numpy.allclose's test on nested rows: |got - want| <= atol + 1e-5 * |want| everywhere."""
-    return all(abs(x - y) <= atol + 1e-5 * abs(y) for gr, wr in zip(got, want) for x, y in zip(gr, wr))
 
 
 class TestAverageOnce:
@@ -57,14 +48,14 @@ class TestAverageOnce:
         out = average_once(m)
         assert out.entries[0][1] == pytest.approx(14.0 / 15.0, rel=1e-12)
 
-    def test_matches_brute_force(self, rand):
+    def test_matches_brute_force(self, rng):
         for n in (3, 4, 6):
-            raw = random_symmetric(rand, n)
+            raw = random_symmetric(rng, n)
             m = SimilarityMatrix(tuple(f"o{i}" for i in range(n)), raw)
             assert allclose(average_once(m).entries, brute_average(raw), atol=1e-12)
 
-    def test_preserves_invariants(self, rand):
-        out = average_once(SimilarityMatrix(tuple("abcde"), random_symmetric(rand, 5)))
+    def test_preserves_invariants(self, rng):
+        out = average_once(SimilarityMatrix(tuple("abcde"), random_symmetric(rng, 5)))
         e = out.entries
         assert all(e[i][j] == e[j][i] for i in range(5) for j in range(5))
         assert all(e[i][i] == 1.0 for i in range(5))
@@ -132,9 +123,9 @@ class TestBipartition:
             bipartition(SimilarityMatrix(tuple(f"o{i}" for i in range(n)), e))
         assert str(info.value) == f"bipartition splits two or three objects, got {n}"
 
-    def test_relabeling_invariance(self, rand):
+    def test_relabeling_invariance(self, rng):
         for _ in range(50):
-            a, b, c = (rand.uniform(0.01, 0.99) for _ in range(3))
+            a, b, c = (rng.uniform(0.01, 0.99) for _ in range(3))
             if min(abs(a - b), abs(a - c), abs(b - c)) < 1e-3:
                 continue
             base = bipartition(sym3(a, b, c))

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from kdiss.dissimilarity import grouped_with_target, switch_weight
@@ -9,8 +8,8 @@ from kdiss.kernel import ObjectRecord, ProbeConfig, batch_compare, closed_form_k
 
 from conftest import pair_with_sims, random_pair
 
-# The store's tests live in test_store.py, which runs without numpy; imported here,
-# they are also collected under this module, where they were first written.
+# The store's tests live in test_store.py; imported here, they are also collected
+# under this module, where they were first written, so their old test ids still run.
 from test_store import TestIncrementStore, test_store_matches_naive_model  # noqa: F401
 
 
@@ -30,7 +29,7 @@ class TestGroupedWithTarget:
         cfg = ProbeConfig(delta=1e-2)
         for _ in range(20):
             q, t = random_pair(rng, 5)
-            grid = np.geomspace(1e-3, 1e5, 25)
+            grid = [1e-3 * 10.0 ** (i / 3) for i in range(25)]  # 1e-3 to 1e5, three steps a decade
             flags = [grouped_with_target(q, t, cfg, w) for w in grid]
             first_true = flags.index(True) if True in flags else len(flags)
             assert all(flags[first_true:]), "once switched, stays switched"
@@ -64,7 +63,8 @@ class TestGroupedWithTarget:
         for i in range(40):
             q, t = random_pair(rng, 34)
             if i % 2:
-                t = ObjectRecord.from_values("t", q.param_names, q.param_values * rng.uniform(0.999, 1.001, 34))
+                values = [v * rng.uniform(0.999, 1.001) for v in q.param_values]
+                t = ObjectRecord.from_values("t", q.param_names, values)
             problem = _ProbeProblem(q, t, cfg)
             w_star = switch_weight(q, t, cfg)
             near = (math.nextafter(w_star, 0.0), w_star, math.nextafter(w_star, math.inf))

@@ -2,7 +2,6 @@ import io
 import math
 import xml.etree.ElementTree as ET
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -210,6 +209,7 @@ class TestEmit:
 def test_fit_matches_numpy_reference(pairs, slope, intercept):
     """pearson and linear_fit (fsum-based, no numpy) against the numpy formulas
     on well-conditioned points: x spread out, r away from 0."""
+    np = pytest.importorskip("numpy")
     points = [(x, slope * x + intercept + 10.0 * e) for x, e in pairs]
     x = np.array([p[0] for p in points])
     y = np.array([p[1] for p in points])

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,6 +5,8 @@ from hypothesis import strategies as st
 from kdiss.errors import DomainError, SchemaError
 from kdiss.kernel import ObjectRecord, r_similarity
 from kdiss.similarity import SimilarityMatrix, WeightedParameterSet, blend, blend_from_objects, parameter_matrix
+
+from conftest import allclose
 
 finite_nonneg = st.floats(min_value=0.0, max_value=1e12, allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -80,17 +81,17 @@ class TestParameterMatrix:
     def test_elementwise(self):
         objs = objects_from_columns({"a": [2.0], "b": [4.0], "c": [2.0]})
         m = parameter_matrix(objs, "p0")
-        assert np.allclose(m.entries, [[1, 0.5, 1], [0.5, 1, 0.5], [1, 0.5, 1]])
+        assert allclose(m.entries, [[1, 0.5, 1], [0.5, 1, 0.5], [1, 0.5, 1]])
 
     def test_all_equal(self):
         objs = objects_from_columns({"a": [3.0], "b": [3.0], "c": [3.0]})
         m = parameter_matrix(objs, "p0")
-        assert np.array_equal(m.entries, np.ones((3, 3)))
+        assert m.entries == ((1.0,) * 3,) * 3
 
     def test_zero_rule(self):
         objs = objects_from_columns({"a": [1.0], "b": [0.0], "c": [2.0]})
         m = parameter_matrix(objs, "p0")
-        assert np.allclose(m.entries, [[1, 0, 0.5], [0, 1, 0], [0.5, 0, 1]])
+        assert allclose(m.entries, [[1, 0, 0.5], [0, 1, 0], [0.5, 0, 1]])
 
     def test_missing_param(self):
         objs = objects_from_columns({"a": [1.0], "b": [2.0]})
@@ -106,16 +107,16 @@ class TestParameterMatrix:
 
 class TestBlend:
     def _mat(self, entry, labels=("a", "b")):
-        return SimilarityMatrix(labels, np.array([[1.0, entry], [entry, 1.0]]))
+        return SimilarityMatrix(labels, [[1.0, entry], [entry, 1.0]])
 
     def test_mean_of_equals(self):
         m = self._mat(0.6)
         out = blend([m, m], [1.0, 5.0])
-        assert np.allclose(out.entries, m.entries)
+        assert allclose(out.entries, m.entries)
 
     def test_single_matrix(self):
         m = self._mat(0.3)
-        assert np.allclose(blend([m], [2.0]).entries, m.entries)
+        assert allclose(blend([m], [2.0]).entries, m.entries)
 
     def test_weighted_mean(self):
         out = blend([self._mat(0.4), self._mat(0.8)], [1.0, 3.0])
@@ -131,7 +132,7 @@ class TestBlend:
 
     def test_convex_combination(self, rng):
         mats = [self._mat(rng.uniform(0, 1)) for _ in range(5)]
-        weights = rng.uniform(0.1, 3.0, 5)
+        weights = [rng.uniform(0.1, 3.0) for _ in range(5)]
         out = blend(mats, weights)
         entries = [m.entries[0][1] for m in mats]
         assert min(entries) - 1e-12 <= out.entries[0][1] <= max(entries) + 1e-12
@@ -141,14 +142,12 @@ class TestBlendFromObjects:
     def test_single_param_matches_parameter_matrix(self):
         objs = objects_from_columns({"a": [2.0], "b": [5.0]})
         pset = WeightedParameterSet.uniform(["p0"])
-        assert np.array_equal(
-            blend_from_objects(objs, pset).entries, parameter_matrix(objs, "p0").entries
-        )
+        assert blend_from_objects(objs, pset).entries == parameter_matrix(objs, "p0").entries
 
     def test_identical_objects(self):
         objs = objects_from_columns({"a": [2.0, 3.0], "b": [2.0, 3.0]})
         out = blend_from_objects(objs, WeightedParameterSet.uniform(["p0", "p1"]))
-        assert np.array_equal(out.entries, np.ones((2, 2)))
+        assert out.entries == ((1.0,) * 2,) * 2
 
     def test_three_param_mean(self):
         a = ObjectRecord.from_values("A", ["p0", "p1", "p2"], [2.0, 1.0, 3.0])
@@ -157,27 +156,31 @@ class TestBlendFromObjects:
         assert out.entry("A", "B") == pytest.approx(2.0 / 3.0, rel=1e-15)
 
     def test_invariant_under_single_param_rescaling(self, rng):
-        vals = rng.uniform(0.5, 2.0, (3, 4))
+        vals = [[rng.uniform(0.5, 2.0) for _ in range(4)] for _ in range(3)]
         names = [f"p{i}" for i in range(4)]
         objs = [ObjectRecord.from_values(f"o{j}", names, vals[j]) for j in range(3)]
-        scaled = vals.copy()
-        scaled[:, 2] *= 7.5
+        scaled = [[v * 7.5 if i == 2 else v for i, v in enumerate(row)] for row in vals]
         objs2 = [ObjectRecord.from_values(f"o{j}", names, scaled[j]) for j in range(3)]
         pset = WeightedParameterSet.uniform(names)
         m1 = blend_from_objects(objs, pset)
         m2 = blend_from_objects(objs2, pset)
-        assert np.allclose(m1.entries, m2.entries, rtol=1e-12)
+        assert allclose(m1.entries, m2.entries, rtol=1e-12)
 
 
 class TestSimilarityMatrixValidation:
     def test_rejects_asymmetric(self):
         with pytest.raises(DomainError):
-            SimilarityMatrix(("a", "b"), np.array([[1.0, 0.2], [0.4, 1.0]]))
+            SimilarityMatrix(("a", "b"), [[1.0, 0.2], [0.4, 1.0]])
 
     def test_rejects_bad_diagonal(self):
         with pytest.raises(DomainError):
-            SimilarityMatrix(("a", "b"), np.array([[0.9, 0.2], [0.2, 1.0]]))
+            SimilarityMatrix(("a", "b"), [[0.9, 0.2], [0.2, 1.0]])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
-            SimilarityMatrix(("a", "b"), np.array([[1.0, 1.2], [1.2, 1.0]]))
+            SimilarityMatrix(("a", "b"), [[1.0, 1.2], [1.2, 1.0]])
+
+    def test_ndarray_is_converted(self):
+        np = pytest.importorskip("numpy")
+        m = SimilarityMatrix(("a", "b"), np.array([[1.0, 0.2], [0.2, 1.0]]))
+        assert m.entries == ((1.0, 0.2), (0.2, 1.0)) and {type(x) for row in m.entries for x in row} == {float}

@@ -140,6 +140,29 @@ class TestIncrementStore:
         assert path.exists() == with_path
         assert store.as_mapping() == mapping
 
+    @pytest.mark.parametrize("with_path", [True, False], ids=["path", "no-path"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [("x", "store increment 'p1' is not a number: 'x'"), (None, "store increment 'p1' is not a number: None")],
+        ids=["text", "none"],
+    )
+    def test_non_numeric_put_changes_nothing(self, tmp_path, value, message, with_path):
+        """A value float() refuses is rejected before the index or the file is
+        touched, with or without a path, also after a good value in the same put."""
+        path, fresh_path = tmp_path / "inc.tsv", tmp_path / "fresh.tsv"
+        store = IncrementStore(path if with_path else None)
+        store.put(self._result())
+        before, mapping = path.read_bytes() if with_path else b"", store.as_mapping()
+        fresh = IncrementStore(fresh_path if with_path else None)
+        result = ComparisonResult("q", "t", 1e-3, 1.0, 1, 1e-3, 0.75, {"p0": 0.25, "p1": value})
+        for target in (store, fresh):
+            with pytest.raises(SchemaError) as info:
+                target.put(result)
+            assert str(info.value) == message
+        assert (path.read_bytes() if with_path else b"") == before
+        assert path.exists() == with_path and not fresh_path.exists()
+        assert store.as_mapping() == mapping and fresh.as_mapping() == {}
+
     def test_torn_final_line_skipped_with_warning(self, tmp_path):
         path = tmp_path / "inc.tsv"
         path.write_text("a\tb\t0.0001\tm00\t0.5\na\tb\t0.00", encoding="utf-8")
