@@ -29,8 +29,9 @@ if TYPE_CHECKING:
 # The names each command looks up on this module, by the module that defines
 # them.  A name is bound on its first lookup; main binds only the modules its
 # command runs, so `report` never imports the engine or the store, the engine
-# commands never import the report or the store, and `--help` imports none of
-# them.  A name set beforehand (a test's spy, a tracer's wrapper) is kept.
+# commands never import the report or the store, only `mu` and `punif` import
+# the indexes, and `--help` imports none of them.  A name set beforehand (a
+# test's spy, a tracer's wrapper) is kept.
 _LAZY = {
     "ProbeConfig": "kernel",
     "_closed_form": "kernel",
@@ -50,7 +51,7 @@ _LAZY = {
     "read_indicators": "report",
     "IncrementStore": "store",
 }
-_ENGINE = ("kernel", "indexes", "pyramids")
+_ENGINE = ("kernel", "pyramids")
 
 
 def __getattr__(name: str):
@@ -342,7 +343,7 @@ def main(argv=None) -> int:
         elif args.command == "store":
             _bind("store", *(_ENGINE if args.action == "put" else ()))
         else:
-            _bind(*_ENGINE)
+            _bind(*_ENGINE, *(("indexes",) if args.command in ("mu", "punif") else ()))
         return args.func(args)
     except OSError as exc:
         # one form for every path given on the command line: the path, then why it failed

@@ -57,13 +57,34 @@ def _csv_rows(source: str | Path | IO[str], columns: Sequence[str], bad_header: 
             yield rownum, row
 
 
+class _Lines(list):
+    """A list that csv.writer writes to: each row it writes is one item."""
+
+    write = list.append
+
+
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """A header and rows as CSV text, each line ended by "\n"."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    """A header and rows as CSV text, each line ended by "\n".
+
+    The rows are all of one length, two fields or more.  csv.writer writes
+    the header and quotes each row's first field, the label, by the rules of
+    the running Python (3.13 quotes a bare CR, 3.10 to 3.12 do not).  Every
+    other field is a number or the text of one, which holds no character
+    that needs quoting, so it is written as str(field): the text csv.writer
+    would write, without its per-character check.  The rows are taken apart
+    into columns, so that no Python code runs per row.
+    """
+    lines = _Lines()
+    writer = csv.writer(lines, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    labels, *columns = list(zip(*rows)) or [()]
+    writer.writerows(zip(labels, repeat("")))  # each label as csv.writer quotes it, then ",\n"
+    head, *starts = lines
+    if not starts:
+        return head
+    starts = map(str.removesuffix, starts, repeat("\n"))
+    bodies = map(",".join, zip(*[map(str, column) for column in columns]))
+    return head + "\n".join(map(str.__add__, starts, bodies)) + "\n"
 
 
 def _six_places(column: Iterable[float]) -> Iterator[str]:

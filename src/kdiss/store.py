@@ -75,12 +75,13 @@ class IncrementStore:
     record for the same (query, target, delta, param_name) key replaces
     the earlier one on load.  A final line without its newline that does
     not parse, as a crash mid-write leaves it, is skipped with a warning,
-    and the next put writes over it.  A put checks its names in one pass and
-    converts its values with float() in another, then indexes those floats and
-    appends the pair's run of lines through one file descriptor, after the
-    check of the file's last line; it does not fsync.  Records are
-    indexed by (query, target), so every lookup touches one pair's records,
-    whatever the store's size.  Writers must be serialized by the caller;
+    and the next put writes over it.  A put checks its names in one pass,
+    then converts its delta and its values with float(), rejecting a delta
+    that is not finite and > 0 and a value that is not finite; only then does
+    it index those floats and append the pair's run of lines through one file
+    descriptor, after the check of the file's last line; it does not fsync.
+    Records are indexed by (query, target), so every lookup touches one
+    pair's records, whatever the store's size.  Writers must be serialized by the caller;
     concurrent reads of a loaded store are safe.
     """
 
@@ -130,13 +131,21 @@ class IncrementStore:
                     raise SchemaError(f"store field {token!r} may not contain tabs or newlines")
                 if not _encodes(token):
                     raise SchemaError(f"store field {token!r} cannot be encoded as UTF-8")
-        delta = float(result.delta)  # the repr of a numpy float would not parse back
+        try:
+            delta = float(result.delta)  # the repr of a numpy float would not parse back
+        except (TypeError, ValueError, OverflowError):
+            delta = math.nan
+        if not (0.0 < delta < math.inf):
+            raise SchemaError(f"store delta must be a finite number > 0, got {result.delta!r}")
         floats = {}  # the values indexed and written, so the two agree
         for param, value in increments.items():
             try:
-                floats[param] = float(value)
+                number = float(value)
             except (TypeError, ValueError, OverflowError):
                 raise SchemaError(f"store increment {param!r} is not a number: {value!r}") from None
+            if not math.isfinite(number):
+                raise SchemaError(f"store increment {param!r} is not finite: {value!r}")
+            floats[param] = number
         if floats:  # an empty delta dict would make deltas_for list a delta without records
             self._index.setdefault((query, target), {}).setdefault(delta, {}).update(floats)
         if self._path is not None:

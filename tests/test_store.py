@@ -142,19 +142,37 @@ class TestIncrementStore:
 
     @pytest.mark.parametrize("with_path", [True, False], ids=["path", "no-path"])
     @pytest.mark.parametrize(
-        "value, message",
-        [("x", "store increment 'p1' is not a number: 'x'"), (None, "store increment 'p1' is not a number: None")],
-        ids=["text", "none"],
+        "delta, value, message",
+        [
+            (1e-3, "x", "store increment 'p1' is not a number: 'x'"),
+            (1e-3, None, "store increment 'p1' is not a number: None"),
+            (1e-3, "nan", "store increment 'p1' is not finite: 'nan'"),
+            (1e-3, math.inf, "store increment 'p1' is not finite: inf"),
+            (1e-3, "-inf", "store increment 'p1' is not finite: '-inf'"),
+            ("x", 0.5, "store delta must be a finite number > 0, got 'x'"),
+            (None, 0.5, "store delta must be a finite number > 0, got None"),
+            (math.nan, 0.5, "store delta must be a finite number > 0, got nan"),
+            ("nan", 0.5, "store delta must be a finite number > 0, got 'nan'"),
+            (math.inf, 0.5, "store delta must be a finite number > 0, got inf"),
+            (0.0, 0.5, "store delta must be a finite number > 0, got 0.0"),
+            (-1e-3, 0.5, "store delta must be a finite number > 0, got -0.001"),
+        ],
+        ids=[
+            "text", "none", "nan", "inf", "minus-inf-text",
+            "delta-text", "delta-none", "delta-nan", "delta-nan-text", "delta-inf", "delta-zero", "delta-negative",
+        ],
     )
-    def test_non_numeric_put_changes_nothing(self, tmp_path, value, message, with_path):
-        """A value float() refuses is rejected before the index or the file is
-        touched, with or without a path, also after a good value in the same put."""
+    def test_non_numeric_put_changes_nothing(self, tmp_path, delta, value, message, with_path):
+        """A value float() refuses or turns into nan or an infinity, and a delta
+        that is not a finite number > 0, are rejected before the index or the
+        file is touched, with or without a path, also after a good value in the
+        same put."""
         path, fresh_path = tmp_path / "inc.tsv", tmp_path / "fresh.tsv"
         store = IncrementStore(path if with_path else None)
         store.put(self._result())
         before, mapping = path.read_bytes() if with_path else b"", store.as_mapping()
         fresh = IncrementStore(fresh_path if with_path else None)
-        result = ComparisonResult("q", "t", 1e-3, 1.0, 1, 1e-3, 0.75, {"p0": 0.25, "p1": value})
+        result = ComparisonResult("q", "t", delta, 1.0, 1, 1e-3, 0.75, {"p0": 0.25, "p1": value})
         for target in (store, fresh):
             with pytest.raises(SchemaError) as info:
                 target.put(result)
