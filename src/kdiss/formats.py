@@ -39,9 +39,10 @@ INDEX_COLUMNS = ("name", "k_mt", "k_ut", "k_m_male", "k_m_female", "mu", "d_un",
 def _csv_rows(source: str | Path | IO[str], columns: Sequence[str], bad_header: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of each non-blank row of a CSV after its header.
 
-    A path is read whole and decoded as UTF-8 (a BOM is dropped), an open
-    stream is used as it is.  A header that, stripped, is not ``columns``
-    raises SchemaError(bad_header), with ``{n}`` in it set to its length.
+    A path is read whole and decoded as UTF-8, an open stream is used as it
+    is; a BOM is dropped from either.  A header that, stripped, is not
+    ``columns`` raises SchemaError: naming its first wrong column if it has
+    the right length, else bad_header with ``{n}`` in it set to its length.
     """
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes().removeprefix(b"\xef\xbb\xbf")
@@ -50,8 +51,13 @@ def _csv_rows(source: str | Path | IO[str], columns: Sequence[str], bad_header: 
     header = next(reader, None)
     if header is None:
         raise SchemaError("empty input: missing header row")
-    if [h.strip() for h in header] != list(columns):
-        raise SchemaError(bad_header.format(n=len(header)))
+    header[0] = header[0].removeprefix("\ufeff")  # a stream keeps the BOM a path loses
+    names = [h.strip() for h in header]
+    if names != list(columns):
+        if len(names) != len(columns):
+            raise SchemaError(bad_header.format(n=len(header)))
+        col, got, want = next((i, h, c) for i, (h, c) in enumerate(zip(names, columns), start=1) if h != c)
+        raise SchemaError(f"bad header: column {col} is {got!r}, expected {want!r}")
     for rownum, row in enumerate(reader, start=2):
         if row and not (len(row) == 1 and row[0].strip() == ""):
             yield rownum, row

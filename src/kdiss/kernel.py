@@ -11,6 +11,7 @@ kdiss.similarity, kdiss.averaging and kdiss.dissimilarity as the oracle.
 from __future__ import annotations
 
 import math
+import sys
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -142,8 +143,9 @@ class ProbeConfig(_ProbeFields):
 class ComparisonResult(NamedTuple):
     """One query-target comparison: critical weight, counts, and increments.
 
-    k_cont = w_star * delta; d = max(1, ceil(w_star)), except that an
-    integral w_star gives d = w_star; k = d * delta.  The increments map
+    k_cont = w_star * delta; d = max(1, ceil(w_star)), or one step off it
+    where w_star lies within the switch test's rounding of a whole number
+    (an integral w_star can give d = w_star); k = d * delta.  The increments map
     each parameter to its share of k_cont and sum back to k_cont exactly.
     """
 
@@ -206,10 +208,20 @@ def _weights(n_params: int, sim_sums: Iterable[float], delta: float) -> tuple[li
     return k_cont, w_star
 
 
+# a few roundings, relative: the switch test's error, in whole weights, is about
+# this times (P + w*) * (1 + delta) / delta
+_TEST_ROUNDING = 4 * sys.float_info.epsilon
+
+
 def _count(n_params: int, sim_sum: float, w_star: float, delta: float) -> float:
-    """D: the least whole weight >= 1 that passes the switch test in the search's
-    arithmetic, tried around ceil(w*), so an integral w* gives D = w* exactly."""
+    """D: max(1, ceil(w*)), or one step off it where the switch test, in the search's
+    arithmetic, passes at ceil(w*) - 1 or fails at ceil(w*), which it can only where
+    w* lies within its rounding of a whole number; so D is the search's.  Where that
+    rounding reaches half a whole weight (below delta 1e-7 or so at 34 parameters),
+    the test places no whole weight, and D = max(1, ceil(w*))."""
     sim_ab, n = _clone_similarity(delta), max(float(math.ceil(w_star)), 1.0)
+    if _TEST_ROUNDING * (n_params + w_star) * (1.0 + delta) / delta >= 0.5:
+        return n
     for w in (max(n - 1.0, 1.0), n):
         if (sim_sum + w) / (n_params + w) >= (n_params + w * sim_ab) / (n_params + w):
             return w

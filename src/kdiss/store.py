@@ -63,6 +63,10 @@ def _end_last_line(fd: int) -> bytes:
     return b""
 
 
+# combine's lookup default, so that no dict is built per call; nothing writes to it
+_NO_RECORDS: dict = {}
+
+
 class IncrementStore:
     """Persisted per-parameter K increments, recombinable by summation.
 
@@ -172,10 +176,12 @@ class IncrementStore:
         """Sum of stored increments over a parameter subset.
 
         params=None sums everything recorded for the pair; an explicit
-        subset requires every named parameter to be present.  delta may be
-        omitted only when the store holds a single delta for the pair.
+        subset, read once, requires every named parameter to be present (the
+        first one missing is reported), and counts a repeated name each time
+        it is named.  delta may be omitted only when the store holds a single
+        delta for the pair.
         """
-        deltas = self._index.get((query, target), {})
+        deltas = self._index.get((query, target), _NO_RECORDS)
         if delta is None:
             if len(deltas) == 0:
                 raise StoreLookupError(f"no records for ({query!r}, {target!r})")
@@ -184,17 +190,17 @@ class IncrementStore:
                     f"({query!r}, {target!r}) recorded at {len(deltas)} deltas; pass delta explicitly"
                 )
             (delta,) = deltas
-        incs = deltas.get(delta, {})
+        incs = deltas.get(delta, _NO_RECORDS)
         if params is None:
             if not incs:
                 raise StoreLookupError(f"no records for ({query!r}, {target!r}, delta={delta!r})")
             return math.fsum(incs.values())
-        values = []
-        for param in params:
-            if param not in incs:
-                raise StoreLookupError(f"no record for ({query!r}, {target!r}, delta={delta!r}, {param!r})")
-            values.append(incs[param])
-        return math.fsum(values)
+        try:  # map stops at the first missing name, in the caller's order
+            return math.fsum(map(incs.__getitem__, params))
+        except KeyError as exc:
+            raise StoreLookupError(
+                f"no record for ({query!r}, {target!r}, delta={delta!r}, {exc.args[0]!r})"
+            ) from None
 
     def __len__(self) -> int:
         return sum(len(incs) for deltas in self._index.values() for incs in deltas.values())

@@ -6,6 +6,7 @@ predicate.  D must agree exactly and K_cont within 1e-9 relative.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -118,6 +119,29 @@ def test_integral_switch_weight_gives_d_equal_w_star(sims, delta, d):
     cfg = ProbeConfig(delta=delta)
     assert compare(q, t, cfg).d == d
     assert switch_weight(q, t, cfg) == d
+
+
+# from deltas at which the switch test's own rounding spans many whole weights up to 1
+BRACKET_DELTAS = (1e-13, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 0.1, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SIMS, st.sampled_from(BRACKET_DELTAS))
+@example([0.5, 0.5], 1e-3)  # w* = 1001 computes as 1000.9999999999999; the search gives D = 1002
+@example([0.5, 0.5], 0.01)  # w* = 101 computes as 101.00000000000001; D = 101
+def test_property_d_brackets_w_star(sims, delta):
+    """D is max(1, ceil(w*)) but where w* lies within the switch test's rounding
+    of a whole number and that rounding is below half a whole weight; there D
+    may be one step off, as the search's is.  So K_cont <= K up to that rounding."""
+    q, t = pair_with_sims(sims)
+    result = compare(q, t, ProbeConfig(delta=delta))
+    top = max(1, math.ceil(result.w_star))
+    rounding = 4 * sys.float_info.epsilon * (len(sims) + result.w_star) * (1.0 + delta) / delta
+    assert top - 1 <= result.d <= top + 1
+    if result.d != top:
+        assert rounding < 0.5 and abs(result.w_star - round(result.w_star)) <= rounding
+    slack = delta * rounding if result.d < top else 0.0
+    assert result.k_cont <= result.k * (1.0 + 4 * sys.float_info.epsilon) + slack
 
 
 def test_batch_paths_never_run_the_search(monkeypatch, tmp_path, capsys):

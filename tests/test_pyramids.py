@@ -113,8 +113,17 @@ class TestIngest:
 
     def test_missing_columns(self):
         stream = io.StringIO("name,m00,m05\naa,1,2\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=r"\(35 columns\), got 3 columns"):
             ingest(stream)
+
+    def test_wrong_column_name_is_named(self):
+        text = wide_csv([("aa", [1] * 34)]).getvalue().replace(",m05,", ",m06,", 1)
+        with pytest.raises(SchemaError, match=r"^bad header: column 3 is 'm06', expected 'm05'$"):
+            ingest(io.StringIO(text))
+
+    def test_utf8_bom_accepted_on_a_stream(self):
+        stream = io.StringIO("\ufeff" + wide_csv([("aa", [7] * 34)]).getvalue())
+        assert ingest(stream).names == ("aa",)
 
     def test_duplicate_name(self):
         with pytest.raises(SchemaError, match="duplicate"):

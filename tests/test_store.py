@@ -387,6 +387,8 @@ def test_store_matches_naive_model(ops):
                 deltas = sorted({d for (q, t, d, _) in model if (q, t) == (query, target)})
                 assert store.deltas_for(query, target) == deltas
                 for delta in (None, 1e-4, 1e-6):
-                    for params in (None, _PARAMS[:2], _PARAMS, []):
+                    # the first missing name in the caller's order, a name counted twice, a one-shot iterator
+                    grid = [(p, p) for p in (None, _PARAMS[:2], _PARAMS, [], _PARAMS[::-1], ["p0", "p0"])]
+                    for params, listed in [*grid, (iter(_PARAMS[:2]), _PARAMS[:2])]:
                         got = _combine_or_message(store, query, target, params, delta)
-                        assert got == _expected_combine(model, query, target, params, delta)
+                        assert got == _expected_combine(model, query, target, listed, delta)
