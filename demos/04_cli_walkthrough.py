@@ -42,7 +42,7 @@ def cli(*args, out=None):
     if out:
         cmd += ["--out", str(out)]
     print(f"$ kdiss {' '.join(map(str, args))}" + (f" --out {out.name}" if out else ""))
-    result = subprocess.run(cmd, capture_output=True, text=True)
+    result = subprocess.run(cmd, capture_output=True, encoding="utf-8")  # kdiss writes UTF-8
     if result.stdout:
         body = result.stdout.splitlines()
         shown = body[:6] + ([f"... ({len(body) - 6} more lines)"] if len(body) > 6 else [])

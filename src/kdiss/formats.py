@@ -51,7 +51,8 @@ def _csv_rows(source: str | Path | IO[str], columns: Sequence[str], bad_header: 
     header = next(reader, None)
     if header is None:
         raise SchemaError("empty input: missing header row")
-    header[0] = header[0].removeprefix("\ufeff")  # a stream keeps the BOM a path loses
+    if header:  # a blank first line is an empty header
+        header[0] = header[0].removeprefix("\ufeff")  # a stream keeps the BOM a path loses
     names = [h.strip() for h in header]
     if names != list(columns):
         if len(names) != len(columns):

@@ -108,8 +108,9 @@ def join(
 
     Fields resolve against the index columns first, then the indicator
     names; ``ppb`` derives from the ``birth_rate`` indicator.  Names that
-    cannot be resolved (or hit a transform domain error, e.g. log10 of a
-    non-positive value) are reported back, never dropped silently.
+    cannot be resolved (or whose birth rate has no ppb, or that hit a
+    transform domain error, e.g. log10 of a non-positive value) are reported
+    back, never dropped silently.
     """
     if x_transform not in _TRANSFORMS or y_transform not in _TRANSFORMS:
         raise DomainError(f"unknown transform; supported: {sorted(k for k in _TRANSFORMS if k)}")
@@ -118,8 +119,12 @@ def join(
     points: list[tuple[float, float, str]] = []
     unmatched: list[str] = []
     for row in index_rows:
-        x_raw = _resolve(row, indicators, x_field)
-        y_raw = _resolve(row, indicators, y_field)
+        try:
+            x_raw = _resolve(row, indicators, x_field)
+            y_raw = _resolve(row, indicators, y_field)
+        except DomainError as exc:  # ppb of a birth rate that is not a finite number > 0
+            unmatched.append(f"{row.name}: {exc}")
+            continue
         if x_raw is None or y_raw is None:
             missing = x_field if x_raw is None else y_field
             unmatched.append(f"{row.name}: no value for {missing!r}")

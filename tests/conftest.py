@@ -8,6 +8,11 @@ from kdiss.kernel import ObjectRecord
 from kdiss.pyramids import PyramidTable, exponential_model, normalize, uniform_model
 
 
+# interpreter flags under which an open() or a subprocess pipe that relies on the
+# locale's encoding raises, for the tests that start a CLI or demo process
+STRICT_ENCODING = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+
+
 def mixture_pyramid(name: str, lam: float, rate: float) -> tuple[float, ...]:
     """Deterministic synthetic pyramid: lam * uniform + (1 - lam) * exponential."""
     uni = uniform_model().param_values

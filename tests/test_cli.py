@@ -10,7 +10,9 @@ import pytest
 
 import kdiss.cli
 from kdiss.cli import main
-from kdiss.formats import COHORTS
+from kdiss.formats import COHORTS, MALE_COHORTS
+
+from conftest import STRICT_ENCODING
 
 
 def run(capsys, *argv):
@@ -305,6 +307,25 @@ class TestStore:
         code, default, _ = run(capsys, "store", "combine", "--store", store, *pair)
         assert spelled == default
 
+    @pytest.fixture
+    def stored(self, pyramid_csv, tmp_path, capsys):
+        """A store holding (country00, country05) at delta 0.001, and the combine argv that reads it."""
+        store = tmp_path / "inc.tsv"
+        pair = ("--query", "country00", "--target", "country05")
+        code, _, err = run(capsys, "store", "put", "--store", store, "--data", pyramid_csv, *pair, "--delta", "0.001")
+        assert code == 0, err
+        return ("store", "combine", "--store", store, *pair)
+
+    def test_subset_names_its_missing_parameter(self, stored, capsys):
+        code, out, err = run(capsys, *stored, "--params", "m00,nope")
+        assert (code, out) == (1, "")
+        assert err == "error: no record for ('country00', 'country05', delta=0.001, 'nope')\n"
+
+    def test_named_subset_is_its_comma_list(self, stored, capsys):
+        code, male, err = run(capsys, *stored, "--params", "male")
+        assert code == 0, err
+        assert run(capsys, *stored, "--params", ",".join(MALE_COHORTS)) == (0, male, "")
+
     def test_missing_key(self, tmp_path, capsys):
         store = tmp_path / "inc.tsv"
         store.write_text("")
@@ -524,7 +545,8 @@ def test_stderr_is_utf8_whatever_the_locale(pyramid_csv, tmp_path, argv, line):
     indicators.write_text("name,indicator,value\ncountry00,gdp,5\n", encoding="utf-8")
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
-        [sys.executable, "-m", "kdiss.cli", *(a.format(table=table, index=index, indicators=indicators) for a in argv)],
+        [sys.executable, *STRICT_ENCODING, "-m", "kdiss.cli",
+         *(a.format(table=table, index=index, indicators=indicators) for a in argv)],
         env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="cp1252"),
         cwd=tmp_path,
         capture_output=True,
@@ -554,7 +576,10 @@ def test_stdout_is_the_out_file_whatever_the_locale(pyramid_csv, tmp_path, argv)
 
     def kdiss(*extra):
         return subprocess.run(
-            [sys.executable, "-m", "kdiss.cli", *argv, *extra], env=env, capture_output=True, timeout=120
+            [sys.executable, *STRICT_ENCODING, "-m", "kdiss.cli", *argv, *extra],
+            env=env,
+            capture_output=True,
+            timeout=120,
         )
 
     to_stdout, to_file = kdiss(), kdiss("--out", out)

@@ -2,7 +2,9 @@
 
 Each demo script runs in a copy of demos/ under tmp_path with its output/
 and data/ directories emptied, so nothing is written into the checkout.
-Every file the demos produce must equal the tracked one byte for byte.
+Every file the demos produce must equal the tracked one byte for byte.  Each
+demo runs with EncodingWarning as an error, so none relies on the locale's
+encoding.
 """
 
 import os
@@ -10,6 +12,8 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import STRICT_ENCODING
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
@@ -28,7 +32,12 @@ def test_demos_rerun_byte_identical(tmp_path):
     stdout = {}
     for script in sorted(work.glob("0*.py")):
         done = subprocess.run(
-            [sys.executable, script.name], cwd=work, env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, *STRICT_ENCODING, script.name],
+            cwd=work,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
         )
         assert done.returncode == 0, f"{script.name} failed:\n{done.stderr}"
         stdout[script.name] = done.stdout

@@ -386,6 +386,27 @@ def test_non_utf8_names_its_line(tmp_path, capsys):
         assert "ingest.csv:3: not UTF-8" in capsys.readouterr().err
 
 
+def test_blank_first_line_is_a_bad_header(tmp_path, capsys):
+    """A CSV whose first line is blank has an empty header, which each reader rejects as such."""
+    headers = {
+        ingest: ",".join(("name", *COHORTS)),
+        long_to_wide: "name,sex,cohort,value",
+        read_index_csv: ",".join(INDEX_COLUMNS),
+        read_indicators: "name,indicator,value",
+    }
+    for reader, header in headers.items():
+        path = tmp_path / f"{reader.__name__}.csv"
+        path.write_text(f"\n{header}\n", encoding="utf-8")
+        for source in (path, io.StringIO(path.read_text(encoding="utf-8"), newline="")):
+            with pytest.raises(SchemaError, match="^bad header: expected "):
+                reader(source)
+    argvs = (["ingest", "ingest.csv"], ["report", "--indexes", "read_index_csv.csv", "--x", "mu", "--y", "k_mt"])
+    for argv in argvs:
+        assert main([str(tmp_path / a) if a.endswith(".csv") else a for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: bad header: expected ") and err.count("\n") == 1
+
+
 class TestUniformModel:
     def test_shares(self):
         values = uniform_model().param_values

@@ -1,11 +1,13 @@
 import io
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kdiss.cli import main
 from kdiss.errors import DomainError, SchemaError
 from kdiss.formats import IndexRow
 from kdiss.report import (
@@ -89,6 +91,19 @@ class TestJoin:
         series, _ = join(rows, indicators, "mu", "ppb")
         assert series.points[0][1] == 50.0
 
+    def test_birth_rate_without_a_ppb_is_unmatched(self):
+        rates = [("aa", 20.0), ("bb", 0.0), ("cc", -3.0), ("dd", math.nan), ("ee", math.inf)]
+        rows = [index_row(name) for name, _ in rates]
+        indicators = read_indicators(indicator_csv([(name, "birth_rate", rate) for name, rate in rates]))
+        series, unmatched = join(rows, indicators, "mu", "ppb")
+        assert series.points == ((50.0, 50.0, "aa"),)
+        assert unmatched == [
+            "bb: birth rate must be positive, got 0.0",
+            "cc: birth rate must be positive, got -3.0",
+            "dd: birth rate must be positive, got nan",
+            "ee: birth rate must be positive, got inf",
+        ]
+
     def test_log_transform_and_domain_reporting(self):
         rows = [index_row("aa"), index_row("bb")]
         indicators = read_indicators(indicator_csv([("aa", "gdp", 100.0), ("bb", "gdp", 0.0)]))
@@ -106,6 +121,18 @@ class TestJoin:
         indicators = read_indicators(indicator_csv([("aa", "gdp", 1.0), ("bb", "gdp", 2.0)]))
         series, _ = join(rows, indicators, "mu", "gdp")
         assert len(series.points) <= 1
+
+
+def test_report_of_ppb_keeps_the_rows_that_have_one(tmp_path, capsys):
+    index = Path(__file__).resolve().parents[1] / "demos" / "output" / "index.csv"
+    indicators = tmp_path / "indicators.csv"
+    rates = "".join(f"country{i:02d},birth_rate,{0 if i == 3 else 12 + i}\n" for i in range(8))
+    indicators.write_text("name,indicator,value\n" + rates, encoding="utf-8")
+    code = main(["report", "--indexes", str(index), "--indicators", str(indicators), "--x", "mu", "--y", "ppb"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert err == "unmatched: country03: birth rate must be positive, got 0.0\n"
+    assert "# n=7\n" in out and "\ncountry03," not in out
 
 
 class TestPearson:

@@ -1,9 +1,12 @@
 """Each command imports only what it runs, and each public name has one home.
 
-Each command runs as ``python -X importtime -m kdiss.cli ...`` in a fresh
-interpreter with ``PYTHONPATH=src``; the import-time log on stderr lists
-every module the process imported.  No command, usage error or ``--help``
-may import numpy, ``dataclasses`` or ``inspect``; the engine commands leave
+Each command runs as ``python -S -X importtime -m kdiss.cli ...`` in a fresh
+interpreter with ``PYTHONPATH=src``: without the site module nothing but the
+standard library and ``src/`` can be imported, and an ``open()`` without an
+explicit encoding raises (``-X warn_default_encoding -W error::EncodingWarning``).
+The import-time log on stderr lists every module the process imported, and
+each is a standard-library module or kdiss's own.  No command, usage error or
+``--help`` may import numpy, ``dataclasses`` or ``inspect``; the engine commands leave
 out the report and the store, only ``mu`` and ``punif`` load the indexes, and
 ``report`` and ``store combine`` leave out the engine.  The commands that
 compute K must still produce the tracked demo outputs byte for byte.  The
@@ -23,6 +26,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import STRICT_ENCODING
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "demos" / "data"
@@ -47,12 +52,16 @@ PUBLIC_NAMES = (
 _IMPORTED = re.compile(r"^import time:\s*\d+ \|\s*\d+ \|\s*(\S+)\s*$")
 
 
+# no site-packages, so only the standard library and src/ can be imported
+PRISTINE = ("-S", *STRICT_ENCODING)
+
+
 def run_python(*args):
     """(exit code, stdout bytes, non-import stderr lines, imported module names)."""
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     done = subprocess.run(
-        [sys.executable, "-X", "importtime", *map(str, args)], env=env, capture_output=True, timeout=120
+        [sys.executable, *PRISTINE, "-X", "importtime", *map(str, args)], env=env, capture_output=True, timeout=120
     )
     modules, messages = set(), []
     for line in done.stderr.decode("utf-8").splitlines():
@@ -88,6 +97,7 @@ ENGINE = CORE | {"kdiss.kernel", "kdiss.pyramids"}
 INDEXES = ENGINE | {"kdiss.indexes"}
 # stdlib modules that cost more to import than a whole engine command runs
 HEAVY = {"dataclasses", "inspect"}
+STDLIB = set(sys.stdlib_module_names) | {"kdiss"}
 PAIR = ("--query", "country00", "--target", "country07")
 REPORT = ("report", "--indexes", OUTPUT / "index.csv", "--indicators", INDICATORS, "--x", "mu")
 
@@ -131,6 +141,7 @@ def test_each_command_imports_only_what_it_runs(argv, exit_code, expected, tmp_p
     assert code == exit_code, messages
     assert not HEAVY & modules
     assert {m for m in modules if m.startswith("kdiss")} == expected
+    assert {m.partition(".")[0] for m in modules} <= STDLIB
 
 
 def test_help_and_usage_errors_load_no_numpy():
@@ -247,6 +258,7 @@ def test_public_names_and_oracle_load_neither_numpy_nor_dataclasses():
     assert out.decode().splitlines() == ["True False", "['x', 'z'] ['y'] 1"]
     assert {"kdiss.similarity", "kdiss.averaging", "kdiss.dissimilarity"} <= modules
     assert not {"numpy", "dataclasses"} & modules
+    assert {m.partition(".")[0] for m in modules} <= STDLIB
 
 
 def test_numpy_is_really_blocked():
