@@ -35,7 +35,7 @@ if TYPE_CHECKING:
 _LAZY = {
     "ProbeConfig": "kernel",
     "_closed_form": "kernel",
-    "_count": "kernel",
+    "_counts": "kernel",
     "compare": "kernel",
     "_model_distances": "indexes",
     "build_index_rows": "indexes",
@@ -137,9 +137,9 @@ def cmd_compare(args) -> int:
 def cmd_batch(args) -> int:
     table = _load_table(args.data, args.lenient)
     delta = args.delta
-    k_cont, w_star, sim_sum, sims = _closed_form(_pick_query(args, table), table.columns(), delta)
-    d = [_count(len(sims), s, w, delta) for s, w in zip(sim_sum, w_star)]
-    rows = zip(table.names, map(int, d), _six_places([n * delta for n in d]), _six_places(k_cont))
+    k_cont, _, sim_sum, sims = _closed_form(_pick_query(args, table), table.columns(), delta)
+    d = _counts(len(sims), sim_sum, delta)
+    rows = zip(table.names, d, _six_places([n * delta for n in d]), _six_places(k_cont))
     _write_text(_csv_text(["name", "d", "k", "k_cont"], rows), args.out)
     return 0
 

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .averaging import AveragingConfig, _polarize3, bipartition
 from .errors import DegenerateSymmetryError, DomainError, NonPolarizedError, NotSwitchedError
-from .kernel import ObjectRecord, ProbeConfig, _check_schema, _clone_similarity, _ratio_sims, _sum8
+from .kernel import ObjectRecord, ProbeConfig, _check_schema, _ratio_sims, _sum8
 from .similarity import WeightedParameterSet, blend_from_objects
 
 # not public here (see __all__); bench/child.py and bench/spans.py import these two from this module
@@ -54,8 +54,9 @@ class _ProbeProblem:
         self.delta = cfg.delta
         self.n_params = len(query.param_names)
         self.base_sum = _sum8(_ratio_sims(query.param_values, target.param_values))
-        # the clones' probe similarity; anchor and target share probe value 1
-        self.sim_ab = _clone_similarity(cfg.delta)
+        # the ratio similarity of the clones' probe values 1 and 1 + delta;
+        # anchor and target share probe value 1
+        self.sim_ab = 1.0 / (1.0 + cfg.delta)
 
     def entries(self, weight: float) -> tuple[float, float, float]:
         """Blended entries (anchor-offset, anchor-target, offset-target)."""
@@ -75,6 +76,13 @@ class _ProbeProblem:
             return winner == 1
         # decisive entries tied: the switch fires at equality
         return x >= u
+
+    def switched_at(self, weight: int) -> bool:
+        """The switch test, anchor-target entry (S + w) / (P + w) >= clone-clone entry
+        (P + w / (1 + delta)) / (P + w), decided exactly at a whole weight: with
+        S = a / b and delta = c / e it is (a + w * b) * (e + c) >= P * b * (e + c) + w * b * e."""
+        (a, b), (c, e) = self.base_sum.as_integer_ratio(), self.delta.as_integer_ratio()
+        return (a + weight * b) * (e + c) >= self.n_params * b * (e + c) + weight * b * e
 
 
 def _probe_param_name(schema: Sequence[str]) -> str:
@@ -149,12 +157,14 @@ def _search_switch(problem: _ProbeProblem) -> float:
             hi = mid
         else:
             lo = mid
-    # snap onto an integer boundary inside the final bracket: when the true
-    # switch weight is a whole number, ceil(hi) would otherwise overshoot
-    # the multiplication count by one
-    candidate = float(math.floor(hi))
-    if lo < candidate < hi and problem.anchor_with_target(candidate):
-        hi = candidate
+    # the predicate's rounding can leave hi a hair above a whole-number switch
+    # weight or a hair below the whole number it exceeds, and ceil(hi) one count
+    # off; the exact test at the whole weights either side of hi decides
+    whole = math.ceil(hi)
+    if whole > 1 and problem.switched_at(whole - 1):
+        hi = float(whole - 1)
+    elif not problem.switched_at(whole):
+        hi = math.nextafter(float(whole), math.inf)
     return hi
 
 
@@ -164,10 +174,11 @@ def switch_weight(query: ObjectRecord, target: ObjectRecord, cfg: ProbeConfig | 
     The paper's search, kept as the oracle for the closed form: the
     grouping predicate is monotone in the weight, so the minimum is located
     by exponential bracketing and bisection down to a relative width of
-    1e-12.  Returns 0.0 when the target is indistinguishable from the query
-    (the predicate holds at arbitrarily small weights).  Raises
-    NotSwitchedError if the predicate is still false at weight 1e12; it is
-    the only function that can.
+    1e-12; the switch test decided exactly at the whole weights either side
+    settles its ceiling.  Returns 0.0 when the target is indistinguishable
+    from the query (the predicate holds at arbitrarily small weights).
+    Raises NotSwitchedError if the predicate is still false at weight 1e12;
+    it is the only function that can.
     """
     cfg = cfg or ProbeConfig()
     return _search_switch(_ProbeProblem(query, target, cfg))

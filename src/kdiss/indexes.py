@@ -24,8 +24,8 @@ def mu_index(k_ut: float, k_mt: float) -> float:
     100 means the target coincides with the query behind k_mt (that K is 0),
     0 means it coincides with the query behind k_ut.
     """
-    if k_ut < 0 or k_mt < 0:
-        raise DomainError("K values must be non-negative")
+    if not (0.0 <= k_ut < math.inf and 0.0 <= k_mt < math.inf):
+        raise DomainError(f"K values must be finite and non-negative, got ({k_ut!r}, {k_mt!r})")
     if k_ut + k_mt == 0:
         raise DomainError("mu_index is undefined when both K values are zero")
     return _share(k_ut, k_mt)
@@ -45,8 +45,8 @@ def p_uniform(d_un: float, d_e: float, variant: str = "normalized") -> float:
     as_written: 100 * (1 - d_un) / (d_un + d_e), which goes negative as soon
     as d_un exceeds 1; kept selectable for fidelity to the original formula.
     """
-    if d_un < 0 or d_e < 0:
-        raise DomainError("distances must be non-negative")
+    if not (0.0 <= d_un < math.inf and 0.0 <= d_e < math.inf):
+        raise DomainError(f"distances must be finite and non-negative, got ({d_un!r}, {d_e!r})")
     total = d_un + d_e
     if total == 0:
         raise DomainError("p_uniform is undefined when both distances are zero")

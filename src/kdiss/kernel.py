@@ -11,7 +11,6 @@ kdiss.similarity, kdiss.averaging and kdiss.dissimilarity as the oracle.
 from __future__ import annotations
 
 import math
-import sys
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -143,10 +142,10 @@ class ProbeConfig(_ProbeFields):
 class ComparisonResult(NamedTuple):
     """One query-target comparison: critical weight, counts, and increments.
 
-    k_cont = w_star * delta; d = max(1, ceil(w_star)), or one step off it
-    where w_star lies within the switch test's rounding of a whole number
-    (an integral w_star can give d = w_star); k = d * delta.  The increments map
-    each parameter to its share of k_cont and sum back to k_cont exactly.
+    k_cont = w_star * delta; d = max(1, ceil(w*)) with w* exact for the float
+    similarity sum and delta, so an integral w* gives d = w*; k = d * delta.
+    The increments map each parameter to its share of k_cont and sum back to
+    k_cont exactly.
     """
 
     query: str
@@ -164,11 +163,6 @@ def _check_schema(query: ObjectRecord, target: ObjectRecord) -> None:
         raise SchemaError(f"query {query.name!r} and target {target.name!r} do not share a parameter schema")
     if len(query.param_names) == 0:
         raise SchemaError("objects need at least one parameter")
-
-
-def _clone_similarity(delta: float) -> float:
-    """Ratio similarity of the clones' probe values 1 and 1 + delta."""
-    return 1.0 / (1.0 + delta)
 
 
 def _ratio_sims(query: Sequence[float], target: Sequence[float]) -> list[float]:
@@ -208,24 +202,12 @@ def _weights(n_params: int, sim_sums: Iterable[float], delta: float) -> tuple[li
     return k_cont, w_star
 
 
-# a few roundings, relative: the switch test's error, in whole weights, is about
-# this times (P + w*) * (1 + delta) / delta
-_TEST_ROUNDING = 4 * sys.float_info.epsilon
-
-
-def _count(n_params: int, sim_sum: float, w_star: float, delta: float) -> float:
-    """D: max(1, ceil(w*)), or one step off it where the switch test, in the search's
-    arithmetic, passes at ceil(w*) - 1 or fails at ceil(w*), which it can only where
-    w* lies within its rounding of a whole number; so D is the search's.  Where that
-    rounding reaches half a whole weight (below delta 1e-7 or so at 34 parameters),
-    the test places no whole weight, and D = max(1, ceil(w*))."""
-    sim_ab, n = _clone_similarity(delta), max(float(math.ceil(w_star)), 1.0)
-    if _TEST_ROUNDING * (n_params + w_star) * (1.0 + delta) / delta >= 0.5:
-        return n
-    for w in (max(n - 1.0, 1.0), n):
-        if (sim_sum + w) / (n_params + w) >= (n_params + w * sim_ab) / (n_params + w):
-            return w
-    return n + 1.0
+def _counts(n_params: int, sim_sums: Iterable[float], delta: float) -> list[int]:
+    """D = max(1, ceil(w*)) for each similarity sum S, with w* = (P - S) * (1 + delta)
+    / delta taken exactly for the floats S and delta: the switch test decided in
+    integers, S = a / b and delta = c / e giving w* = (P * b - a) * (e + c) / (b * c)."""
+    c, e = delta.as_integer_ratio()
+    return [max(1, -((a - n_params * b) * (e + c) // (b * c))) for a, b in map(float.as_integer_ratio, sim_sums)]
 
 
 def _increment_columns(sim_columns: Sequence[Sequence[float]], k_cont: Sequence[float]) -> list[list[float]]:
@@ -280,9 +262,9 @@ def batch_compare(
         return []
     names, columns = query.param_names, list(zip(*(t.param_values for t in targets)))
     k_cont, w_star, sim_sum, sims = _closed_form(query.param_values, columns, delta)
-    d = [_count(len(names), s, w, delta) for s, w in zip(sim_sum, w_star)]
+    d = _counts(len(names), sim_sum, delta)
     incs = zip(*_increment_columns(sims, k_cont))
     return [
-        ComparisonResult(query.name, t.name, delta, w, int(n), n * delta, k, dict(zip(names, row)))
+        ComparisonResult(query.name, t.name, delta, w, n, n * delta, k, dict(zip(names, row)))
         for t, w, n, k, row in zip(targets, w_star, d, k_cont, incs)
     ]

@@ -108,9 +108,9 @@ def join(
 
     Fields resolve against the index columns first, then the indicator
     names; ``ppb`` derives from the ``birth_rate`` indicator.  Names that
-    cannot be resolved (or whose birth rate has no ppb, or that hit a
-    transform domain error, e.g. log10 of a non-positive value) are reported
-    back, never dropped silently.
+    cannot be resolved (or whose birth rate has no ppb, that hit a transform
+    domain error, e.g. log10 of a non-positive value, or whose x or y is not
+    finite) are reported back, never dropped silently.
     """
     if x_transform not in _TRANSFORMS or y_transform not in _TRANSFORMS:
         raise DomainError(f"unknown transform; supported: {sorted(k for k in _TRANSFORMS if k)}")
@@ -129,16 +129,16 @@ def join(
             missing = x_field if x_raw is None else y_field
             unmatched.append(f"{row.name}: no value for {missing!r}")
             continue
-        if math.isnan(x_raw) or math.isnan(y_raw):
-            unmatched.append(f"{row.name}: undefined value")
-            continue
         try:
-            x = fx(x_raw)
-            y = fy(y_raw)
+            x = float(fx(x_raw))
+            y = float(fy(y_raw))
         except (ValueError, DomainError):
             unmatched.append(f"{row.name}: transform domain error")
             continue
-        points.append((float(x), float(y), row.name))
+        if not (math.isfinite(x) and math.isfinite(y)):
+            unmatched.append(f"{row.name}: undefined value")
+            continue
+        points.append((x, y, row.name))
     x_name = f"{x_transform}({x_field})" if x_transform else x_field
     y_name = f"{y_transform}({y_field})" if y_transform else y_field
     return ScatterSeries(f"{y_field} vs {x_field}", tuple(points), None, x_name, y_name), unmatched

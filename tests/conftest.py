@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from kdiss.kernel import ObjectRecord
+from kdiss.kernel import ObjectRecord, _ratio_sims, _sum8
 from kdiss.pyramids import PyramidTable, exponential_model, normalize, uniform_model
 
 
@@ -43,6 +45,13 @@ def pair_with_sims(sims, name_q="q", name_t="t"):
     q = ObjectRecord.from_values(name_q, names, [1.0] * len(sims))
     t = ObjectRecord.from_values(name_t, names, [1.0 / s if s > 0 else 0.0 for s in sims])
     return q, t
+
+
+def exact_d(query, target, delta: float) -> int:
+    """The reference D: max(1, ceil(w*)), w* = (P - S) * (1 + delta) / delta taken
+    in Fractions for the engine's float similarity sum S and the float delta."""
+    sim_sum = Fraction(_sum8(_ratio_sims(query, target)))
+    return max(1, math.ceil((len(query) - sim_sum) * (1 + Fraction(delta)) / Fraction(delta)))
 
 
 def allclose(got, want, rtol=1e-5, atol=1e-8):

@@ -11,8 +11,9 @@ import pytest
 import kdiss.cli
 from kdiss.cli import main
 from kdiss.formats import COHORTS, MALE_COHORTS
+from kdiss.pyramids import ingest
 
-from conftest import STRICT_ENCODING
+from conftest import STRICT_ENCODING, exact_d
 
 
 def run(capsys, *argv):
@@ -176,6 +177,18 @@ class TestBatch:
         assert code == 0, err
         ks = [float(line.split(",")[2]) for line in out.splitlines()[1:]]
         assert len(ks) == 10 and all(math.isfinite(k) for k in ks) and max(ks) > 0
+
+    @pytest.mark.parametrize("delta", ["1e-6", "1e-300"])
+    def test_counts_are_the_exact_ceiling(self, pyramid_csv, capsys, delta):
+        """Every d is max(1, ceil(w*)) of the exact w*, printed as the whole integer
+        also where it passes 2**53 and a float would round it."""
+        code, out, err = run(capsys, "batch", pyramid_csv, "--query", "country03", "--delta", delta)
+        assert code == 0, err
+        table = ingest(pyramid_csv)
+        query = table.record("country03").param_values
+        got = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
+        assert got == [exact_d(query, table.record(name).param_values, float(delta)) for name in table.names]
+        assert got[3] == 1 and (max(got) > 2**53) == (delta == "1e-300")
 
     def test_bad_model_spec(self, pyramid_csv, capsys):
         code, _, err = run(capsys, "batch", pyramid_csv, "--model", "quadratic")
@@ -394,6 +407,20 @@ class TestReport:
         )
         assert code == 0
         assert err.count("unmatched") == 9
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_infinite_value_is_unmatched(self, index_csv, tmp_path, capsys, fmt):
+        lines = index_csv.read_text().splitlines()
+        column = lines[0].split(",").index("k_mt")
+        row = lines[3].split(",")
+        row[column] = "inf"
+        lines[3] = ",".join(row)
+        path = tmp_path / "inf.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "report", "--indexes", path, "--x", "k_mt", "--y", "mu", "--format", fmt)
+        assert code == 0, err
+        assert err == f"unmatched: {row[0]}: undefined value\n"
+        assert out.startswith("<svg" if fmt == "svg" else "# label=mu vs k_mt\n# n=9\n# fit slope=")
 
     def test_failed_fit_warns_and_keeps_stdout(self, index_csv, tmp_path, capsys):
         # all three points share one x: no fit line, and stderr says why

@@ -33,6 +33,11 @@ class TestMuIndex:
         with pytest.raises(DomainError):
             mu_index(-1.0, 2.0)
 
+    @pytest.mark.parametrize("k_ut, k_mt", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, -math.inf)])
+    def test_non_finite_rejected(self, k_ut, k_mt):
+        with pytest.raises(DomainError, match="finite"):
+            mu_index(k_ut, k_mt)
+
     @given(positive_k, positive_k)
     def test_complement(self, a, b):
         assert mu_index(a, b) + mu_index(b, a) == pytest.approx(100.0, abs=1e-12)
@@ -59,6 +64,12 @@ class TestPUniform:
     def test_both_zero(self):
         with pytest.raises(DomainError):
             p_uniform(0.0, 0.0)
+
+    @pytest.mark.parametrize("d_un, d_e", [(math.nan, 1.0), (1.0, math.inf), (math.inf, math.inf), (-math.inf, 1.0)])
+    @pytest.mark.parametrize("variant", ["normalized", "as_written"])
+    def test_non_finite_rejected(self, d_un, d_e, variant):
+        with pytest.raises(DomainError, match="finite"):
+            p_uniform(d_un, d_e, variant)
 
     def test_unknown_variant(self):
         with pytest.raises(DomainError):

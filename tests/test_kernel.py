@@ -21,7 +21,7 @@ from kdiss.kernel import _closed_form, _increment_columns, _ratio_sims, _row_sum
 from kdiss.pyramids import PyramidTable, normalize, write_pyramid_csv
 from kdiss.store import IncrementStore
 
-from conftest import pair_with_sims, random_pair, synthetic_table
+from conftest import exact_d, pair_with_sims, random_pair, synthetic_table
 
 
 def _increments(sims, k_cont):
@@ -55,6 +55,8 @@ def test_random_pairs_match_search(rng):
     st.lists(st.floats(min_value=0.05, max_value=0.95), min_size=1, max_size=34),
     st.sampled_from(DELTAS),
 )
+@example([0.5, 0.5], 1e-3)  # the bisection ends a hair above 1001, the exact w*'s ceiling
+@example([0.5] * 12, 1e-6)  # it ends a hair below 6000006, which the exact w* exceeds
 def test_property_matches_search(sims, delta):
     q, t = pair_with_sims(sims)
     assert_matches_search(q, t, ProbeConfig(delta=delta))
@@ -70,9 +72,8 @@ SIMS = st.lists(st.one_of(st.floats(min_value=0.05, max_value=0.95), st.just(1.0
 @given(SIMS, st.sampled_from(DELTAS), st.sampled_from(DELTAS))
 def test_property_k_delta_constancy(sims, delta_a, delta_b):
     """K_cont / (1 + delta) is the same at every delta, on the kernel and on the
-    search, and the whole-step K = D * delta sits within one delta above K_cont,
-    give or take the rounding of w*: D comes from the predicate, which can
-    move a w* that lies within rounding of a whole number one step either way."""
+    search, and the whole-step K = D * delta sits within one delta above K_cont
+    up to K_cont's own rounding: D is the ceiling of the exact w*."""
     q, t = pair_with_sims(sims)
     kernel, search = [], []
     for delta in (delta_a, delta_b):
@@ -112,7 +113,7 @@ def test_property_increment_additivity(sims, delta, data):
 
 @pytest.mark.parametrize(
     "sims, delta, d",
-    [([0.5, 0.5], 0.01, 101), ([0.75] * 4, 0.25, 5), ([0.9, 0.8, 0.7, 0.6], 0.1, 11)],
+    [([0.5, 0.5], 0.01, 101), ([0.75] * 4, 0.25, 5), ([0.9, 0.8, 0.7, 0.6], 0.1, 11), ([0.5, 0.5], 1e-3, 1001)],
 )
 def test_integral_switch_weight_gives_d_equal_w_star(sims, delta, d):
     q, t = pair_with_sims(sims)
@@ -121,27 +122,23 @@ def test_integral_switch_weight_gives_d_equal_w_star(sims, delta, d):
     assert switch_weight(q, t, cfg) == d
 
 
-# from deltas at which the switch test's own rounding spans many whole weights up to 1
+# from deltas at which the float switch test's rounding spans many whole weights up to 1
 BRACKET_DELTAS = (1e-13, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 0.1, 1.0)
 
 
 @settings(max_examples=300, deadline=None)
 @given(SIMS, st.sampled_from(BRACKET_DELTAS))
-@example([0.5, 0.5], 1e-3)  # w* = 1001 computes as 1000.9999999999999; the search gives D = 1002
-@example([0.5, 0.5], 0.01)  # w* = 101 computes as 101.00000000000001; D = 101
+@example([0.5, 0.5], 1e-3)  # float 1e-3 is a hair above 1e-3: w* is just below 1001, D = 1001
+@example([0.5, 0.5], 1e-6)  # float 1e-6 is a hair below 1e-6: w* is just above 1000001, D = 1000002
+@example([0.5, 0.5], 0.01)  # w* is just below 101 and computes as 101.00000000000001; D = 101
+@example([0.94921875, 0.05078125], 1e-13)  # w* computes as 10000000000000.998; D = 10000000000002
 def test_property_d_brackets_w_star(sims, delta):
-    """D is max(1, ceil(w*)) but where w* lies within the switch test's rounding
-    of a whole number and that rounding is below half a whole weight; there D
-    may be one step off, as the search's is.  So K_cont <= K up to that rounding."""
+    """D is max(1, ceil(w*)) of the exact w* for the float similarity sum and
+    delta, at every delta; so K_cont <= K up to K_cont's own rounding."""
     q, t = pair_with_sims(sims)
     result = compare(q, t, ProbeConfig(delta=delta))
-    top = max(1, math.ceil(result.w_star))
-    rounding = 4 * sys.float_info.epsilon * (len(sims) + result.w_star) * (1.0 + delta) / delta
-    assert top - 1 <= result.d <= top + 1
-    if result.d != top:
-        assert rounding < 0.5 and abs(result.w_star - round(result.w_star)) <= rounding
-    slack = delta * rounding if result.d < top else 0.0
-    assert result.k_cont <= result.k * (1.0 + 4 * sys.float_info.epsilon) + slack
+    assert result.d == exact_d(q.param_values, t.param_values, delta)
+    assert result.k_cont <= result.k * (1.0 + 4 * sys.float_info.epsilon)
 
 
 def test_batch_paths_never_run_the_search(monkeypatch, tmp_path, capsys):

@@ -112,6 +112,18 @@ class TestJoin:
         assert series.points[0][1] == pytest.approx(2.0)
         assert len(unmatched) == 1
 
+    def test_non_finite_values_are_unmatched(self):
+        """An inf read from an index or indicator file is listed, as nan is, and
+        never reaches the fit, whose sums would be -inf + inf."""
+        rows = [index_row("aa", k_mt=1.0), index_row("bb", k_mt=math.inf), index_row("cc", k_mt=math.nan)]
+        rows += [index_row("dd", mu=math.inf, k_mt=2.0), index_row("ee", k_mt=3.0)]
+        series, unmatched = join(rows, None, "k_mt", "mu")
+        assert series.points == ((1.0, 50.0, "aa"), (3.0, 50.0, "ee"))
+        assert unmatched == ["bb: undefined value", "cc: undefined value", "dd: undefined value"]
+        series, unmatched = join(rows[:2], None, "k_mt", "mu", x_transform="log10")
+        assert series.points == ((0.0, 50.0, "aa"),)
+        assert unmatched == ["bb: undefined value"]
+
     def test_unknown_transform(self):
         with pytest.raises(DomainError):
             join([index_row("aa")], None, "mu", "k_mt", x_transform="sqrt")

@@ -95,8 +95,9 @@ def test_import_cli_loads_no_numpy():
 CORE = {"kdiss", "kdiss.errors", "kdiss.formats"}
 ENGINE = CORE | {"kdiss.kernel", "kdiss.pyramids"}
 INDEXES = ENGINE | {"kdiss.indexes"}
-# stdlib modules that cost more to import than a whole engine command runs
-HEAVY = {"dataclasses", "inspect"}
+# stdlib modules that cost more to import than a whole engine command runs; the
+# exact D is whole-integer arithmetic, so fractions and decimal are among them
+HEAVY = {"dataclasses", "decimal", "fractions", "inspect"}
 STDLIB = set(sys.stdlib_module_names) | {"kdiss"}
 PAIR = ("--query", "country00", "--target", "country07")
 REPORT = ("report", "--indexes", OUTPUT / "index.csv", "--indicators", INDICATORS, "--x", "mu")
