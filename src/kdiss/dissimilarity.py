@@ -15,8 +15,8 @@ With three objects and mean blending the split reduces to one test,
 delta) / delta in closed form, which kdiss.kernel evaluates.  This module
 keeps the paper's mechanism as the oracle the closed form must agree with:
 grouped_with_target (one evaluation of the grouping predicate) and
-switch_weight (exponential bracketing plus bisection on that monotone
-predicate).
+switch_weight (bisection on a log scale between 1e-30 and 1e12 on that
+monotone predicate).
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ OFFSET_LABEL = "clone-b"
 TARGET_LABEL = "target"
 
 _WEIGHT_FLOOR = 1e-30
-_BRACKET_STEP = 16.0
-_MAX_WEIGHT = 1e12  # the bracketing search gives up above this weight
-_WEIGHT_TOL = 1e-12  # relative bracket width at which the bisection stops
+_MAX_WEIGHT = 1e12  # the search gives up above this weight
+_WEIGHT_TOL = 1e-12  # relative width at which the bisection stops
 _AVERAGING = AveragingConfig(max_iterations=500)
 
 
@@ -123,34 +122,16 @@ def grouped_with_target(
 
 
 def _search_switch(problem: _ProbeProblem) -> float:
-    if problem.anchor_with_target(1.0):
-        hi = 1.0
-        w = 1.0
-        while True:
-            w /= _BRACKET_STEP
-            if w < _WEIGHT_FLOOR:
-                return 0.0
-            if problem.anchor_with_target(w):
-                hi = w
-            else:
-                lo = w
-                break
-    else:
-        lo = 1.0
-        w = 1.0
-        while True:
-            w *= _BRACKET_STEP
-            if w > _MAX_WEIGHT:
-                raise NotSwitchedError(
-                    f"no switch up to weight {_MAX_WEIGHT:g} "
-                    f"(delta={problem.delta:g} may be too small for this pair)"
-                )
-            if problem.anchor_with_target(w):
-                hi = w
-                break
-            lo = w
+    lo, hi = _WEIGHT_FLOOR, _MAX_WEIGHT
+    if problem.anchor_with_target(lo):
+        return 0.0
+    if not problem.anchor_with_target(hi):
+        raise NotSwitchedError(
+            f"no switch up to weight {_MAX_WEIGHT:g} "
+            f"(delta={problem.delta:g} may be too small for this pair)"
+        )
     while hi - lo > _WEIGHT_TOL * hi:
-        mid = 0.5 * (lo + hi)
+        mid = math.sqrt(lo * hi)
         if not (lo < mid < hi):
             break
         if problem.anchor_with_target(mid):
@@ -173,12 +154,15 @@ def switch_weight(query: ObjectRecord, target: ObjectRecord, cfg: ProbeConfig | 
 
     The paper's search, kept as the oracle for the closed form: the
     grouping predicate is monotone in the weight, so the minimum is located
-    by exponential bracketing and bisection down to a relative width of
-    1e-12; the switch test decided exactly at the whole weights either side
-    settles its ceiling.  Returns 0.0 when the target is indistinguishable
-    from the query (the predicate holds at arbitrarily small weights).
-    Raises NotSwitchedError if the predicate is still false at weight 1e12;
-    it is the only function that can.
+    by bisection on a log scale between 1e-30 and 1e12, down to a relative
+    width of 1e-12; the switch test decided exactly at the whole weights
+    either side settles its ceiling.  The float predicate resolves the
+    weight to about 2.2e-16 / delta relative, so max(1, ceil) is D only
+    while that is below one unit step (tested: delta 1e-6 to 0.1, up to 34
+    parameters).  Returns 0.0 when the predicate holds at weight 1e-30 (a
+    target indistinguishable from the query).  Raises NotSwitchedError if
+    the predicate is still false at weight 1e12; it is the only function
+    that can.
     """
     cfg = cfg or ProbeConfig()
     return _search_switch(_ProbeProblem(query, target, cfg))

@@ -149,7 +149,7 @@ def read_index_csv(source: str | Path | IO[str]) -> list[IndexRow]:
     rows = []
     for rownum, row in _csv_rows(source, INDEX_COLUMNS, f"bad header: expected {','.join(INDEX_COLUMNS)}"):
         if len(row) != len(INDEX_COLUMNS):
-            raise SchemaError(f"row {rownum}: expected {len(INDEX_COLUMNS)} fields")
+            raise SchemaError(f"row {rownum}: expected {len(INDEX_COLUMNS)} fields, got {len(row)}")
         try:
             rows.append(IndexRow(row[0], *(float(v) for v in row[1:])))
         except ValueError as exc:

@@ -222,14 +222,15 @@ def exponential_model(rate: float) -> ObjectRecord:
     Within each sex the cohort at age index k holds a share proportional to
     (1 - rate)**k, the sexes split 50/50, so the combined share of age
     cohort k is 100 * q**k * (1 - q) / (1 - q**17) with q = 1 - rate.
-    rate=0 reproduces the uniform model exactly.
+    rate=0, and any rate of 2**-54 or less (which leaves q at 1.0),
+    reproduces the uniform model exactly.
     """
     if not (math.isfinite(rate) and 0.0 <= rate < 1.0):
         raise DomainError(f"rate must lie in [0, 1), got {rate!r}")
     name = f"E{rate * 100:g}"
-    if rate == 0.0:
-        return ObjectRecord.from_values(name, COHORTS, [_UNIFORM_SHARE] * 34)
     q = 1.0 - rate
+    if q == 1.0:
+        return ObjectRecord.from_values(name, COHORTS, [_UNIFORM_SHARE] * 34)
     factor = 50.0 * (1.0 - q) / (1.0 - q**17)
     per_sex = [factor * q**k for k in range(17)]
     return ObjectRecord.from_values(name, COHORTS, per_sex + per_sex)

@@ -33,6 +33,11 @@ class TestModel:
         assert round(float(first[3]), 2) == 30.07
         assert round(float(second[3]), 2) == 21.05
 
+    def test_exponential_at_a_rate_that_leaves_q_at_one(self, capsys):
+        code, out, err = run(capsys, "model", "--kind", "exp", "--rate", "1e-20")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "model", "--kind", "uniform")[1]
+
     def test_uniform(self, capsys):
         code, out, _ = run(capsys, "model", "--kind", "uniform")
         assert code == 0
@@ -200,6 +205,11 @@ class TestBatch:
         code, out, err = run(capsys, "batch", pyramid_csv, "--model", spec)
         assert (code, out) == (2, "")
         assert err == f"error: bad model spec {spec!r}: use 'uniform' or 'exp:RATE'\n"
+
+    def test_model_rate_that_leaves_q_at_one(self, pyramid_csv, capsys):
+        code, out, err = run(capsys, "batch", pyramid_csv, "--model", "exp:1e-20")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "batch", pyramid_csv, "--model", "uniform")[1]
 
     def test_out_of_range_model_rate_is_a_usage_error(self, pyramid_csv, capsys):
         code, out, err = run(capsys, "batch", pyramid_csv, "--model", "exp:2")
@@ -421,6 +431,25 @@ class TestReport:
         assert code == 0, err
         assert err == f"unmatched: {row[0]}: undefined value\n"
         assert out.startswith("<svg" if fmt == "svg" else "# label=mu vs k_mt\n# n=9\n# fit slope=")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda row: row[:-1], "row 4: expected 9 fields, got 8"),
+            (
+                lambda row: row[:5] + ["many"] + row[6:],
+                "row 4: non-numeric value (could not convert string to float: 'many')",
+            ),
+        ],
+        ids=["short-row", "non-numeric"],
+    )
+    def test_bad_index_row_names_its_row(self, index_csv, tmp_path, capsys, edit, message):
+        lines = index_csv.read_text().splitlines()
+        lines[3] = ",".join(edit(lines[3].split(",")))
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "report", "--indexes", path, "--x", "k_mt", "--y", "mu")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_failed_fit_warns_and_keeps_stdout(self, index_csv, tmp_path, capsys):
         # all three points share one x: no fit line, and stderr says why

@@ -92,6 +92,15 @@ class TestSwitchWeight:
         with pytest.raises(NotSwitchedError, match=r"no switch up to weight 1e\+12"):
             switch_weight(q, t, ProbeConfig(delta=1e-13))
 
+    def test_switch_weight_near_the_cap(self):
+        # w* = 70000 * (1 + 1e-6) / 1e-6 = 7.000007e10 lies below the cap of 1e12; at this
+        # scale the predicate resolves w* to about 2.2e-16 / delta relative, several
+        # unit steps, so the test holds K_cont to 1e-9 and does not compare D
+        q, t = pair_with_sims([0.0] * 70_000)
+        cfg = ProbeConfig(delta=1e-6)
+        w = switch_weight(q, t, cfg)
+        assert w * cfg.delta == pytest.approx(compare(q, t, cfg).k_cont, rel=1e-9, abs=0.0)
+
     def test_schema_mismatch(self):
         q = ObjectRecord.from_values("q", ["a"], [1.0])
         t = ObjectRecord.from_values("t", ["b"], [1.0])

@@ -1,8 +1,8 @@
 """The closed-form kernel against the paper's mechanism.
 
 compare, batch_compare and the index paths evaluate w* in closed form;
-switch_weight keeps the bracketing-plus-bisection search on the grouping
-predicate.  D must agree exactly and K_cont within 1e-9 relative.
+switch_weight keeps the bisection on a log scale between 1e-30 and 1e12 on
+the grouping predicate.  D must agree exactly and K_cont within 1e-9 relative.
 """
 
 import math

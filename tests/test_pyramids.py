@@ -417,6 +417,11 @@ class TestUniformModel:
     def test_equals_exponential_zero(self):
         assert uniform_model().params == exponential_model(0.0).params
 
+    @pytest.mark.parametrize("rate", [1e-20, 2.0**-54])
+    def test_equals_exponential_at_rates_that_leave_q_at_one(self, rate):
+        # 1 - rate rounds to 1.0, where the shrinking shares would be 0 / 0
+        assert exponential_model(rate).param_values == uniform_model().param_values
+
 
 class TestExponentialModel:
     def test_pinned_combined_shares(self):

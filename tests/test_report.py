@@ -230,6 +230,16 @@ class TestEmit:
         circles = [el for el in root.iter() if el.tag.endswith("circle")]
         assert len(circles) == 3
 
+    def test_svg_axis_when_every_x_is_equal(self):
+        # one x has no range to pad by a share of: the axis runs from x - 1 to x + 1
+        series = ScatterSeries("s", ((2.5, 1.0, "a"), (2.5, 3.0, "b")))
+        root = ET.fromstring(emit(series, "svg").decode())
+        texts = [el for el in root.iter() if el.tag.endswith("text")]
+        x_axis = [el.text for el in texts if el.get("font-size") == "11" and el.get("text-anchor") == "middle"]
+        assert x_axis == ["1.5", "3.5"]
+        cxs = {el.get("cx") for el in root.iter() if el.tag.endswith("circle")}
+        assert cxs == {"345.00"}  # the middle of the plot, 70 + 550 / 2
+
     def test_empty_svg(self):
         root = ET.fromstring(emit(ScatterSeries("none", ()), "svg").decode())
         assert root.tag.endswith("svg")

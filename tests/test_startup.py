@@ -13,7 +13,8 @@ compute K must still produce the tracked demo outputs byte for byte.  The
 same commands also run in an interpreter where importing numpy fails.
 Neither the package's public names nor the paper's oracle (the search, the
 grouping predicate, a bipartition) import numpy or ``dataclasses``.  Each submodule's ``__all__`` lists exactly the names it
-defines, and ``kdiss`` reaches every one of them.
+defines, and ``kdiss`` reaches every one of them.  Every ``kdiss`` name that
+a ``bench/*.py`` file imports exists.
 """
 
 import ast
@@ -312,6 +313,28 @@ def test_each_public_name_has_one_home():
     # the benchmark imports these two from kdiss.dissimilarity
     assert kdiss.dissimilarity.IncrementStore is kdiss.store.IncrementStore is kdiss.IncrementStore
     assert kdiss.dissimilarity.ComparisonResult is kdiss.kernel.ComparisonResult
+
+
+def _bench_kdiss_imports():
+    """(file, module, name or None) for each kdiss import written in bench/*.py."""
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names if alias.name.split(".")[0] == "kdiss"]
+                yield from ((path.name, name, None) for name in names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "kdiss":
+                yield from ((path.name, node.module, alias.name) for alias in node.names)
+
+
+def test_benchmark_imports_resolve():
+    # the benchmark runs this tree's src/ unchanged: a name it imports that
+    # src/ no longer has would fail the run, not a test
+    found = list(_bench_kdiss_imports())
+    assert found
+    for filename, module_name, name in found:
+        module = importlib.import_module(module_name)
+        if name is not None:
+            assert hasattr(module, name), f"bench/{filename}: from {module_name} import {name}"
 
 
 def test_package_exports_every_public_name():
