@@ -16,6 +16,7 @@ import errno
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -175,7 +176,10 @@ def cmd_punif(args) -> int:
 def cmd_store(args) -> int:
     if args.action == "combine" and not os.path.exists(args.store):  # put creates a missing store
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.store)
-    store = IncrementStore(args.store)
+    with warnings.catch_warnings(record=True) as caught:  # the torn-final-line warning, as a message
+        warnings.simplefilter("always")
+        store = IncrementStore(args.store)
+    _write_stderr(f"warning: {w.message}" for w in caught)
     if args.action == "put":
         table = _load_table(args.data, args.lenient)
         query = table.record(args.query)

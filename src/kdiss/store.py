@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import warnings
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -19,14 +21,26 @@ if TYPE_CHECKING:
 __all__ = ["IncrementStore"]
 
 
-def _is_record(line: bytes) -> bool:
-    """Whether one store line, newline excluded, holds five fields with both numbers valid."""
+def _line_fault(line: str) -> str | ValueError | None:
+    """Why one store line, newline excluded, is not a record (five fields with
+    both numbers valid): its field count, or the ValueError of the first
+    number that does not parse; None for a record."""
+    fields = line.split("\t")
+    if len(fields) != 5:
+        return f"expected 5 tab-separated fields, got {len(fields)}"
     try:
-        _, _, delta, _, inc = line.decode("utf-8").split("\t")
-        float(delta), float(inc)
-    except ValueError:  # includes a decoding error and a wrong field count
+        float(fields[2]), float(fields[4])
+    except ValueError as exc:
+        return exc
+    return None
+
+
+def _is_record(line: bytes) -> bool:
+    """Whether one store line, newline excluded, is valid UTF-8 and a record."""
+    try:
+        return _line_fault(line.decode("utf-8")) is None
+    except UnicodeDecodeError:
         return False
-    return True
 
 
 def _encodes(text: str) -> bool:
@@ -77,9 +91,11 @@ class IncrementStore:
 
     Floats are written with repr so they round-trip exactly.  A later
     record for the same (query, target, delta, param_name) key replaces
-    the earlier one on load.  A final line without its newline that does
-    not parse, as a crash mid-write leaves it, is skipped with a warning,
-    and the next put writes over it.  A put checks its names in one pass,
+    the earlier one on load.  The load interns each parameter name
+    (sys.intern), so all records of one parameter key on one shared
+    string.  A final line without its newline that does not parse, as a
+    crash mid-write leaves it, is skipped with a warning, and the next put
+    writes over it.  A put checks its names in one pass,
     then converts its delta and its values with float(), rejecting a delta
     that is not finite and > 0 and a value that is not finite; only then does
     it index those floats and append the pair's run of lines through one file
@@ -105,25 +121,26 @@ class IncrementStore:
             lines[-1] = tail.decode("utf-8")
         elif tail:
             warnings.warn(f"{path}:{len(lines)}: skipped a torn final line (no newline, does not parse)")
-        index = self._index
+        index, intern = self._index, sys.intern
         # put writes a pair's records as consecutive lines behind one "query\ttarget\tdelta" head:
         # split a line once from the right, and resolve its dict only when the head changes
         head = None
         try:
-            for lineno, line in enumerate(lines, start=1):
-                if line:
-                    key, param, value = line.rsplit("\t", 2)
-                    if key != head:
-                        query, target, delta = key.split("\t")
-                        incs = index.setdefault((query, target), {}).setdefault(float(delta), {})
-                        head = key
-                    incs[param] = float(value)
+            for key, param, value in map(str.rsplit, filter(None, lines), repeat("\t"), repeat(2)):
+                if key != head:
+                    query, target, delta = key.split("\t")
+                    incs = index.setdefault((query, target), {}).setdefault(float(delta), {})
+                    head = key
+                incs[intern(param)] = float(value)
             return
-        except ValueError as exc:  # a wrong field count, or a number that does not parse
-            fields = line.count("\t") + 1
-            if fields == 5:
-                raise SchemaError(f"{path}:{lineno}: bad numeric field ({exc})") from exc
-        raise SchemaError(f"{path}:{lineno}: expected 5 tab-separated fields, got {fields}")
+        except ValueError:  # a wrong field count, or a number that does not parse
+            pass
+        # out of the handler, so that a field-count error has no context; next() has no
+        # default, as the loop stopped at a bad line, so _load cannot return part of the file
+        lineno, fault = next((n, f) for n, line in enumerate(lines, start=1) if line and (f := _line_fault(line)))
+        if isinstance(fault, ValueError):
+            raise SchemaError(f"{path}:{lineno}: bad numeric field ({fault})") from fault
+        raise SchemaError(f"{path}:{lineno}: {fault}")
 
     def put(self, result: ComparisonResult) -> None:
         """Record every per-parameter increment of one comparison."""

@@ -10,9 +10,10 @@ from kdiss.kernel import ObjectRecord, _ratio_sims, _sum8
 from kdiss.pyramids import PyramidTable, exponential_model, normalize, uniform_model
 
 
-# interpreter flags under which an open() or a subprocess pipe that relies on the
-# locale's encoding raises, for the tests that start a CLI or demo process
-STRICT_ENCODING = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+# interpreter flags under which any warning raises, for the tests that start a CLI
+# or demo process: among them the EncodingWarning of an open() or a subprocess pipe
+# that relies on the locale's encoding
+STRICT_WARNINGS = ("-X", "warn_default_encoding", "-W", "error")
 
 
 def mixture_pyramid(name: str, lam: float, rate: float) -> tuple[float, ...]:

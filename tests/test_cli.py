@@ -13,7 +13,7 @@ from kdiss.cli import main
 from kdiss.formats import COHORTS, MALE_COHORTS
 from kdiss.pyramids import ingest
 
-from conftest import STRICT_ENCODING, exact_d
+from conftest import STRICT_WARNINGS, exact_d
 
 
 def run(capsys, *argv):
@@ -349,6 +349,26 @@ class TestStore:
         assert code == 0, err
         assert run(capsys, *stored, "--params", ",".join(MALE_COHORTS)) == (0, male, "")
 
+    @pytest.mark.parametrize("flags", [(), STRICT_WARNINGS], ids=["default", "warnings-as-errors"])
+    def test_torn_final_line_is_one_warning_line(self, stored, pyramid_csv, capsys, flags):
+        """put and combine skip a torn final line with a `warning:` line, under -W error too."""
+        code, total, err = run(capsys, *stored)
+        assert (code, err) == (0, "")
+        store = stored[3]
+        intact = store.read_bytes()
+        put = ("store", "put", "--store", store, "--data", pyramid_csv, *stored[4:], "--delta", "0.001")
+        warning = f"warning: {store}:35: skipped a torn final line (no newline, does not parse)\n"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for argv, out in ((stored, total), (put, "stored 34 increments for (country00, country05)\n")):
+            store.write_bytes(intact + b"country00\tcountry05\t0.0")
+            done = subprocess.run(
+                [sys.executable, *flags, "-m", "kdiss.cli", *map(str, argv)],
+                env=dict(os.environ, PYTHONPATH=src),
+                capture_output=True,
+                timeout=120,
+            )
+            assert (done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8")) == (0, out, warning)
+
     def test_missing_key(self, tmp_path, capsys):
         store = tmp_path / "inc.tsv"
         store.write_text("")
@@ -601,7 +621,7 @@ def test_stderr_is_utf8_whatever_the_locale(pyramid_csv, tmp_path, argv, line):
     indicators.write_text("name,indicator,value\ncountry00,gdp,5\n", encoding="utf-8")
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
-        [sys.executable, *STRICT_ENCODING, "-m", "kdiss.cli",
+        [sys.executable, *STRICT_WARNINGS, "-m", "kdiss.cli",
          *(a.format(table=table, index=index, indicators=indicators) for a in argv)],
         env=dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="cp1252"),
         cwd=tmp_path,
@@ -632,7 +652,7 @@ def test_stdout_is_the_out_file_whatever_the_locale(pyramid_csv, tmp_path, argv)
 
     def kdiss(*extra):
         return subprocess.run(
-            [sys.executable, *STRICT_ENCODING, "-m", "kdiss.cli", *argv, *extra],
+            [sys.executable, *STRICT_WARNINGS, "-m", "kdiss.cli", *argv, *extra],
             env=env,
             capture_output=True,
             timeout=120,

@@ -3,8 +3,8 @@
 Each demo script runs in a copy of demos/ under tmp_path with its output/
 and data/ directories emptied, so nothing is written into the checkout.
 Every file the demos produce must equal the tracked one byte for byte.  Each
-demo runs with EncodingWarning as an error, so none relies on the locale's
-encoding.
+demo runs with every warning as an error, so none relies on the locale's
+encoding (EncodingWarning) or lets any other warning escape.
 """
 
 import os
@@ -13,7 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import STRICT_ENCODING
+from conftest import STRICT_WARNINGS
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
@@ -32,7 +32,7 @@ def test_demos_rerun_byte_identical(tmp_path):
     stdout = {}
     for script in sorted(work.glob("0*.py")):
         done = subprocess.run(
-            [sys.executable, *STRICT_ENCODING, script.name],
+            [sys.executable, *STRICT_WARNINGS, script.name],
             cwd=work,
             env=env,
             capture_output=True,

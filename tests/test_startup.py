@@ -2,8 +2,8 @@
 
 Each command runs as ``python -S -X importtime -m kdiss.cli ...`` in a fresh
 interpreter with ``PYTHONPATH=src``: without the site module nothing but the
-standard library and ``src/`` can be imported, and an ``open()`` without an
-explicit encoding raises (``-X warn_default_encoding -W error::EncodingWarning``).
+standard library and ``src/`` can be imported, and any warning raises, an ``open()`` without an explicit encoding's
+among them (``-X warn_default_encoding -W error``).
 The import-time log on stderr lists every module the process imported, and
 each is a standard-library module or kdiss's own.  No command, usage error or
 ``--help`` may import numpy, ``dataclasses`` or ``inspect``; the engine commands leave
@@ -28,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import STRICT_ENCODING
+from conftest import STRICT_WARNINGS
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "demos" / "data"
@@ -54,7 +54,7 @@ _IMPORTED = re.compile(r"^import time:\s*\d+ \|\s*\d+ \|\s*(\S+)\s*$")
 
 
 # no site-packages, so only the standard library and src/ can be imported
-PRISTINE = ("-S", *STRICT_ENCODING)
+PRISTINE = ("-S", *STRICT_WARNINGS)
 
 
 def run_python(*args):

@@ -4,6 +4,7 @@ Needs no numpy: the two numpy-scalar cases skip without it.
 """
 
 import math
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -200,6 +201,7 @@ class TestIncrementStore:
             ("a\tb\t0.00\na\tb\t0.0001\tm00\t0.5\n", 1),  # bad line before the end
             ("a\tb\t0.0001\tm00\t0.5\na\tb\t0.00\n", 2),  # bad final line with its newline
             ("a\tb\tx\tm00\t0.5\na\tb\t0.0001\tm00\t0.5", 1),
+            ("\n\na\tb\t0.00\na\tb\t0.0001\tm00\t0.5\n", 3),  # blank lines count
         ],
     )
     def test_other_bad_lines_fail_with_line_number(self, tmp_path, text, lineno):
@@ -207,6 +209,25 @@ class TestIncrementStore:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(SchemaError, match=rf"inc\.tsv:{lineno}: "):
             IncrementStore(path)
+
+    def test_blank_lines_only_load_empty(self, tmp_path):
+        path = tmp_path / "inc.tsv"
+        path.write_text("\n\n\n", encoding="utf-8")
+        store = IncrementStore(path)
+        assert len(store) == 0 and store.as_mapping() == {}
+
+    def test_load_interns_parameter_names(self, tmp_path):
+        """Every record of one parameter, over pairs and deltas, keys on the one interned string."""
+        path = tmp_path / "inc.tsv"
+        lines = [f"{q}\t{t}\t{d}\t{p}\t0.5\n" for q, t in [("a", "b"), ("b", "a"), ("a", "c")]
+                 for d in ("1e-4", "1e-6") for p in ("m00", "f80")]
+        path.write_text("".join(lines), encoding="utf-8")
+        keys = list(IncrementStore(path).as_mapping())
+        assert len(keys) == 12
+        for name in ("m00", "f80"):
+            same = [key[3] for key in keys if key[3] == name]
+            assert len(same) == 6
+            assert all(key is sys.intern(name) for key in same)
 
     def test_invalid_utf8_names_its_line(self, tmp_path):
         path = tmp_path / "inc.tsv"
@@ -285,6 +306,8 @@ class TestIncrementStore:
             ("a\tb", "expected 5 tab-separated fields, got 2"),
             ("a\tb\t1e-4x\tm05\t0.5", "bad numeric field (could not convert string to float: '1e-4x')"),
             ("a\tb\t0.0001\tm05\t0,5", "bad numeric field (could not convert string to float: '0,5')"),
+            # the first bad line is reported, not a worse one after it
+            ("a\tb\t0.0001\tm05\tx\na\tb", "bad numeric field (could not convert string to float: 'x')"),
         ],
     )
     def test_bad_line_messages(self, tmp_path, bad_line, message):
@@ -392,3 +415,66 @@ def test_store_matches_naive_model(ops):
                     for params, listed in [*grid, (iter(_PARAMS[:2]), _PARAMS[:2])]:
                         got = _combine_or_message(store, query, target, params, delta)
                         assert got == _expected_combine(model, query, target, listed, delta)
+
+
+# store lines: interleaved pairs, keys rewritten, 1e-4 spelled two ways, and blank lines
+_valid_lines = st.lists(
+    st.just("")
+    | st.tuples(
+        st.sampled_from(_PAIRS),
+        st.sampled_from(["0.0001", "1e-4", "1e-06"]),
+        st.sampled_from(_PARAMS),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ).map(lambda r: f"{r[0][0]}\t{r[0][1]}\t{r[1]}\t{r[2]}\t{r[3]!r}"),
+    max_size=30,
+)
+_bad_lines = st.sampled_from(
+    [
+        ("a\tb\t1e-4\tp0", "expected 5 tab-separated fields, got 4"),
+        ("a\tb\t1e-4\tp0\t0.5\t1", "expected 5 tab-separated fields, got 6"),
+        ("\t", "expected 5 tab-separated fields, got 2"),
+        ("a\tb\tx\tp0\t0.5", "bad numeric field (could not convert string to float: 'x')"),
+        ("a\tb\t1e-4\tp0\t0,5", "bad numeric field (could not convert string to float: '0,5')"),
+        ("a\tb\t1e-4\tp0\t", "bad numeric field (could not convert string to float: '')"),
+    ]
+)
+
+
+def _load_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inc.tsv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            return path, IncrementStore(path)
+        except SchemaError as exc:
+            return path, exc
+
+
+@settings(max_examples=150, deadline=None)
+@given(_valid_lines)
+def test_load_matches_a_per_line_reference(lines):
+    reference: dict = {}  # (query, target) -> delta -> param -> value, one line at a time
+    for line in lines:
+        if line:
+            query, target, delta, param, value = line.split("\t")
+            reference.setdefault((query, target), {}).setdefault(float(delta), {})[param] = float(value)
+    expected = [
+        ((q, t, d, p), v) for (q, t), deltas in reference.items() for d, incs in deltas.items() for p, v in incs.items()
+    ]
+    _, store = _load_text("".join(f"{line}\n" for line in lines))
+    assert list(store.as_mapping().items()) == expected
+    assert all(key[3] is sys.intern(key[3]) for key in store.as_mapping())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_valid_lines, _bad_lines, st.data())
+def test_one_bad_line_is_reported_at_its_number(lines, bad, data):
+    bad_line, message = bad
+    at = data.draw(st.integers(min_value=0, max_value=len(lines)))
+    path, exc = _load_text("".join(f"{line}\n" for line in [*lines[:at], bad_line, *lines[at:]]))
+    assert isinstance(exc, SchemaError)
+    assert str(exc) == f"{path}:{at + 1}: {message}"
+    if message.startswith("bad numeric"):
+        assert type(exc.__cause__) is ValueError
+    else:
+        assert exc.__cause__ is None and exc.__context__ is None
