@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .averaging import AveragingConfig, _polarize3, bipartition
 from .errors import DegenerateSymmetryError, DomainError, NonPolarizedError, NotSwitchedError
-from .kernel import ObjectRecord, ProbeConfig, _check_schema, _ratio_sims, _sum8
+from .kernel import ObjectRecord, ProbeConfig, _check_schema, _counts, _ratio_sims
 from .similarity import WeightedParameterSet, blend_from_objects
 
 # not public here (see __all__); bench/child.py and bench/spans.py import these two from this module
@@ -46,13 +46,15 @@ _AVERAGING = AveragingConfig(max_iterations=500)
 
 
 class _ProbeProblem:
-    """Precomputed per-pair state so each weight evaluation is O(1)."""
+    """Per-pair state for the search.  Each entry is blend's, bit for bit: the math.fsum
+    of the similarities and the probe term over the weight total, O(P) per weight."""
 
     def __init__(self, query: ObjectRecord, target: ObjectRecord, cfg: ProbeConfig):
         _check_schema(query, target)
         self.delta = cfg.delta
         self.n_params = len(query.param_names)
-        self.base_sum = _sum8(_ratio_sims(query.param_values, target.param_values))
+        self.sims = _ratio_sims(query.param_values, target.param_values)
+        self.base_sum = math.fsum(self.sims)
         # the ratio similarity of the clones' probe values 1 and 1 + delta;
         # anchor and target share probe value 1
         self.sim_ab = 1.0 / (1.0 + cfg.delta)
@@ -61,8 +63,8 @@ class _ProbeProblem:
         """Blended entries (anchor-offset, anchor-target, offset-target)."""
         total = self.n_params + weight
         u = (self.n_params + weight * self.sim_ab) / total
-        x = (self.base_sum + weight) / total
-        y = (self.base_sum + weight * self.sim_ab) / total
+        x = math.fsum([*self.sims, weight]) / total
+        y = math.fsum([*self.sims, weight * self.sim_ab]) / total
         return u, x, y
 
     def anchor_with_target(self, weight: float) -> bool:
@@ -75,13 +77,6 @@ class _ProbeProblem:
             return winner == 1
         # decisive entries tied: the switch fires at equality
         return x >= u
-
-    def switched_at(self, weight: int) -> bool:
-        """The switch test, anchor-target entry (S + w) / (P + w) >= clone-clone entry
-        (P + w / (1 + delta)) / (P + w), decided exactly at a whole weight: with
-        S = a / b and delta = c / e it is (a + w * b) * (e + c) >= P * b * (e + c) + w * b * e."""
-        (a, b), (c, e) = self.base_sum.as_integer_ratio(), self.delta.as_integer_ratio()
-        return (a + weight * b) * (e + c) >= self.n_params * b * (e + c) + weight * b * e
 
 
 def _probe_param_name(schema: Sequence[str]) -> str:
@@ -140,11 +135,11 @@ def _search_switch(problem: _ProbeProblem) -> float:
             lo = mid
     # the predicate's rounding can leave hi a hair above a whole-number switch
     # weight or a hair below the whole number it exceeds, and ceil(hi) one count
-    # off; the exact test at the whole weights either side of hi decides
-    whole = math.ceil(hi)
-    if whole > 1 and problem.switched_at(whole - 1):
+    # off; a whole weight w >= 1 switches exactly when w >= D, the exact count
+    whole, d = math.ceil(hi), _counts(problem.n_params, [problem.base_sum], problem.delta)[0]
+    if d < whole:
         hi = float(whole - 1)
-    elif not problem.switched_at(whole):
+    elif whole < d:
         hi = math.nextafter(float(whole), math.inf)
     return hi
 
@@ -155,8 +150,8 @@ def switch_weight(query: ObjectRecord, target: ObjectRecord, cfg: ProbeConfig | 
     The paper's search, kept as the oracle for the closed form: the
     grouping predicate is monotone in the weight, so the minimum is located
     by bisection on a log scale between 1e-30 and 1e12, down to a relative
-    width of 1e-12; the switch test decided exactly at the whole weights
-    either side settles its ceiling.  The float predicate resolves the
+    width of 1e-12; the exact count D, at or above which a whole weight
+    switches, settles its ceiling.  The float predicate resolves the
     weight to about 2.2e-16 / delta relative, so max(1, ceil) is D only
     while that is below one unit step (tested: delta 1e-6 to 0.1, up to 34
     parameters).  Returns 0.0 when the predicate holds at weight 1e-30 (a

@@ -2,16 +2,16 @@
 
 Every CLI command, compare and batch_compare compute K here, over floats, each
 query as one pass over the targets' columns (one sequence of N values per
-parameter).  The results are bit for bit numpy's: min, max, divide, multiply
-and ceil round alike in both, and _sum8 (one row) and _row_sums (every row, a
-column at a time) add in numpy's order.  The paper's mechanism is kept in
-kdiss.similarity, kdiss.averaging and kdiss.dissimilarity as the oracle.
+parameter).  Every sum is math.fsum's, exactly rounded, so K_cont does not
+depend on the parameter order and is symmetric in query and target bit for bit.
+The paper's mechanism is kept in kdiss.similarity, kdiss.averaging and
+kdiss.dissimilarity as the oracle.
 """
 
 from __future__ import annotations
 
 import math
-from operator import add, mul
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, SchemaError
@@ -25,31 +25,6 @@ __all__ = [
     "compare",
     "batch_compare",
 ]
-
-
-def _sum8(values: Sequence[float]) -> float:
-    """The sum numpy gives for a 1-d float64 row, bit for bit.
-
-    numpy adds a contiguous row pairwise: up to 128 values go into 8 strided
-    accumulators, which are combined pairwise before the leftover tail is
-    added in order; a longer row is split in two at a multiple of 8.  Its
-    reduction starts from 0.0, which turns a -0.0 total into 0.0.
-    """
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _sum8(values[:half]) + _sum8(values[half:])
-    total, end = 0.0, 0
-    if n >= 8:
-        end = n - n % 8
-        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
-        for i in range(8, end, 8):
-            a0, a1, a2, a3, a4, a5, a6, a7 = values[i : i + 8]
-            r0, r1, r2, r3, r4, r5, r6, r7 = r0 + a0, r1 + a1, r2 + a2, r3 + a3, r4 + a4, r5 + a5, r6 + a6, r7 + a7
-        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for value in values[end:]:
-        total += value
-    return total + 0.0
 
 
 class _ObjectFields(NamedTuple):
@@ -170,27 +145,6 @@ def _ratio_sims(query: Sequence[float], target: Sequence[float]) -> list[float]:
     return [t / q if t < q else q / t if q < t else 1.0 for q, t in zip(query, target)]
 
 
-def _row_sums(columns: Sequence[Sequence[float]]) -> list[float]:
-    """_sum8 of every row of a table given by its (one or more) columns, bit for bit:
-    _sum8's additions in _sum8's order, each made a whole column at a time."""
-    n = len(columns)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return list(map(add, _row_sums(columns[:half]), _row_sums(columns[half:])))
-    end = n - n % 8
-    if n >= 8:
-        acc = columns[:8]
-        for i in range(8, end, 8):
-            acc = [list(map(add, r, a)) for r, a in zip(acc, columns[i : i + 8])]
-        r0, r1, r2, r3, r4, r5, r6, r7 = acc
-        total = map(add, map(add, map(add, r0, r1), map(add, r2, r3)), map(add, map(add, r4, r5), map(add, r6, r7)))
-    else:
-        total = [0.0] * len(columns[0])
-    for column in columns[end:]:
-        total = map(add, total, column)
-    return [value + 0.0 for value in total]
-
-
 def _weights(n_params: int, sim_sums: Iterable[float], delta: float) -> tuple[list[float], list[float]]:
     """K_cont and w* for each similarity sum S of a P-parameter comparison.  The switch
     test, anchor-target entry (S + w) / (P + w) >= clone-clone entry (P + w * s) / (P + w)
@@ -214,7 +168,8 @@ def _increment_columns(sim_columns: Sequence[Sequence[float]], k_cont: Sequence[
     """Each row's K_cont split over its parameters in proportion to 1 - r, a whole
     parameter column at a time; a row whose K_cont or shortfall sum is 0 gets zeros."""
     shortfalls = [[1.0 - r for r in column] for column in sim_columns]
-    scales = [k / total if total > 0.0 and k > 0.0 else 0.0 for k, total in zip(k_cont, _row_sums(shortfalls))]
+    totals = map(math.fsum, zip(*shortfalls))
+    scales = [k / total if total > 0.0 and k > 0.0 else 0.0 for k, total in zip(k_cont, totals)]
     return [list(map(mul, column, scales)) for column in shortfalls]
 
 
@@ -222,7 +177,7 @@ def _closed_form(query: Sequence[float], columns: Sequence[Sequence[float]], del
     """One query against every row of a table given by its columns: the lists K_cont,
     w* and similarity sum, and the similarity columns, one comprehension each."""
     sims = [[t / q if t < q else q / t if q < t else 1.0 for t in column] for q, column in zip(query, columns)]
-    sim_sums = _row_sums(sims)
+    sim_sums = list(map(math.fsum, zip(*sims)))
     return (*_weights(len(query), sim_sums, delta), sim_sums, sims)
 
 

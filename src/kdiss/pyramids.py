@@ -15,7 +15,7 @@ from typing import IO, Iterator, Mapping, Sequence
 
 from .errors import DomainError, SchemaError
 from .formats import AGE_STARTS, COHORTS, FEMALE_COHORTS, MALE_COHORTS, _csv_rows, _csv_text, _write_text
-from .kernel import ObjectRecord, _sum8
+from .kernel import ObjectRecord
 
 __all__ = [
     "PyramidTable",
@@ -53,7 +53,10 @@ def _normalize_row(values: Sequence[float]) -> tuple[tuple[float, ...], str]:
         return (), "values must be finite"
     if min(values) < 0.0:
         return (), "values must be non-negative"
-    total = _sum8(values)
+    try:
+        total = math.fsum(values)
+    except OverflowError:  # the sum is beyond the float range
+        total = math.inf
     if total == 0.0:
         return (), "cannot normalize an all-zero row"
     scale = 100.0 / total
@@ -62,7 +65,7 @@ def _normalize_row(values: Sequence[float]) -> tuple[tuple[float, ...], str]:
         # ratios, so compute them from values scaled to a maximum of 1
         top = max(values)
         values = [v / top for v in values]
-        scale = 100.0 / _sum8(values)
+        scale = 100.0 / math.fsum(values)
     return tuple([v * scale for v in values]), ""
 
 
@@ -231,7 +234,8 @@ def exponential_model(rate: float) -> ObjectRecord:
     q = 1.0 - rate
     if q == 1.0:
         return ObjectRecord.from_values(name, COHORTS, [_UNIFORM_SHARE] * 34)
-    factor = 50.0 * (1.0 - q) / (1.0 - q**17)
+    # -expm1(17 * log1p(q - 1)) is 1 - q**17 without its cancellation at small rates
+    factor = 50.0 * (1.0 - q) / -math.expm1(17 * math.log1p(q - 1.0))
     per_sex = [factor * q**k for k in range(17)]
     return ObjectRecord.from_values(name, COHORTS, per_sex + per_sex)
 

@@ -13,7 +13,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DomainError, SchemaError
-from .kernel import ObjectRecord, _sum8, r_similarity
+from .kernel import ObjectRecord, r_similarity
 
 __all__ = ["SimilarityMatrix", "WeightedParameterSet", "parameter_matrix", "blend", "blend_from_objects"]
 
@@ -127,11 +127,11 @@ def blend(matrices: Sequence[SimilarityMatrix], weights: Sequence[float]) -> Sim
 
     All matrices must share labels in the same order; weights must be
     positive.  The result is a convex combination, so every entry stays
-    between the per-parameter extremes.  Each entry is the sum of its
-    weighted terms over the weight total, both added in _sum8's order, the
-    order in which switch_weight's predicate adds the similarities.  So the
-    probe blend of grouped_with_target holds, bit for bit, the entries that
-    predicate computes, and the two agree at every weight.
+    between the per-parameter extremes.  Each entry is the exactly rounded
+    sum of its weighted terms (math.fsum) over the exactly rounded weight
+    total, as switch_weight's predicate takes them.  So the probe blend of
+    grouped_with_target holds, bit for bit, the entries that predicate
+    computes, and the two agree at every weight.
     """
     if len(matrices) == 0:
         raise SchemaError("need at least one matrix")
@@ -144,9 +144,9 @@ def blend(matrices: Sequence[SimilarityMatrix], weights: Sequence[float]) -> Sim
     w = [float(x) for x in weights]
     if not all(math.isfinite(x) and x > 0 for x in w):
         raise DomainError("weights must be positive and finite")
-    total, n = _sum8(w), len(labels)
+    total, n = math.fsum(w), len(labels)
     mixed = [
-        [1.0 if i == j else _sum8([wk * m.entries[i][j] for wk, m in zip(w, matrices)]) / total for j in range(n)]
+        [1.0 if i == j else math.fsum([wk * m.entries[i][j] for wk, m in zip(w, matrices)]) / total for j in range(n)]
         for i in range(n)
     ]
     return SimilarityMatrix(labels, mixed)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from kdiss.kernel import ObjectRecord, _ratio_sims, _sum8
+from kdiss.kernel import ObjectRecord, _ratio_sims
 from kdiss.pyramids import PyramidTable, exponential_model, normalize, uniform_model
 
 
@@ -51,7 +51,7 @@ def pair_with_sims(sims, name_q="q", name_t="t"):
 def exact_d(query, target, delta: float) -> int:
     """The reference D: max(1, ceil(w*)), w* = (P - S) * (1 + delta) / delta taken
     in Fractions for the engine's float similarity sum S and the float delta."""
-    sim_sum = Fraction(_sum8(_ratio_sims(query, target)))
+    sim_sum = Fraction(math.fsum(_ratio_sims(query, target)))
     return max(1, math.ceil((len(query) - sim_sum) * (1 + Fraction(delta)) / Fraction(delta)))
 
 

@@ -6,7 +6,9 @@ the grouping predicate.  D must agree exactly and K_cont within 1e-9 relative.
 """
 
 import math
+import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,8 +18,9 @@ import kdiss.dissimilarity
 from kdiss.cli import main
 from kdiss.dissimilarity import switch_weight
 from kdiss.indexes import build_index_rows
-from kdiss.kernel import ProbeConfig, batch_compare, compare
-from kdiss.kernel import _closed_form, _increment_columns, _ratio_sims, _row_sums, _sum8
+from kdiss.formats import COHORTS
+from kdiss.kernel import ObjectRecord, ProbeConfig, batch_compare, closed_form_k, compare
+from kdiss.kernel import _closed_form, _increment_columns, _ratio_sims
 from kdiss.pyramids import PyramidTable, normalize, write_pyramid_csv
 from kdiss.store import IncrementStore
 
@@ -28,7 +31,7 @@ def _increments(sims, k_cont):
     """The per-row reference for _increment_columns: K_cont split over the
     parameters of one comparison in proportion to 1 - r."""
     shortfalls = [1.0 - r for r in sims]
-    total = _sum8(shortfalls)
+    total = math.fsum(shortfalls)
     scale = k_cont / total if total > 0.0 and k_cont > 0.0 else 0.0
     return [s * scale for s in shortfalls]
 
@@ -159,57 +162,55 @@ def test_batch_paths_never_run_the_search(monkeypatch, tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 7
 
 
-@pytest.fixture(scope="module")
-def np():
-    """numpy, the reference of the two tests below, which skip without it; a skip
-    inside a hypothesis example would be reported as a falsifying example."""
-    return pytest.importorskip("numpy")
+def _spread_row(rng: random.Random, width: int) -> list[float]:
+    """width values, each of its own magnitude from subnormal up to 1e300, a fifth zeros of either sign."""
+    return [rng.choice((0.0, -0.0)) if rng.random() < 0.2 else rng.random() * 10.0 ** rng.uniform(-320, 300)
+            for _ in range(width)]
 
 
-def test_sum8_matches_numpy_bit_for_bit(np):
-    """_sum8 adds in numpy's order: every sum the engine takes (a 34-value
-    row, a 17-cohort half, any other length) must be numpy's to the bit."""
-    rng = np.random.default_rng(20260808)
-    for n in range(131):
+def test_similarity_sum_is_exactly_rounded():
+    """The similarity sum of one target is its exact sum rounded once, bit for
+    bit, at every width a pyramid or one of its halves can take and past the
+    128 at which a pairwise sum splits; zeros of both signs included."""
+    rng = random.Random(20260808)
+    for width in range(1, 131):
         for trial in range(24):
-            # each value of its own magnitude, from subnormal up to 1e300
-            row = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-320, 300, n)
-            if trial % 3 == 1:
-                row[rng.random(n) < 0.3] = 0.0
-            elif trial % 3 == 2:  # cancellation and signed zeros make the order show
-                row *= rng.choice([-1.0, 1.0], n)
-                row[rng.random(n) < 0.2] = -0.0
-            want = np.add.reduce(row)
-            got = _sum8(row.tolist())
-            assert type(got) is float
-            assert got.hex() == float(want).hex(), (n, trial)
-    assert _sum8([-0.0] * 34).hex() == float(np.add.reduce(np.full(34, -0.0))).hex()
+            query, target = _spread_row(rng, width), _spread_row(rng, width)
+            if trial % 2:  # ties give similarities of exactly 1.0
+                target = [t if rng.random() < 0.5 else q for q, t in zip(query, target)]
+            sim_sum = _closed_form(query, [[t] for t in target], 1e-3)[2]
+            want = float(sum(map(Fraction, _ratio_sims(query, target))))
+            assert [s.hex() for s in sim_sum] == [want.hex()], (width, trial)
+    assert _closed_form([-0.0] * 34, [[-0.0]] * 34, 1e-3)[2] == [34.0]
 
 
-# signed, from subnormal to 1e300, so that cancellation and signed zeros make the order show
-ADDENDS = st.floats(min_value=-1e300, max_value=1e300)
+# every magnitude from subnormal to 1e300 and zeros of both signs, so that the rounding of the sum shows
+VALUES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=0.0, max_value=1e300))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=4), st.data())
-@example(width=1, n_rows=2, data=None)  # tail only
-@example(width=8, n_rows=1, data=None)  # accumulators, no tail
+@example(width=1, n_rows=2, data=None)
+@example(width=8, n_rows=1, data=None)
 @example(width=34, n_rows=3, data=None)  # a pyramid
-@example(width=129, n_rows=2, data=None)  # the first split
-@example(width=300, n_rows=2, data=None)  # a split of a split
-def test_row_sums_match_numpy_bit_for_bit(np, width, n_rows, data):
-    """_row_sums adds a table's columns in _sum8's order: every row sum is
-    numpy's to the bit, whatever the width."""
-    if data is None:  # an explicit example: values of every magnitude, zeros of both signs
-        rng = np.random.default_rng(width)
-        rows = rng.uniform(-1.0, 1.0, (n_rows, width)) * 10.0 ** rng.uniform(-320, 300, (n_rows, width))
-        rows[rng.random((n_rows, width)) < 0.2] = -0.0
-        rows[-1] = -0.0  # numpy's reduction starts from 0.0, so this row sums to 0.0
+@example(width=128, n_rows=2, data=None)
+@example(width=129, n_rows=2, data=None)
+@example(width=300, n_rows=2, data=None)
+def test_row_sums_are_exactly_rounded(width, n_rows, data):
+    """Every similarity sum of a closed-form pass over a table's columns is its
+    row's exact sum rounded once, bit for bit, whatever the width; a duplicated
+    row gets its twin's sum."""
+    if data is None:  # an explicit example: values of every magnitude, and a row of -0.0
+        rng = random.Random(width)
+        query, pool = _spread_row(rng, width), [_spread_row(rng, width) for _ in range(n_rows)]
+        pool.append([-0.0] * width)
     else:
-        rows = np.array(data.draw(st.lists(ADDENDS, min_size=width * n_rows, max_size=width * n_rows)))
-        rows = rows.reshape(n_rows, width)
-    got = _row_sums(list(zip(*rows.tolist())))
-    assert [value.hex() for value in got] == [float(np.add.reduce(row)).hex() for row in rows]
+        query = data.draw(st.lists(VALUES, min_size=width, max_size=width))
+        pool = data.draw(st.lists(st.lists(VALUES, min_size=width, max_size=width), min_size=n_rows, max_size=n_rows))
+    rows = pool + pool[:1]  # the first row twice
+    sim_sum = _closed_form(query, list(zip(*rows)), 1e-3)[2]
+    want = [float(sum(map(Fraction, _ratio_sims(query, row)))) for row in rows]
+    assert [s.hex() for s in sim_sum] == [w.hex() for w in want]
 
 
 NON_NEGATIVE = st.floats(min_value=0.0, max_value=1e300)
@@ -230,7 +231,7 @@ SHARES = st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0, 2.0, 1.0 / 3.0, 100.0 / 3
 )
 def test_column_pass_matches_the_row_helpers(case, delta):
     """One closed-form pass over a table's columns gives, for every row, the
-    similarity sum _sum8(_ratio_sims(q, t)) and the _increments of the
+    similarity sum math.fsum(_ratio_sims(q, t)) and the _increments of the
     per-row helpers, bit for bit: zeros of both signs, ties, duplicated rows
     and an empty table included."""
     query, pool, picks = case
@@ -238,7 +239,7 @@ def test_column_pass_matches_the_row_helpers(case, delta):
     columns = list(zip(*rows)) or [()] * len(query)
     k_cont, w_star, sim_sum, sims = _closed_form(query, columns, delta)
     want = [_ratio_sims(query, row) for row in rows]
-    assert [s.hex() for s in sim_sum] == [_sum8(row).hex() for row in want]
+    assert [s.hex() for s in sim_sum] == [math.fsum(row).hex() for row in want]
     assert [list(column) for column in zip(*sims)] == want
     assert k_cont == [(len(query) - s) * (1.0 + delta) for s in sim_sum]
     assert w_star == [k / delta for k in k_cont]
@@ -251,7 +252,7 @@ def test_column_pass_matches_the_row_helpers(case, delta):
 def test_similarity_sum_is_symmetric(pairs):
     """Swapping query and target leaves every ratio, and so the sum, unchanged."""
     q, t = zip(*pairs)
-    assert _sum8(_ratio_sims(q, t)).hex() == _sum8(_ratio_sims(t, q)).hex()
+    assert math.fsum(_ratio_sims(q, t)).hex() == math.fsum(_ratio_sims(t, q)).hex()
 
 
 PYRAMID = st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6)), min_size=34, max_size=34).filter(
@@ -275,3 +276,43 @@ def test_property_k_is_a_metric(a, b, c, delta):
     assert ac <= ab + bc + 1e-12 * max(1.0, ab + bc)
     assert dist("a", "a") == 0.0
     assert ab == dist("b", "a")
+
+
+def _pyramids(a, b, order=range(34)):
+    """The query and target pyramids of shares a and b, their cohorts taken in the given order."""
+    return [ObjectRecord.from_values(name, [COHORTS[i] for i in order], [shares[i] for i in order])
+            for name, shares in (("q", normalize(a)), ("t", normalize(b)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(PYRAMID, PYRAMID, st.sampled_from(DELTAS))
+@example([0.0] * 22 + [1.0] + [0.0] * 11, [0.0] * 22 + [2.0] + [0.0] * 10 + [1.0], 0.1)  # S = 32 + 2/3
+def test_property_closed_form_k_is_the_engines(a, b, delta):
+    """closed_form_k, from r_similarity and one math.fsum per pair, gives the
+    engine's K_cont bit for bit."""
+    q, t = _pyramids(a, b)
+    cfg = ProbeConfig(delta=delta)
+    assert closed_form_k(q, t, cfg).hex() == compare(q, t, cfg).k_cont.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(PYRAMID, PYRAMID, st.sampled_from(DELTAS), st.permutations(range(34)))
+def test_property_k_cont_is_symmetric(a, b, delta, order):
+    """Swapping query and target leaves K_cont unchanged bit for bit, also when
+    the swapped pair lists its parameters in another order."""
+    (q, t), (q_moved, t_moved) = _pyramids(a, b), _pyramids(a, b, order)
+    cfg = ProbeConfig(delta=delta)
+    k_cont = compare(q, t, cfg).k_cont
+    assert compare(t, q, cfg).k_cont.hex() == k_cont.hex()
+    assert compare(t_moved, q_moved, cfg).k_cont.hex() == k_cont.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(PYRAMID, PYRAMID, st.sampled_from(DELTAS), st.permutations(range(34)))
+def test_property_parameter_order_is_free(a, b, delta, order):
+    """Permuting the parameters of query and target together leaves K_cont, D
+    and every parameter's increment unchanged bit for bit."""
+    cfg = ProbeConfig(delta=delta)
+    result, moved = (compare(*_pyramids(a, b, cohorts), cfg) for cohorts in (range(34), order))
+    assert (moved.k_cont.hex(), moved.d) == (result.k_cont.hex(), result.d)
+    assert moved.increments == result.increments

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -225,8 +226,8 @@ class TestLongToWide:
 
 
 def reference_normalize(raw):
-    """normalize() as one row at a time, the way ingest worked before it
-    normalized whole tables in one array pass."""
+    """normalize() as one row at a time in numpy, the way ingest worked before it
+    normalized whole tables in one array pass; the total is the exact sum rounded once."""
     import numpy as np
 
     values = np.asarray(raw, dtype=float)
@@ -234,14 +235,16 @@ def reference_normalize(raw):
         raise DomainError("values must be finite")
     if np.any(values < 0):
         raise DomainError("values must be non-negative")
-    with np.errstate(over="ignore"):
-        total = float(values.sum())
+    try:  # the exact sum, rounded once
+        total = float(sum(map(Fraction, values.tolist())))
+    except OverflowError:
+        total = math.inf
     if total == 0.0:
         raise DomainError("cannot normalize an all-zero row")
     scale = 100.0 / total
     if not (math.isfinite(total) and math.isfinite(scale)):
         values = values / values.max()
-        scale = 100.0 / float(values.sum())
+        scale = 100.0 / float(sum(map(Fraction, values.tolist())))
     return values * scale
 
 
@@ -442,6 +445,20 @@ class TestExponentialModel:
             values = exponential_model(rate).param_values
             assert abs(math.fsum(values) - 100.0) < 1e-9
             assert all(b < a for a, b in zip(values[:16], values[1:17]))
+
+    # rates at which the shares keep the bits of the former 1 - q**17 denominator (0.225: demo 04)
+    KEPT_RATES = (0.05, 0.1, 0.15, 0.2, 0.225, 0.25, 0.3, 0.35, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+
+    @pytest.mark.parametrize("rate", (1e-5, 1e-9, 1e-12, 2.0**-53, 0.01, *KEPT_RATES))
+    def test_shares_sum_to_100_at_every_rate(self, rate):
+        assert abs(math.fsum(exponential_model(rate).param_values) - 100.0) <= 1e-12
+
+    @pytest.mark.parametrize("rate", KEPT_RATES)
+    def test_shares_keep_the_bits_of_one_minus_q_to_the_17(self, rate):
+        q = 1.0 - rate
+        factor = 50.0 * (1.0 - q) / (1.0 - q**17)
+        want = [factor * q**k for k in range(17)] * 2
+        assert [v.hex() for v in exponential_model(rate).param_values] == [v.hex() for v in want]
 
     def test_rate_validation(self):
         for rate in (-0.1, 1.0, 1.5, float("nan")):
