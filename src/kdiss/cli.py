@@ -25,6 +25,7 @@ from .formats import FEMALE_COHORTS, MALE_COHORTS, _csv_text, _six_places, _writ
 from .formats import read_index_csv, write_index_csv
 
 if TYPE_CHECKING:
+    from .kernel import ComparisonResult
     from .pyramids import PyramidTable
 
 # The names each command looks up on this module, by the module that defines
@@ -51,6 +52,8 @@ _LAZY = {
     "join": "report",
     "read_indicators": "report",
     "IncrementStore": "store",
+    "_append": "store",
+    "_checked": "store",
 }
 _ENGINE = ("kernel", "pyramids")
 
@@ -71,6 +74,7 @@ def _bind(*modules: str) -> None:
 
 
 DATA_DIR_ENV = "KDISS_DATA_DIR"
+DEFAULT_DELTA = 1e-4
 
 
 def _resolve_path(path: str) -> Path:
@@ -86,31 +90,27 @@ def _resolve_path(path: str) -> Path:
     raise FileNotFoundError(errno.ENOENT, reason, path)
 
 
-def _load_table(path: str, lenient: bool) -> PyramidTable:
-    return ingest(_resolve_path(path), lenient=lenient)
+def _load_table(args) -> PyramidTable:
+    """Every command's pyramid table: args.data, read wide (or long, for ingest --from-long);
+    each row --lenient skips is one `warning: skipped row N: ...` line on stderr."""
+    path = _resolve_path(args.data)
+    table = long_to_wide(path) if getattr(args, "from_long", False) else ingest(path, lenient=args.lenient)
+    _write_stderr(f"warning: skipped {message}" for message in table.row_errors)
+    return table
 
 
-def _pick_query(args, table: PyramidTable) -> tuple[float, ...]:
-    """Query values from a table name or a model spec (uniform / exp:RATE)."""
-    if args.model == "uniform":
-        return uniform_model().param_values
-    if args.model is not None:  # exp:RATE, checked by _validate
-        return exponential_model(float(args.model[4:])).param_values
-    return table.record(args.query).param_values
+def _compare_pair(args) -> ComparisonResult:
+    table = _load_table(args)
+    return compare(table.record(args.query), table.record(args.target), ProbeConfig(delta=args.delta))
 
 
 def cmd_ingest(args) -> int:
-    path = _resolve_path(args.data)
-    table = long_to_wide(path) if args.from_long else ingest(path, lenient=args.lenient)
-    write_pyramid_csv(table, args.out)
-    _write_stderr(f"warning: skipped {message}" for message in table.row_errors)
+    write_pyramid_csv(_load_table(args), args.out)
     return 0
 
 
 def cmd_compare(args) -> int:
-    table = _load_table(args.data, args.lenient)
-    query = table.record(args.query)
-    result = compare(query, table.record(args.target), ProbeConfig(delta=args.delta))
+    result = _compare_pair(args)
     lines = [
         f"query   = {result.query}",
         f"target  = {result.target}",
@@ -136,9 +136,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    table = _load_table(args.data, args.lenient)
+    table = _load_table(args)
+    query = table.record(args.query) if args.model is None else exponential_model(args.rate)
     delta = args.delta
-    k_cont, _, sim_sum, sims = _closed_form(_pick_query(args, table), table.columns(), delta)
+    k_cont, _, sim_sum, sims = _closed_form(query.param_values, table.columns(), delta)
     d = _counts(len(sims), sim_sum, delta)
     rows = zip(table.names, d, _six_places([n * delta for n in d]), _six_places(k_cont))
     _write_text(_csv_text(["name", "d", "k", "k_cont"], rows), args.out)
@@ -146,7 +147,7 @@ def cmd_batch(args) -> int:
 
 
 def cmd_mu(args) -> int:
-    table = _load_table(args.data, args.lenient)
+    table = _load_table(args)
     cfg = ProbeConfig(delta=args.delta)
     rows, problems = build_index_rows(table, table.record(args.query_a), table.record(args.query_b), cfg)
     write_index_csv(rows, args.out)
@@ -165,7 +166,7 @@ def cmd_model(args) -> int:
 
 
 def cmd_punif(args) -> int:
-    table = _load_table(args.data, args.lenient)
+    table = _load_table(args)
     d_un, d_e, p_un, problems = _model_distances(table.names, table.columns(), args.delta)
     rows = zip(table.names, *map(_six_places, (d_un, d_e, p_un)))
     _write_text(_csv_text(["name", "d_un", "d_e30", "p_un"], rows), args.out)
@@ -173,24 +174,25 @@ def cmd_punif(args) -> int:
     return 0 if (args.lenient or not problems) else 1
 
 
-def cmd_store(args) -> int:
-    if args.action == "combine" and not os.path.exists(args.store):  # put creates a missing store
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.store)
-    with warnings.catch_warnings(record=True) as caught:  # the torn-final-line warning, as a message
+def _warnings_to_stderr(action):
+    """action(), each warning it raises (the store's torn final line) one `warning: ...` line."""
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        store = IncrementStore(args.store)
+        value = action()
     _write_stderr(f"warning: {w.message}" for w in caught)
-    if args.action == "put":
-        table = _load_table(args.data, args.lenient)
-        query = table.record(args.query)
-        result = compare(query, table.record(args.target), ProbeConfig(delta=args.delta))
-        store.put(result)
+    return value
+
+
+def cmd_store(args) -> int:
+    if args.action == "put":  # appends to the store (creating it), checking only its last line
+        result = _compare_pair(args)
+        _warnings_to_stderr(lambda: _append(Path(args.store), *_checked(result)))
         _write_text(f"stored {len(result.increments)} increments for ({result.query}, {result.target})\n")
         return 0
-    named = {"all": None, "male": list(MALE_COHORTS), "female": list(FEMALE_COHORTS)}
-    subset = named[args.params] if args.params in named else [p.strip() for p in args.params.split(",") if p.strip()]
-    total = store.combine(args.query, args.target, subset, delta=args.delta)
-    _write_text(f"{total!r}\n")
+    if not os.path.exists(args.store):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.store)
+    store = _warnings_to_stderr(lambda: IncrementStore(args.store))
+    _write_text(f"{store.combine(args.query, args.target, args.params, delta=args.delta)!r}\n")
     return 0
 
 
@@ -224,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, parallel=False, out_help="output path (default stdout)"):
         p.add_argument("data", help="pyramid CSV (name,m00,...,m80,f00,...,f80)")
-        p.add_argument("--delta", type=float, default=1e-4, help="probe delta (default 1e-4)")
+        p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="probe delta (default 1e-4)")
         p.add_argument("--lenient", action="store_true", help="skip bad rows instead of failing")
         p.add_argument("--out", help=out_help)
         if parallel:
@@ -276,11 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument(
-        "--params",
-        default="all",
-        help="combine subset: all, male, female, or comma-separated cohort names",
-    )
+    p.add_argument("--params", default="all", help="combine subset: all, male, female, or comma-separated cohort names")
     p.add_argument("--lenient", action="store_true")
     p.set_defaults(func=cmd_store)
 
@@ -298,14 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
 def _validate(args) -> str:
     """The usage error in option values argparse accepts but no command can run with, or ""."""
     delta = getattr(args, "delta", None)
@@ -314,23 +304,31 @@ def _validate(args) -> str:
     parallel = getattr(args, "parallel", 1)
     if parallel < 1:
         return f"--parallel must be >= 1, got {parallel!r}"
-    model, rate = getattr(args, "model", None), getattr(args, "rate", 0.0)
-    if model is not None and model != "uniform":
-        if not (model.startswith("exp:") and _is_float(model[4:])):
+    model = getattr(args, "model", None)
+    if model is not None:  # batch --model, decided once as the rate cmd_batch builds its query with:
+        # exponential_model(0.0) is the uniform model bit for bit, and "" fails as any other spec
+        rate_text = "0" if model == "uniform" else model[4:] if model.startswith("exp:") else ""
+        try:
+            args.rate = float(rate_text)
+        except ValueError:
             return f"bad model spec {model!r}: use 'uniform' or 'exp:RATE'"
-        rate = float(model[4:])
+    rate = getattr(args, "rate", 0.0)
     if not 0.0 <= rate < 1.0:
         return f"rate must lie in [0, 1), got {rate!r}"
     if getattr(args, "from_long", False) and args.lenient:
         return "--lenient does not apply to --from-long input"
     store_action = getattr(args, "action", "")
-    if store_action == "combine" and not args.params.replace(",", "").strip():  # cmd_store's split keeps no name
-        return f"--params {args.params!r} names no parameter"
+    if store_action == "combine":
+        names = [p.strip() for p in args.params.split(",") if p.strip()]
+        if not names:
+            return f"--params {args.params!r} names no parameter"
+        named = {"all": None, "male": list(MALE_COHORTS), "female": list(FEMALE_COHORTS)}
+        args.params = named.get(args.params, names)  # the subset cmd_store sums; None is every parameter
     if store_action == "put":
         if not args.data:
             return "store put requires --data"
         if args.delta is None:
-            args.delta = 1e-4
+            args.delta = DEFAULT_DELTA
     return ""
 
 

@@ -369,6 +369,45 @@ class TestStore:
             )
             assert (done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8")) == (0, out, warning)
 
+    def test_torn_line_warning_spells_a_relative_store_as_combine_does(self, stored, pyramid_csv, capsys, monkeypatch):
+        """put and combine name a `./`-relative store alike, as its Path spells it."""
+        store, pair = stored[3], stored[4:]
+        intact = store.read_bytes()
+        monkeypatch.chdir(store.parent)
+        combine = ("store", "combine", "--store", "./inc.tsv", *pair)
+        put = ("store", "put", "--store", "./inc.tsv", "--data", pyramid_csv, *pair, "--delta", "0.001")
+        warning = "warning: inc.tsv:35: skipped a torn final line (no newline, does not parse)\n"
+        for argv in (combine, put):
+            store.write_bytes(intact + b"country00\tcountry05\t0.0")
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (0, warning)
+
+    def test_put_appends_past_a_bad_middle_line_that_the_next_read_names(self, stored, pyramid_csv, capsys):
+        """put reads only the store's last line; the load of the next combine fails on line 2."""
+        store = stored[3]
+        lines = store.read_bytes().splitlines(keepends=True)
+        store.write_bytes(lines[0] + b"country00\tcountry05\t0.001\tm05\tnan\n" + b"".join(lines[2:]))
+        put = ("store", "put", "--store", store, "--data", pyramid_csv, *stored[4:], "--delta", "0.01")
+        assert run(capsys, *put) == (0, "stored 34 increments for (country00, country05)\n", "")
+        assert len(store.read_bytes().splitlines()) == 68
+        code, out, err = run(capsys, *stored)
+        assert (code, out, err) == (1, "", f"error: {store}:2: increment 'm05' is not finite: nan\n")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("c\td\t0.0001\tm00\tnan", "increment 'm00' is not finite: nan"),
+            ("c\td\t0.0001\tm00\t-inf", "increment 'm00' is not finite: -inf"),
+            ("c\td\tnan\tm00\t0.5", "delta must be a finite number > 0, got nan"),
+            ("c\td\t-1\tm00\tinf", "delta must be a finite number > 0, got -1"),
+        ],
+    )
+    def test_combine_refuses_a_record_put_refuses(self, tmp_path, capsys, line, message):
+        store = tmp_path / "inc.tsv"
+        store.write_text(f"c\td\t0.0001\tm05\t0.5\n{line}\n", encoding="utf-8")
+        code, out, err = run(capsys, "store", "combine", "--store", store, "--query", "c", "--target", "d")
+        assert (code, out, err) == (1, "", f"error: {store}:2: {message}\n")
+
     def test_missing_key(self, tmp_path, capsys):
         store = tmp_path / "inc.tsv"
         store.write_text("")
@@ -596,6 +635,42 @@ OUT_COMMANDS = {
     "report-csv": ("report", "--indexes", "{index}", "--x", "mu", "--y", "k_mt"),
     "report-svg": ("report", "--indexes", "{index}", "--x", "mu", "--y", "k_mt", "--format", "svg"),
 }
+
+
+# every command that reads a pyramid table besides ingest; "{csv}" is the table, "{store}" a fresh store
+TABLE_COMMANDS = {
+    "compare": ("compare", "{csv}", "country00", "country05", "--delta", "0.001", "--increments"),
+    "batch": ("batch", "{csv}", "--query", "country00"),
+    "mu": ("mu", "{csv}", "country00", "country09", "--delta", "0.001"),
+    "punif": ("punif", "{csv}"),
+    "store-put": ("store", "put", "--store", "{store}", "--data", "{csv}", "--query", "country00", "--target", "country05"),
+}
+
+
+@pytest.mark.parametrize("argv", TABLE_COMMANDS.values(), ids=TABLE_COMMANDS.keys())
+def test_lenient_reports_each_skipped_row_like_ingest(pyramid_csv, tmp_path, capsys, argv):
+    """Every command loads its table the way ingest does: under --lenient each
+    skipped row is ingest's `warning: skipped row N: ...` line, and stdout and
+    the store are what the table without the bad rows gives."""
+    text = pyramid_csv.read_text(encoding="utf-8")
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text + "zero," + ",".join(["0"] * 34) + "\n" + text.splitlines()[1] + "\n", encoding="utf-8")
+    code, _, skipped = run(capsys, "ingest", bad, "--lenient")
+    assert code == 0
+    assert skipped == (
+        "warning: skipped row 12: cannot normalize an all-zero row\n"
+        "warning: skipped row 13: duplicate name 'country00'\n"
+    )
+
+    def kdiss(table, store, *flags):
+        return run(capsys, *(a.format(csv=table, store=store) for a in argv), *flags)
+
+    clean_store, bad_store = tmp_path / "clean.tsv", tmp_path / "bad.tsv"
+    code, out, err = kdiss(pyramid_csv, clean_store)
+    assert (code, err) == (0, "")
+    assert kdiss(bad, bad_store, "--lenient") == (0, out, skipped)
+    if argv[0] == "store":
+        assert bad_store.read_bytes() == clean_store.read_bytes()
 
 
 # commands whose stderr names a row or a path, with a line it must hold in UTF-8

@@ -189,6 +189,13 @@ class TestIncrementStore:
             store = IncrementStore(path)
         assert store.as_mapping() == {("a", "b", 0.0001, "m00"): 0.5}
 
+    @pytest.mark.parametrize("tail", ["a\tb\t0.0001\tm05\tnan", "a\tb\t-1\tm05\t0.5"])
+    def test_torn_final_line_is_one_put_would_refuse(self, tmp_path, tail):
+        path = tmp_path / "inc.tsv"
+        path.write_text(f"a\tb\t0.0001\tm00\t0.5\n{tail}", encoding="utf-8")
+        with pytest.warns(UserWarning, match=r"inc\.tsv:2: skipped a torn final line"):
+            assert IncrementStore(path).as_mapping() == {("a", "b", 0.0001, "m00"): 0.5}
+
     def test_torn_multibyte_character_skipped(self, tmp_path):
         path = tmp_path / "inc.tsv"
         path.write_bytes("a\tb\t0.0001\tm00\t0.5\n".encode("utf-8") + "\u00e9".encode("utf-8")[:1])
@@ -247,7 +254,8 @@ class TestIncrementStore:
         with pytest.warns(UserWarning):
             store = IncrementStore(path)
         res = self._result()
-        store.put(res)
+        with pytest.warns(UserWarning, match=r"inc\.tsv:2: skipped a torn final line"):  # the put cuts it off
+            store.put(res)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             reloaded = IncrementStore(path)
@@ -308,6 +316,17 @@ class TestIncrementStore:
             ("a\tb\t0.0001\tm05\t0,5", "bad numeric field (could not convert string to float: '0,5')"),
             # the first bad line is reported, not a worse one after it
             ("a\tb\t0.0001\tm05\tx\na\tb", "bad numeric field (could not convert string to float: 'x')"),
+            # a number put would refuse: an increment that is not finite, in a run or rewritten by line 3
+            ("a\tb\t0.0001\tm05\tnan", "increment 'm05' is not finite: nan"),
+            ("a\tb\t0.0001\tm05\tinf", "increment 'm05' is not finite: inf"),
+            ("a\tb\t0.0001\tm10\t-Infinity", "increment 'm10' is not finite: -Infinity"),
+            ("c\td\t0.001\tm10\tNaN", "increment 'm10' is not finite: NaN"),
+            # ... or a delta that is not a finite number > 0
+            ("a\tb\tnan\tm05\t0.5", "delta must be a finite number > 0, got nan"),
+            ("a\tb\tinf\tm05\t0.5", "delta must be a finite number > 0, got inf"),
+            ("a\tb\t0\tm05\t0.5", "delta must be a finite number > 0, got 0"),
+            ("a\tb\t-0.0\tm05\t0.5", "delta must be a finite number > 0, got -0.0"),
+            ("a\tb\t-1\tm05\tinf", "delta must be a finite number > 0, got -1"),
         ],
     )
     def test_bad_line_messages(self, tmp_path, bad_line, message):
@@ -325,23 +344,31 @@ class TestIncrementStore:
     def test_put_writes_one_line_per_increment(self, tmp_path):
         run = b"q\tt\t0.0001\tm00\t0.1\nq\tt\t0.0001\tf80\t1e-300\nq\tt\t0.0001\tm05\t2.0\n"
         record = b"a\tb\t0.5\tx\t1.0"
-        # the file a put finds (None: no file), and what it leaves before the put's own lines
+        # the file a put finds (None: no file), what it leaves before the put's own lines,
+        # and the number of the torn line it cuts off with a warning (0: none)
         tails = {
-            "missing": (None, b""),
-            "empty": (b"", b""),
-            "newline": (record + b"\n", record + b"\n"),
-            "unterminated": (record, record + b"\n"),
-            "torn": (record + b"\na\tb\t0.5\tx", record + b"\n"),
-            "torn-only-line": (b"a\tb\t0.", b""),
+            "missing": (None, b"", 0),
+            "empty": (b"", b"", 0),
+            "newline": (record + b"\n", record + b"\n", 0),
+            "unterminated": (record, record + b"\n", 0),
+            "torn": (record + b"\na\tb\t0.5\tx", record + b"\n", 2),
+            "torn-only-line": (b"a\tb\t0.", b"", 1),
+            "torn-nan-delta": (record + b"\na\tb\tnan\tx\t1.0", record + b"\n", 2),
+            "torn-long-line": (b"a" * 10000 + b"\n" + b"b" * 10000, b"a" * 10000 + b"\n", 2),
+            "unterminated-long": (b"\n" + b"q" * 10000 + record[1:], b"\n" + b"q" * 10000 + record[1:] + b"\n", 0),
         }
-        for name, (found, kept) in tails.items():
+        for name, (found, kept, torn) in tails.items():
             for incs, written in (({"m00": 0.1, "f80": 1e-300, "m05": 2}, run), ({}, b"")):
                 path = tmp_path / f"{name}-{len(incs)}.tsv"
                 store = IncrementStore(path)  # opened before the tail is written, so no load warns
                 if found is not None:
                     path.write_bytes(found)
-                store.put(ComparisonResult("q", "t", 1e-4, 1.0, 1, 1e-4, 1.0, incs))
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    store.put(ComparisonResult("q", "t", 1e-4, 1.0, 1, 1e-4, 1.0, incs))
                 assert path.read_bytes() == kept + written, (name, incs)
+                message = f"{path}:{torn}: skipped a torn final line (no newline, does not parse)"
+                assert [str(w.message) for w in caught] == ([message] if torn else []), (name, incs)
         # numpy scalars are written as the floats they hold; last, as it skips without numpy
         np = pytest.importorskip("numpy")
         path = tmp_path / "numpy.tsv"
