@@ -45,7 +45,6 @@ _LAZY = {
     "exponential_model": "pyramids",
     "ingest": "pyramids",
     "long_to_wide": "pyramids",
-    "uniform_model": "pyramids",
     "write_pyramid_csv": "pyramids",
     "emit": "report",
     "fit_series": "report",
@@ -156,7 +155,7 @@ def cmd_mu(args) -> int:
 
 
 def cmd_model(args) -> int:
-    record = uniform_model() if args.kind == "uniform" else exponential_model(args.rate)
+    record = exponential_model(args.rate)
     rows = (
         [age, f"{record.value_of('m' + age):.6f}", f"{record.value_of('f' + age):.6f}", f"{combined:.6f}"]
         for age, combined in cohort_totals(record)
@@ -315,6 +314,8 @@ def _validate(args) -> str:
     rate = getattr(args, "rate", 0.0)
     if not 0.0 <= rate < 1.0:
         return f"rate must lie in [0, 1), got {rate!r}"
+    if getattr(args, "kind", None) == "uniform":  # model --kind uniform, built as batch --model uniform
+        args.rate = 0.0
     if getattr(args, "from_long", False) and args.lenient:
         return "--lenient does not apply to --from-long input"
     store_action = getattr(args, "action", "")

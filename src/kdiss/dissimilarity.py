@@ -16,18 +16,20 @@ delta) / delta in closed form, which kdiss.kernel evaluates.  This module
 keeps the paper's mechanism as the oracle the closed form must agree with:
 grouped_with_target (one evaluation of the grouping predicate) and
 switch_weight (bisection on a log scale between 1e-30 and 1e12 on that
-monotone predicate).
+monotone predicate).  Both run one predicate, which takes the three blended
+entries of the probe records in O(P) and averages them with the 3-object
+sweep of kdiss.averaging.  The tests build the same entries from the probe
+records, with kdiss.similarity's blend and kdiss.averaging's bipartition, and
+check that the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
-from .averaging import AveragingConfig, _polarize3, bipartition
-from .errors import DegenerateSymmetryError, DomainError, NonPolarizedError, NotSwitchedError
+from .averaging import _polarize3
+from .errors import DomainError, NonPolarizedError, NotSwitchedError
 from .kernel import ObjectRecord, ProbeConfig, _check_schema, _counts, _ratio_sims
-from .similarity import WeightedParameterSet, blend_from_objects
 
 # not public here (see __all__); bench/child.py and bench/spans.py import these two from this module
 from .kernel import ComparisonResult
@@ -35,19 +37,16 @@ from .store import IncrementStore
 
 __all__ = ["grouped_with_target", "switch_weight"]
 
-ANCHOR_LABEL = "clone-a"
-OFFSET_LABEL = "clone-b"
-TARGET_LABEL = "target"
-
 _WEIGHT_FLOOR = 1e-30
 _MAX_WEIGHT = 1e12  # the search gives up above this weight
 _WEIGHT_TOL = 1e-12  # relative width at which the bisection stops
-_AVERAGING = AveragingConfig(max_iterations=500)
+_MAX_SWEEPS = 500  # the averaging gives up above this many sweeps
 
 
 class _ProbeProblem:
-    """Per-pair state for the search.  Each entry is blend's, bit for bit: the math.fsum
-    of the similarities and the probe term over the weight total, O(P) per weight."""
+    """Per-pair state of the grouping predicate.  Each entry is the probe records' blend
+    entry, bit for bit (a tier-1 test builds that blend to check it): the math.fsum of
+    the similarities and the probe term over the weight total, O(P) per weight."""
 
     def __init__(self, query: ObjectRecord, target: ObjectRecord, cfg: ProbeConfig):
         _check_schema(query, target)
@@ -70,7 +69,7 @@ class _ProbeProblem:
     def anchor_with_target(self, weight: float) -> bool:
         u, x, y = self.entries(weight)
         try:
-            winner, _ = _polarize3(u, x, y, _AVERAGING.max_iterations)
+            winner, _ = _polarize3(u, x, y, _MAX_SWEEPS)
         except NonPolarizedError:
             winner = None
         if winner is not None:
@@ -79,41 +78,21 @@ class _ProbeProblem:
         return x >= u
 
 
-def _probe_param_name(schema: Sequence[str]) -> str:
-    name = "_probe"
-    while name in schema:
-        name += "_"
-    return name
-
-
 def grouped_with_target(
     query: ObjectRecord, target: ObjectRecord, cfg: ProbeConfig, weight: float
 ) -> bool:
     """True when the anchor clone lands in the target's group at this weight.
 
-    Builds the three probe-extended records, blends their matrix with unit
-    base weights and the probe at ``weight``, and splits it by iterative
-    averaging.  A tie of the decisive entries counts as switched.  This is
-    the paper's mechanism, kept as the oracle for the closed form.
+    The entries of the three probe records' blend, with unit base weights
+    and the probe at ``weight``, split by iterative averaging.  A tie of
+    the decisive entries counts as switched.  This is the paper's
+    mechanism, kept as the oracle for the closed form, and the predicate
+    switch_weight bisects on.
     """
     if not (math.isfinite(weight) and weight > 0):
         raise DomainError(f"weight must be positive and finite, got {weight!r}")
-    _check_schema(query, target)
-    probe_name = _probe_param_name(query.param_names)
-    records = [
-        query.with_param(probe_name, 1.0, name=ANCHOR_LABEL),
-        query.with_param(probe_name, 1.0 + cfg.delta, name=OFFSET_LABEL),
-        target.with_param(probe_name, 1.0, name=TARGET_LABEL),
-    ]
-    pset = WeightedParameterSet(
-        tuple((p, 1.0) for p in query.param_names) + ((probe_name, float(weight)),)
-    )
-    matrix = blend_from_objects(records, pset)
-    try:
-        parts = bipartition(matrix, _AVERAGING)
-    except (DegenerateSymmetryError, NonPolarizedError):
-        return matrix.entry(ANCHOR_LABEL, TARGET_LABEL) >= matrix.entry(ANCHOR_LABEL, OFFSET_LABEL)
-    return parts.together(ANCHOR_LABEL, TARGET_LABEL)
+    # a float, so that an int weight past 2**53 totals as a float blend weight does
+    return _ProbeProblem(query, target, cfg).anchor_with_target(float(weight))
 
 
 def _search_switch(problem: _ProbeProblem) -> float:
@@ -147,8 +126,10 @@ def _search_switch(problem: _ProbeProblem) -> float:
 def switch_weight(query: ObjectRecord, target: ObjectRecord, cfg: ProbeConfig | None = None) -> float:
     """Smallest probe weight at which the anchor clone regroups with the target.
 
-    The paper's search, kept as the oracle for the closed form: the
-    grouping predicate is monotone in the weight, so the minimum is located
+    The paper's search, kept as the oracle for the closed form: it bisects
+    on grouped_with_target's predicate, which the tests hold to the probe
+    records' blend and bipartition bit for bit.  The grouping predicate is
+    monotone in the weight, so the minimum is located
     by bisection on a log scale between 1e-30 and 1e12, down to a relative
     width of 1e-12; the exact count D, at or above which a whole weight
     switches, settles its ceiling.  The float predicate resolves the

@@ -3,11 +3,15 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
-from kdiss.kernel import ObjectRecord, _ratio_sims
+from kdiss.averaging import AveragingConfig, bipartition
+from kdiss.errors import DegenerateSymmetryError, DomainError, NonPolarizedError
+from kdiss.kernel import ObjectRecord, ProbeConfig, _check_schema, _ratio_sims
 from kdiss.pyramids import PyramidTable, exponential_model, normalize, uniform_model
+from kdiss.similarity import WeightedParameterSet, blend_from_objects
 
 
 # interpreter flags under which any warning raises, for the tests that start a CLI
@@ -53,6 +57,47 @@ def exact_d(query, target, delta: float) -> int:
     in Fractions for the engine's float similarity sum S and the float delta."""
     sim_sum = Fraction(math.fsum(_ratio_sims(query, target)))
     return max(1, math.ceil((len(query) - sim_sum) * (1 + Fraction(delta)) / Fraction(delta)))
+
+
+ANCHOR_LABEL = "clone-a"
+OFFSET_LABEL = "clone-b"
+TARGET_LABEL = "target"
+_AVERAGING = AveragingConfig(max_iterations=500)
+
+
+def _probe_param_name(schema: Sequence[str]) -> str:
+    name = "_probe"
+    while name in schema:
+        name += "_"
+    return name
+
+
+def grouped_by_records(query: ObjectRecord, target: ObjectRecord, cfg: ProbeConfig, weight: float) -> bool:
+    """The reference for kdiss.dissimilarity.grouped_with_target: the paper's grouping
+    predicate on records.
+
+    Builds the three probe-extended records, blends their matrix with unit
+    base weights and the probe at ``weight``, and splits it by iterative
+    averaging.  A tie of the decisive entries counts as switched.
+    """
+    if not (math.isfinite(weight) and weight > 0):
+        raise DomainError(f"weight must be positive and finite, got {weight!r}")
+    _check_schema(query, target)
+    probe_name = _probe_param_name(query.param_names)
+    records = [
+        query.with_param(probe_name, 1.0, name=ANCHOR_LABEL),
+        query.with_param(probe_name, 1.0 + cfg.delta, name=OFFSET_LABEL),
+        target.with_param(probe_name, 1.0, name=TARGET_LABEL),
+    ]
+    pset = WeightedParameterSet(
+        tuple((p, 1.0) for p in query.param_names) + ((probe_name, float(weight)),)
+    )
+    matrix = blend_from_objects(records, pset)
+    try:
+        parts = bipartition(matrix, _AVERAGING)
+    except (DegenerateSymmetryError, NonPolarizedError):
+        return matrix.entry(ANCHOR_LABEL, TARGET_LABEL) >= matrix.entry(ANCHOR_LABEL, OFFSET_LABEL)
+    return parts.together(ANCHOR_LABEL, TARGET_LABEL)
 
 
 def allclose(got, want, rtol=1e-5, atol=1e-8):

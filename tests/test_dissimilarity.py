@@ -6,7 +6,7 @@ from kdiss.dissimilarity import grouped_with_target, switch_weight
 from kdiss.errors import DomainError, NotSwitchedError, SchemaError
 from kdiss.kernel import ObjectRecord, ProbeConfig, batch_compare, closed_form_k, compare
 
-from conftest import pair_with_sims, random_pair
+from conftest import grouped_by_records, pair_with_sims, random_pair
 
 # The store's tests live in test_store.py; imported here, they are also collected
 # under this module, where they were first written, so their old test ids still run.
@@ -40,38 +40,33 @@ class TestGroupedWithTarget:
             grouped_with_target(q, t, ProbeConfig(), weight=0.0)
 
     def test_matches_fast_predicate(self, rng):
-        from kdiss.dissimilarity import _ProbeProblem
-
+        # the closed-form entries are the probe records' blend, and split as its bipartition does
         cfg = ProbeConfig(delta=1e-3)
         for _ in range(10):
             q, t = random_pair(rng, 8)
-            problem = _ProbeProblem(q, t, cfg)
             w_star = switch_weight(q, t, cfg)
             for w in (0.3 * w_star, 0.9 * w_star, 1.1 * w_star, 3.0 * w_star):
                 if w <= 0:
                     continue
-                assert grouped_with_target(q, t, cfg, w) == problem.anchor_with_target(w)
+                assert grouped_with_target(q, t, cfg, w) == grouped_by_records(q, t, cfg, w)
 
     @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
     def test_matches_fast_predicate_near_switch_weight(self, rng, delta):
         # at w* and its float neighbours one ulp can decide, most often for a
-        # target within 0.1% of the query: the blend adds in the search's
-        # order, so the two agree there too
-        from kdiss.dissimilarity import _ProbeProblem
-
+        # target within 0.1% of the query: the blend's entries are the closed
+        # form's bit for bit, so the two agree there too
         cfg = ProbeConfig(delta=delta)
         for i in range(40):
             q, t = random_pair(rng, 34)
             if i % 2:
                 values = [v * rng.uniform(0.999, 1.001) for v in q.param_values]
                 t = ObjectRecord.from_values("t", q.param_names, values)
-            problem = _ProbeProblem(q, t, cfg)
             w_star = switch_weight(q, t, cfg)
             near = (math.nextafter(w_star, 0.0), w_star, math.nextafter(w_star, math.inf))
             for w in (0.3 * w_star, 0.9 * w_star, 1.1 * w_star, 3.0 * w_star, *near):
                 if w <= 0:
                     continue
-                assert grouped_with_target(q, t, cfg, w) == problem.anchor_with_target(w)
+                assert grouped_with_target(q, t, cfg, w) == grouped_by_records(q, t, cfg, w)
 
 
 class TestSwitchWeight:

@@ -8,7 +8,6 @@ the grouping predicate.  D must agree exactly and K_cont within 1e-9 relative.
 import math
 import random
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -168,6 +167,13 @@ def _spread_row(rng: random.Random, width: int) -> list[float]:
             for _ in range(width)]
 
 
+def _exact_sum(values) -> float:
+    """The exact sum of floats rounded once: every float is a whole multiple of
+    2**-1074, so each scales to an integer exactly, and int / int rounds correctly."""
+    scale = 2**1074
+    return sum(n * (scale // d) for n, d in map(float.as_integer_ratio, values)) / scale
+
+
 def test_similarity_sum_is_exactly_rounded():
     """The similarity sum of one target is its exact sum rounded once, bit for
     bit, at every width a pyramid or one of its halves can take and past the
@@ -179,7 +185,7 @@ def test_similarity_sum_is_exactly_rounded():
             if trial % 2:  # ties give similarities of exactly 1.0
                 target = [t if rng.random() < 0.5 else q for q, t in zip(query, target)]
             sim_sum = _closed_form(query, [[t] for t in target], 1e-3)[2]
-            want = float(sum(map(Fraction, _ratio_sims(query, target))))
+            want = _exact_sum(_ratio_sims(query, target))
             assert [s.hex() for s in sim_sum] == [want.hex()], (width, trial)
     assert _closed_form([-0.0] * 34, [[-0.0]] * 34, 1e-3)[2] == [34.0]
 
@@ -209,7 +215,7 @@ def test_row_sums_are_exactly_rounded(width, n_rows, data):
         pool = data.draw(st.lists(st.lists(VALUES, min_size=width, max_size=width), min_size=n_rows, max_size=n_rows))
     rows = pool + pool[:1]  # the first row twice
     sim_sum = _closed_form(query, list(zip(*rows)), 1e-3)[2]
-    want = [float(sum(map(Fraction, _ratio_sims(query, row)))) for row in rows]
+    want = [_exact_sum(_ratio_sims(query, row)) for row in rows]
     assert [s.hex() for s in sim_sum] == [w.hex() for w in want]
 
 
