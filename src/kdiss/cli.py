@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import KdissError
-from .formats import FEMALE_COHORTS, MALE_COHORTS, _csv_text, _six_places, _write_stderr, _write_text
+from .formats import FEMALE_COHORTS, MALE_COHORTS, _csv_text, _write_stderr, _write_text
 from .formats import read_index_csv, write_index_csv
 
 if TYPE_CHECKING:
@@ -128,8 +128,7 @@ def cmd_compare(args) -> int:
             f"# query={result.query} target={result.target} delta={result.delta!r} "
             f"w_star={result.w_star!r} d={result.d} k={result.k!r} k_cont={result.k_cont!r}\n"
         )
-        rows = ([param, repr(inc)] for param, inc in result.increments.items())
-        _write_text(head + _csv_text(["param", "increment"], rows), args.out)
+        _write_text(head + _csv_text(["param", "increment"], result.increments.items(), "%r"), args.out)
     _write_text("".join(f"{line}\n" for line in lines))
     return 0
 
@@ -140,8 +139,8 @@ def cmd_batch(args) -> int:
     delta = args.delta
     k_cont, _, sim_sum, sims = _closed_form(query.param_values, table.columns(), delta)
     d = _counts(len(sims), sim_sum, delta)
-    rows = zip(table.names, d, _six_places([n * delta for n in d]), _six_places(k_cont))
-    _write_text(_csv_text(["name", "d", "k", "k_cont"], rows), args.out)
+    rows = zip(table.names, d, [n * delta for n in d], k_cont)
+    _write_text(_csv_text(["name", "d", "k", "k_cont"], rows, "%d,%.6f,%.6f"), args.out)
     return 0
 
 
@@ -156,19 +155,16 @@ def cmd_mu(args) -> int:
 
 def cmd_model(args) -> int:
     record = exponential_model(args.rate)
-    rows = (
-        [age, f"{record.value_of('m' + age):.6f}", f"{record.value_of('f' + age):.6f}", f"{combined:.6f}"]
-        for age, combined in cohort_totals(record)
-    )
-    _write_text(_csv_text(["age", "male", "female", "combined"], rows), args.out)
+    rows = ((age, record.value_of(f"m{age}"), record.value_of(f"f{age}"), both) for age, both in cohort_totals(record))
+    _write_text(_csv_text(["age", "male", "female", "combined"], rows, "%.6f,%.6f,%.6f"), args.out)
     return 0
 
 
 def cmd_punif(args) -> int:
     table = _load_table(args)
     d_un, d_e, p_un, problems = _model_distances(table.names, table.columns(), args.delta)
-    rows = zip(table.names, *map(_six_places, (d_un, d_e, p_un)))
-    _write_text(_csv_text(["name", "d_un", "d_e30", "p_un"], rows), args.out)
+    rows = zip(table.names, d_un, d_e, p_un)
+    _write_text(_csv_text(["name", "d_un", "d_e30", "p_un"], rows, "%.6f,%.6f,%.6f"), args.out)
     _write_stderr(f"warning: {message}" for message in problems)
     return 0 if (args.lenient or not problems) else 1
 

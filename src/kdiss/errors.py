@@ -46,10 +46,16 @@ class StoreLookupError(KdissError, KeyError):
         return Exception.__str__(self)
 
 
-def decode_utf8(data: bytes, path: object) -> str:
-    """data as UTF-8 text; a bad byte raises SchemaError naming path and its line."""
+def decode_utf8(data: bytes, path: object, csv_lines: bool = False) -> str:
+    """data as UTF-8 text; a bad byte raises SchemaError naming path and its line.
+
+    Lines end at each LF, as the increment store splits them; with csv_lines,
+    at each CRLF, CR or LF, as a CSV reader splits them.
+    """
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
+        if csv_lines:  # a CR ends a line too, unless an LF follows it
+            lineno += data.count(b"\r", 0, exc.start) - data.count(b"\r\n", 0, exc.start)
         raise SchemaError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from exc

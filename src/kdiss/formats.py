@@ -12,6 +12,7 @@ import csv
 import io
 import sys
 from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -39,14 +40,19 @@ INDEX_COLUMNS = ("name", "k_mt", "k_ut", "k_m_male", "k_m_female", "mu", "d_un",
 def _csv_rows(source: str | Path | IO[str], columns: Sequence[str], bad_header: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of each non-blank row of a CSV after its header.
 
-    A path is read whole and decoded as UTF-8, an open stream is used as it
-    is; a BOM is dropped from either.  A header that, stripped, is not
-    ``columns`` raises SchemaError: naming its first wrong column if it has
-    the right length, else bad_header with ``{n}`` in it set to its length.
+    A path is read whole and checked as UTF-8 first, so that a bad byte
+    anywhere fails the file before any row does; csv.reader then reads the
+    bytes through a TextIOWrapper, which decodes them a chunk at a time and
+    splits lines as a StringIO with newline="" would, without holding the
+    whole text at 4 bytes a character.  An open stream is used as it is; a
+    BOM is dropped from either.  A header that, stripped, is not ``columns``
+    raises SchemaError: naming its first wrong column if it has the right
+    length, else bad_header with ``{n}`` in it set to its length.
     """
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes().removeprefix(b"\xef\xbb\xbf")
-        source = io.StringIO(decode_utf8(data, source), newline="")
+        decode_utf8(data, source, csv_lines=True)
+        source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
     reader = csv.reader(source)
     header = next(reader, None)
     if header is None:
@@ -70,33 +76,25 @@ class _Lines(list):
     write = list.append
 
 
-def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+def _csv_text(header: Sequence[str], rows: Iterable[tuple], fmt: str) -> str:
     """A header and rows as CSV text, each line ended by "\n".
 
-    The rows are all of one length, two fields or more.  csv.writer writes
-    the header and quotes each row's first field, the label, by the rules of
-    the running Python (3.13 quotes a bare CR, 3.10 to 3.12 do not).  Every
-    other field is a number or the text of one, which holds no character
-    that needs quoting, so it is written as str(field): the text csv.writer
-    would write, without its per-character check.  The rows are taken apart
-    into columns, so that no Python code runs per row.
+    Each row is a tuple of a label and one or more values, and ``fmt`` is the
+    format of the values, one ``%`` conversion each, joined by commas
+    ("%d,%.6f").  csv.writer writes the header and quotes each label by the
+    rules of the running Python (3.13 quotes a bare CR, 3.10 to 3.12 do not);
+    the values are written as ``fmt % values``, the text of numbers, which
+    holds no character that needs quoting, so each row costs one ``%`` and
+    no call per field.
     """
     lines = _Lines()
     writer = csv.writer(lines, lineterminator="\n")
     writer.writerow(header)
-    labels, *columns = list(zip(*rows)) or [()]
-    writer.writerows(zip(labels, repeat("")))  # each label as csv.writer quotes it, then ",\n"
+    rows = list(rows)
+    writer.writerows(zip(map(itemgetter(0), rows), repeat("")))  # each label as csv.writer quotes it, then ",\n"
     head, *starts = lines
-    if not starts:
-        return head
-    starts = map(str.removesuffix, starts, repeat("\n"))
-    bodies = map(",".join, zip(*[map(str, column) for column in columns]))
-    return head + "\n".join(map(str.__add__, starts, bodies)) + "\n"
-
-
-def _six_places(column: Iterable[float]) -> Iterator[str]:
-    """Each value in the "%.6f" format of the numeric output columns."""
-    return map(format, column, repeat(".6f"))
+    bodies = map(f"{fmt}\n".__mod__, map(itemgetter(slice(1, None)), rows))
+    return head + "".join(map(str.__add__, map(str.removesuffix, starts, repeat("\n")), bodies))
 
 
 def _write_text(text: str, sink: str | Path | IO[str] | None = None) -> None:
@@ -140,8 +138,7 @@ class IndexRow(NamedTuple):
 
 def write_index_csv(rows: Sequence[IndexRow], sink: str | Path | IO[str] | None) -> None:
     """Write rows as CSV with the fixed column order of INDEX_COLUMNS (sink None: stdout)."""
-    names, *values = list(zip(*rows)) or [()] * len(INDEX_COLUMNS)
-    _write_text(_csv_text(INDEX_COLUMNS, zip(names, *map(_six_places, values))), sink)
+    _write_text(_csv_text(INDEX_COLUMNS, rows, ",".join(["%.6f"] * (len(INDEX_COLUMNS) - 1))), sink)
 
 
 def read_index_csv(source: str | Path | IO[str]) -> list[IndexRow]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, SchemaError
 
@@ -164,19 +164,31 @@ def _counts(n_params: int, sim_sums: Iterable[float], delta: float) -> list[int]
     return [max(1, -((a - n_params * b) * (e + c) // (b * c))) for a, b in map(float.as_integer_ratio, sim_sums)]
 
 
-def _increment_columns(sim_columns: Sequence[Sequence[float]], k_cont: Sequence[float]) -> list[list[float]]:
+def _increment_columns(sim_columns: Sequence[Sequence[float]], k_cont: Sequence[float]) -> list[Iterator[float]]:
     """Each row's K_cont split over its parameters in proportion to 1 - r, a whole
-    parameter column at a time; a row whose K_cont or shortfall sum is 0 gets zeros."""
+    parameter column at a time; a row whose K_cont or shortfall sum is 0 gets zeros.
+    Each column is a lazy map over the rows, read once, so that a caller who sums
+    the increments (mu's K per sex) builds no list of them."""
     shortfalls = [[1.0 - r for r in column] for column in sim_columns]
     totals = map(math.fsum, zip(*shortfalls))
     scales = [k / total if total > 0.0 and k > 0.0 else 0.0 for k, total in zip(k_cont, totals)]
-    return [list(map(mul, column, scales)) for column in shortfalls]
+    return [map(mul, column, scales) for column in shortfalls]
+
+
+def _sim_column(q: float, column: Iterable[float]) -> list[float]:
+    """_ratio_sims of one query value against a column, one comparison per value.  For
+    q > 0 a tie t == q takes q / t, which is 1.0; for q = ±0.0 a zero t gives 1.0 and
+    any other t gives q / t.  So each result is the three-branch rule's bit for bit,
+    signed zeros included."""
+    if q > 0.0:
+        return [t / q if t < q else q / t for t in column]
+    return [q / t if t else 1.0 for t in column]
 
 
 def _closed_form(query: Sequence[float], columns: Sequence[Sequence[float]], delta: float):
     """One query against every row of a table given by its columns: the lists K_cont,
     w* and similarity sum, and the similarity columns, one comprehension each."""
-    sims = [[t / q if t < q else q / t if q < t else 1.0 for t in column] for q, column in zip(query, columns)]
+    sims = list(map(_sim_column, query, columns))
     sim_sums = list(map(math.fsum, zip(*sims)))
     return (*_weights(len(query), sim_sums, delta), sim_sums, sims)
 

@@ -49,14 +49,17 @@ def normalize(raw: Sequence[float]) -> tuple[float, ...]:
 def _normalize_row(values: Sequence[float]) -> tuple[tuple[float, ...], str]:
     """normalize() on a non-empty row of floats: the shares and "", or ()
     and why the row cannot be scaled."""
-    if not all(map(math.isfinite, values)):
-        return (), "values must be finite"
-    if min(values) < 0.0:
-        return (), "values must be non-negative"
     try:
         total = math.fsum(values)
     except OverflowError:  # the sum is beyond the float range
         total = math.inf
+    except ValueError:  # both infinities
+        total = math.nan
+    # only a non-finite total can come of a non-finite value, so only that one needs the scan
+    if not math.isfinite(total) and not all(map(math.isfinite, values)):
+        return (), "values must be finite"
+    if min(values) < 0.0:
+        return (), "values must be non-negative"
     if total == 0.0:
         return (), "cannot normalize an all-zero row"
     scale = 100.0 / total
@@ -210,8 +213,8 @@ def long_to_wide(source: str | Path | IO[str]) -> PyramidTable:
 
 def write_pyramid_csv(table: PyramidTable, sink: str | Path | IO[str] | None) -> None:
     """Write the wide CSV back out (sink None: stdout); shares use repr so they round-trip."""
-    rows = ([name, *values] for name, values in zip(table.names, table.values))
-    _write_text(_csv_text(["name", *COHORTS], rows), sink)
+    rows = map(tuple.__add__, zip(table.names), table.values)  # (name, *values)
+    _write_text(_csv_text(["name", *COHORTS], rows, ",".join(["%r"] * len(COHORTS))), sink)
 
 
 def uniform_model() -> ObjectRecord:

@@ -206,8 +206,8 @@ def _emit_csv(series: ScatterSeries) -> bytes:
     if series.fit is not None:
         slope, intercept, r = series.fit
         head += f"# fit slope={_fmt(slope)} intercept={_fmt(intercept)} pearson_r={_fmt(r)}\n"
-    rows = ([name, _fmt(x), _fmt(y)] for x, y, name in series.points)
-    return (head + _csv_text(["name", "x", "y"], rows)).encode("utf-8")
+    rows = ((name, x, y) for x, y, name in series.points)
+    return (head + _csv_text(["name", "x", "y"], rows, "%.10g,%.10g")).encode("utf-8")
 
 
 _SVG_W, _SVG_H = 640, 480

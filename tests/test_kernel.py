@@ -5,6 +5,7 @@ switch_weight keeps the bisection on a log scale between 1e-30 and 1e12 on
 the grouping predicate.  D must agree exactly and K_cont within 1e-9 relative.
 """
 
+import itertools
 import math
 import random
 import sys
@@ -217,6 +218,22 @@ def test_row_sums_are_exactly_rounded(width, n_rows, data):
     sim_sum = _closed_form(query, list(zip(*rows)), 1e-3)[2]
     want = [_exact_sum(_ratio_sims(query, row)) for row in rows]
     assert [s.hex() for s in sim_sum] == [w.hex() for w in want]
+
+
+# the values at which the one-comparison ratio rule could part from the three-branch
+# rule: zeros of both signs (ingest admits -0.0 from a "-0" cell), the smallest
+# subnormal, a pyramid share, the tie value 1.0 and a value near the float max
+EDGE_VALUES = (0.0, -0.0, 5e-324, 100.0 / 34.0, 1.0, 1e308)
+
+
+def test_similarity_columns_are_the_three_branch_rule_bit_for_bit():
+    """Every similarity _closed_form computes is _ratio_sims's for its (q, t), sign
+    of a zero included: each edge value as the query against every edge value."""
+    rows = [list(row) for row in itertools.product(EDGE_VALUES, repeat=2)]
+    for query in itertools.product(EDGE_VALUES, repeat=2):
+        sims = _closed_form(list(query), list(zip(*rows)), 1e-3)[3]
+        got = [[value.hex() for value in row] for row in zip(*sims)]
+        assert got == [[value.hex() for value in _ratio_sims(query, row)] for row in rows], query
 
 
 NON_NEGATIVE = st.floats(min_value=0.0, max_value=1e300)

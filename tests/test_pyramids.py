@@ -83,6 +83,26 @@ class TestNormalize:
         assert out[0] == out[1] == 50.0
         assert 0.0 < out[2] < 1e-300
 
+    @pytest.mark.parametrize(
+        "values, problem",
+        [
+            ([math.nan, -1.0], "values must be finite"),
+            ([-1.0, math.nan], "values must be finite"),
+            ([math.inf, -math.inf], "values must be finite"),  # math.fsum raises ValueError
+            ([math.inf, -1.0], "values must be finite"),
+            ([1e308, 1e308, -1.0], "values must be non-negative"),  # math.fsum overflows
+            ([0.0, -0.0], "cannot normalize an all-zero row"),
+        ],
+    )
+    def test_row_problems_keep_their_order(self, values, problem):
+        """A non-finite value is named before a negative one, and a negative one
+        before an all-zero row, whatever the sum of the row does."""
+        assert _normalize_row(values) == ((), problem)
+
+    def test_overflowing_row_keeps_its_shares(self):
+        shares, problem = _normalize_row([1e308, 1e308, 1.0])
+        assert problem == "" and [v.hex() for v in shares] == [v.hex() for v in (50.0, 50.0, 4.999999999999999e-307)]
+
     def test_zero_sum_rejected(self):
         with pytest.raises(DomainError):
             normalize([0.0] * 34)
@@ -387,6 +407,26 @@ def test_non_utf8_names_its_line(tmp_path, capsys):
     for lenient in ([], ["--lenient"]):
         assert main(["ingest", str(tmp_path / "ingest.csv"), *lenient]) == 1
         assert "ingest.csv:3: not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r", b"\r\n"], ids=["LF", "CR", "CRLF"])
+def test_non_utf8_line_counts_every_csv_line_end(tmp_path, capsys, newline):
+    """A bad byte on line 4 is named as on line 4 whether the lines end in LF,
+    a bare CR or CRLF: the line ends a CSV reader splits at."""
+    cote = "C\xf4te".encode("latin-1")  # Latin-1, not UTF-8
+    sources = {
+        ingest: [",".join(("name", *COHORTS)).encode(), b"aa" + b",1" * 34, b"bb" + b",2" * 34, cote + b",1" * 34],
+        long_to_wide: [b"name,sex,cohort,value", b"aa,m,00,1", b"aa,m,05,1", cote + b",m,00,1"],
+        read_index_csv: [",".join(INDEX_COLUMNS).encode(), b"aa" + b",1" * 8, b"bb" + b",1" * 8, cote + b",1" * 8],
+        read_indicators: [b"name,indicator,value", b"aa,gdp,1", b"bb,gdp,1", cote + b",gdp,2"],
+    }
+    for reader, lines in sources.items():
+        path = tmp_path / f"bad-{reader.__name__}.csv"
+        path.write_bytes(newline.join(lines) + newline)
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:4: not UTF-8 (invalid continuation byte)")):
+            reader(path)
+    assert main(["ingest", str(tmp_path / "bad-ingest.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'bad-ingest.csv'}:4: not UTF-8 (invalid continuation byte)\n"
 
 
 def test_blank_first_line_is_a_bad_header(tmp_path, capsys):
