@@ -57,7 +57,7 @@ def cli(*args, out=None):
 (OUT / "increments.tsv").unlink(missing_ok=True)
 
 cli("ingest", pyramids_csv, out=OUT / "normalized.csv")
-cli("model", "--kind", "exp", "--rate", "0.30")
+cli("model", "exp:0.30")
 cli("compare", pyramids_csv, "country00", "country07", "--delta", "0.001", "--increments")
 cli("batch", pyramids_csv, "--model", "exp:0.30", "--delta", "0.001", out=OUT / "batch.csv")
 cli("mu", pyramids_csv, "country07", "country00", "--delta", "0.001", out=OUT / "index.csv")

@@ -7,6 +7,9 @@ per query in plain Python.  Exit status is 0 when no
 row-level problem occurred (or with ``--lenient``), 1 on data errors, 2 on
 usage errors and on a path that cannot be read or written.  Every output is
 UTF-8 whatever the locale: stdout gets the bytes ``--out`` would write.
+
+Each command (``store put`` and ``store combine`` are two) is one parser
+declaration: its handler, the options it reads and the modules it loads.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ if TYPE_CHECKING:
 
 # The names each command looks up on this module, by the module that defines
 # them.  A name is bound on its first lookup; main binds only the modules its
-# command runs, so `report` never imports the engine or the store, the engine
+# command declares, so `report` never imports the engine or the store, the engine
 # commands never import the report or the store, only `mu` and `punif` import
 # the indexes, and `--help` imports none of them.  A name set beforehand (a
 # test's spy, a tracer's wrapper) is kept.
@@ -178,12 +181,15 @@ def _warnings_to_stderr(action):
     return value
 
 
-def cmd_store(args) -> int:
-    if args.action == "put":  # appends to the store (creating it), checking only its last line
-        result = _compare_pair(args)
-        _warnings_to_stderr(lambda: _append(Path(args.store), *_checked(result)))
-        _write_text(f"stored {len(result.increments)} increments for ({result.query}, {result.target})\n")
-        return 0
+def cmd_store_put(args) -> int:
+    """Append the pair's increments to the store (creating it), checking only its last line."""
+    result = _compare_pair(args)
+    _warnings_to_stderr(lambda: _append(Path(args.store), *_checked(result)))
+    _write_text(f"stored {len(result.increments)} increments for ({result.query}, {result.target})\n")
+    return 0
+
+
+def cmd_store_combine(args) -> int:
     if not os.path.exists(args.store):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.store)
     store = _warnings_to_stderr(lambda: IncrementStore(args.store))
@@ -229,53 +235,58 @@ def build_parser() -> argparse.ArgumentParser:
                 "--parallel", type=int, default=1, help="accepted for compatibility; runs single-process"
             )
 
+    # each command: its handler, the options it reads, and the modules of _LAZY main binds for it
     p = sub.add_parser("ingest", help="validate and normalize a pyramid CSV")
     p.add_argument("data")
     p.add_argument("--from-long", action="store_true", help="input is long format name,sex,cohort,value")
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_ingest)
+    p.set_defaults(func=cmd_ingest, modules=("pyramids",))
 
     p = sub.add_parser("compare", help="compare one query pyramid to one target")
     add_common(p, out_help="also write the increments CSV here; the summary stays on stdout")
     p.add_argument("query")
     p.add_argument("target")
     p.add_argument("--increments", action="store_true", help="print the per-cohort K increments")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, modules=_ENGINE)
 
     p = sub.add_parser("batch", help="compare one query (or model) to every pyramid")
     add_common(p, parallel=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--query", help="query pyramid name")
     group.add_argument("--model", help="model query: uniform or exp:RATE")
-    p.set_defaults(func=cmd_batch)
+    p.set_defaults(func=cmd_batch, modules=_ENGINE)
 
     p = sub.add_parser("mu", help="full index table against two polar queries")
     add_common(p, parallel=True)
     p.add_argument("query_a", help="pole scored 100 (k_mt role)")
     p.add_argument("query_b", help="pole scored 0 (k_ut role)")
-    p.set_defaults(func=cmd_mu)
+    p.set_defaults(func=cmd_mu, modules=(*_ENGINE, "indexes"))
 
     p = sub.add_parser("model", help="print a model pyramid")
-    p.add_argument("--kind", choices=["uniform", "exp"], required=True)
-    p.add_argument("--rate", type=float, default=0.30)
+    p.add_argument("model", metavar="SPEC", help="uniform or exp:RATE, as batch --model")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_model)
+    p.set_defaults(func=cmd_model, modules=("pyramids",))
 
     p = sub.add_parser("punif", help="uniform-component share per pyramid")
     add_common(p, parallel=True)
-    p.set_defaults(func=cmd_punif)
+    p.set_defaults(func=cmd_punif, modules=(*_ENGINE, "indexes"))
 
-    p = sub.add_parser("store", help="persist or recombine per-parameter increments")
-    p.add_argument("action", choices=["put", "combine"])
-    p.add_argument("--store", required=True, help="line-delimited store file")
-    p.add_argument("--data", help="pyramid CSV (needed for put)")
-    p.add_argument("--query", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--params", default="all", help="combine subset: all, male, female, or comma-separated cohort names")
-    p.add_argument("--lenient", action="store_true")
-    p.set_defaults(func=cmd_store)
+    store = sub.add_parser("store", help="persist or recombine per-parameter increments")
+    actions = store.add_subparsers(dest="action", required=True)
+    put = actions.add_parser("put", help="compare a pair and append its increments to the store")
+    combine = actions.add_parser("combine", help="sum a pair's stored increments")
+    for p in (put, combine):
+        p.add_argument("--store", required=True, help="line-delimited store file")
+        p.add_argument("--query", required=True)
+        p.add_argument("--target", required=True)
+    put.add_argument("--data", help="pyramid CSV holding both rows")
+    put.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="probe delta (default 1e-4)")
+    put.add_argument("--lenient", action="store_true", help="skip bad rows instead of failing")
+    put.set_defaults(func=cmd_store_put, modules=("store", *_ENGINE))
+    combine.add_argument("--params", default="all", help="all, male, female, or comma-separated cohort names")
+    combine.add_argument("--delta", type=float, default=None, help="the records' delta (default: the only one stored)")
+    combine.set_defaults(func=cmd_store_combine, modules=("store",))
 
     p = sub.add_parser("report", help="scatter data / SVG from index rows and indicators")
     p.add_argument("--indexes", required=True, help="index CSV from the mu subcommand")
@@ -286,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logy", action="store_true", help="log10-transform y")
     p.add_argument("--format", choices=["csv", "svg"], default="csv")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, modules=("report",))
 
     return parser
 
@@ -300,18 +311,15 @@ def _validate(args) -> str:
     if parallel < 1:
         return f"--parallel must be >= 1, got {parallel!r}"
     model = getattr(args, "model", None)
-    if model is not None:  # batch --model, decided once as the rate cmd_batch builds its query with:
+    if model is not None:  # batch --model and model SPEC, decided once as the rate of the model built:
         # exponential_model(0.0) is the uniform model bit for bit, and "" fails as any other spec
         rate_text = "0" if model == "uniform" else model[4:] if model.startswith("exp:") else ""
         try:
             args.rate = float(rate_text)
         except ValueError:
             return f"bad model spec {model!r}: use 'uniform' or 'exp:RATE'"
-    rate = getattr(args, "rate", 0.0)
-    if not 0.0 <= rate < 1.0:
-        return f"rate must lie in [0, 1), got {rate!r}"
-    if getattr(args, "kind", None) == "uniform":  # model --kind uniform, built as batch --model uniform
-        args.rate = 0.0
+        if not 0.0 <= args.rate < 1.0:
+            return f"rate must lie in [0, 1), got {args.rate!r}"
     if getattr(args, "from_long", False) and args.lenient:
         return "--lenient does not apply to --from-long input"
     store_action = getattr(args, "action", "")
@@ -320,12 +328,9 @@ def _validate(args) -> str:
         if not names:
             return f"--params {args.params!r} names no parameter"
         named = {"all": None, "male": list(MALE_COHORTS), "female": list(FEMALE_COHORTS)}
-        args.params = named.get(args.params, names)  # the subset cmd_store sums; None is every parameter
-    if store_action == "put":
-        if not args.data:
-            return "store put requires --data"
-        if args.delta is None:
-            args.delta = DEFAULT_DELTA
+        args.params = named.get(args.params, names)  # the subset combine sums; None is every parameter
+    if store_action == "put" and not args.data:
+        return "store put requires --data"
     return ""
 
 
@@ -337,12 +342,7 @@ def main(argv=None) -> int:
         _write_stderr([f"error: {problem}"])
         return 2
     try:
-        if args.command == "report":
-            _bind("report")
-        elif args.command == "store":
-            _bind("store", *(_ENGINE if args.action == "put" else ()))
-        else:
-            _bind(*_ENGINE, *(("indexes",) if args.command in ("mu", "punif") else ()))
+        _bind(*args.modules)
         return args.func(args)
     except OSError as exc:
         # one form for every path given on the command line: the path, then why it failed

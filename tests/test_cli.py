@@ -1,7 +1,10 @@
+import argparse
 import contextlib
 import io
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import kdiss.cli
-from kdiss.cli import main
+from kdiss.cli import build_parser, main
 from kdiss.formats import COHORTS, MALE_COHORTS
 from kdiss.pyramids import ingest
 
@@ -22,9 +25,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+PAIR = ("--query", "country00", "--target", "country05")
+
+
 class TestModel:
     def test_exponential_prints_pinned_cohorts(self, capsys):
-        code, out, _ = run(capsys, "model", "--kind", "exp", "--rate", "0.30")
+        code, out, _ = run(capsys, "model", "exp:0.30")
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "age,male,female,combined"
@@ -34,12 +40,12 @@ class TestModel:
         assert round(float(second[3]), 2) == 21.05
 
     def test_exponential_at_a_rate_that_leaves_q_at_one(self, capsys):
-        code, out, err = run(capsys, "model", "--kind", "exp", "--rate", "1e-20")
+        code, out, err = run(capsys, "model", "exp:1e-20")
         assert (code, err) == (0, "")
-        assert out == run(capsys, "model", "--kind", "uniform")[1]
+        assert out == run(capsys, "model", "uniform")[1]
 
     def test_uniform(self, capsys):
-        code, out, _ = run(capsys, "model", "--kind", "uniform")
+        code, out, _ = run(capsys, "model", "uniform")
         assert code == 0
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert len(rows) == 17
@@ -570,7 +576,7 @@ class TestValidation:
             (("batch", "{csv}", "--model", "uniform", "--delta", "0"), "--delta must lie in (0, 1], got 0.0"),
             (("mu", "{csv}", "country00", "country01", "--parallel", "0"), "--parallel must be >= 1, got 0"),
             (("store", "put", "--store", "inc.tsv", "--query", "a", "--target", "b"), "store put requires --data"),
-            (("model", "--kind", "uniform", "--rate", "5"), "rate must lie in [0, 1), got 5.0"),
+            (("model", "exp:5"), "rate must lie in [0, 1), got 5.0"),
             (("ingest", "{csv}", "--from-long", "--lenient"), "--lenient does not apply to --from-long input"),
             (("store", "combine", "--store", "inc.tsv", "--query", "a", "--target", "b", "--params", ","),
              "--params ',' names no parameter"),
@@ -623,6 +629,71 @@ class TestValidation:
         assert code == 0
         assert len(out.splitlines()) == 11
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("store", "combine", "--store", "{store}", *PAIR, "--data", "{missing}"), "--data"),
+            (("store", "combine", "--store", "{store}", *PAIR, "--lenient"), "--lenient"),
+            (("store", "put", "--store", "{store}", "--data", "{csv}", *PAIR, "--params", "male"), "--params"),
+            (("model", "--kind", "exp"), "--kind"),
+            (("model", "exp:0.3", "--rate", "0.3"), "--rate"),
+        ],
+        ids=["combine-data", "combine-lenient", "put-params", "model-kind", "model-rate"],
+    )
+    def test_an_option_the_command_does_not_read_exits_2(
+        self, pyramid_csv, tmp_path, capsys, monkeypatch, argv, option
+    ):
+        """Each command parses only the options it reads: one it would ignore is a usage
+        error, before any table is read or the store is written."""
+        store, missing = tmp_path / "inc.tsv", tmp_path / "nope.csv"
+        assert run(capsys, "store", "put", "--store", store, "--data", pyramid_csv, *PAIR)[0] == 0
+        intact = store.read_bytes()
+        loaded = []
+        monkeypatch.setattr(kdiss.cli, "_load_table", loaded.append)
+        with pytest.raises(SystemExit) as exc_info:
+            main([a.format(store=store, csv=pyramid_csv, missing=missing) for a in argv])
+        out, err = capsys.readouterr()
+        assert (exc_info.value.code, out) == (2, "")
+        assert f"unrecognized arguments: {option}" in err
+        assert store.read_bytes() == intact
+        assert loaded == []
+
+
+def _leaf_parsers(parser):
+    """The parsers of build_parser() that run a command, `store put` and `store combine` among them."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not actions:
+        yield parser
+    for action in actions:
+        for child in action.choices.values():
+            yield from _leaf_parsers(child)
+
+
+def test_every_command_declares_its_handler_and_modules():
+    leaves = list(_leaf_parsers(build_parser()))
+    assert sorted(p.prog for p in leaves) == [
+        "kdiss batch", "kdiss compare", "kdiss ingest", "kdiss model", "kdiss mu", "kdiss punif",
+        "kdiss report", "kdiss store combine", "kdiss store put",
+    ]
+    for p in leaves:
+        assert callable(p.get_default("func")), p.prog
+        modules = p.get_default("modules")
+        assert modules and set(modules) <= set(kdiss.cli._LAZY.values()), p.prog
+
+
+def test_readme_examples_parse():
+    """Every `kdiss ...` line in the README's bash blocks, without its comment, is one the parser accepts."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```bash\n(.*?)^```", readme, re.M | re.S)
+    examples = [shlex.split(line, comments=True) for b in blocks for line in b.splitlines() if line.startswith("kdiss ")]
+    assert len(examples) >= 10
+    parser = build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(argv)}")
+
 
 # every command with --out; "{table}" holds a row named "Việt Nam", "{index}" is mu's output on it
 OUT_COMMANDS = {
@@ -631,7 +702,7 @@ OUT_COMMANDS = {
     "batch-query": ("batch", "{table}", "--query", "Việt Nam"),
     "mu": ("mu", "{table}", "Việt Nam", "country00"),
     "punif": ("punif", "{table}"),
-    "model": ("model", "--kind", "exp"),
+    "model": ("model", "exp:0.30"),
     "report-csv": ("report", "--indexes", "{index}", "--x", "mu", "--y", "k_mt"),
     "report-svg": ("report", "--indexes", "{index}", "--x", "mu", "--y", "k_mt", "--format", "svg"),
 }
@@ -710,7 +781,7 @@ def test_std_streams_without_a_byte_buffer_get_the_text():
     """A caller that puts a StringIO in place of stdout or stderr reads the text there."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        assert main(["model", "--kind", "uniform"]) == 0
+        assert main(["model", "uniform"]) == 0
         assert main(["batch", "nonexist_Việt.csv", "--model", "uniform"]) == 2
     assert out.getvalue().startswith("age,male,female,combined\n00,2.941176,2.941176,5.882353\n")
     assert err.getvalue() == "error: nonexist_Việt.csv: no such file or directory\n"

@@ -112,7 +112,7 @@ def _run_every_writer(raw, out):
         ("punif", data, "--delta", "0.001", "--out", out / "punif.csv"),
         ("mu", data, NAMES[0], NAMES[4], "--delta", "0.001", "--out", out / "index.csv"),
         ("compare", data, NAMES[0], NAMES[2], "--delta", "0.001", "--out", out / "increments.csv"),
-        ("model", "--kind", "exp", "--out", out / "model.csv"),
+        ("model", "exp:0.30", "--out", out / "model.csv"),
         ("report", "--indexes", out / "index.csv", "--x", "mu", "--y", "p_un", "--out", out / "report.csv"),
     ]
     for argv in commands:

@@ -128,7 +128,7 @@ def test_package_name_loads_only_its_module():
         (("batch", PYRAMIDS, "--model", "exp:0.30"), 0, ENGINE),
         (("batch", PYRAMIDS, "--query", "country03"), 0, ENGINE),
         (("mu", PYRAMIDS, "country07", "country00"), 0, INDEXES),
-        (("model", "--kind", "uniform"), 0, ENGINE),
+        (("model", "uniform"), 0, ENGINE),
         (("punif", PYRAMIDS), 0, INDEXES),
         (("store", "put", "--store", "{tmp}", "--data", PYRAMIDS, *PAIR), 0, ENGINE | {"kdiss.store"}),
         (("store", "combine", "--store", OUTPUT / "increments.tsv", *PAIR), 0, CORE | {"kdiss.store"}),
@@ -221,7 +221,7 @@ UNTRACKED = {
         (("batch", PYRAMIDS, "--query", "country03", "--delta", "0.001"), "batch-query"),
         (("mu", PYRAMIDS, "country07", "country00", "--delta", "0.001"), "index.csv"),
         (("punif", PYRAMIDS, "--delta", "0.001"), "punif.csv"),
-        (("model", "--kind", "exp", "--rate", "0.30"), "model-exp"),
+        (("model", "exp:0.30"), "model-exp"),
         (("compare", PYRAMIDS, "country00", "country07", "--delta", "0.001", "--increments"), "compare-increments"),
         (("report", "--indexes", OUTPUT / "index.csv", "--indicators", INDICATORS, "--x", "mu", "--y", "ppb"),
          "mu_vs_ppb.csv"),
