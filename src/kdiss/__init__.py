@@ -8,7 +8,9 @@ oracle).  The resulting coefficient K is stable
 across delta, decomposes exactly over parameters, and underpins the
 pyramid-specific indices (MU, uniform-component share) and reporting tools.
 
-The public names below load their module on first use.
+The public names below load their module on first use.  _HOMES is the one
+list of them, by the module that defines each: that module's __all__ is its
+entry here.
 """
 
 __version__ = "0.1.0"

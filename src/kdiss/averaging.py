@@ -24,16 +24,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from . import _HOMES
 from .errors import DegenerateSymmetryError, DomainError, NonPolarizedError, SchemaError
 from .similarity import SimilarityMatrix
 
-__all__ = [
-    "AveragingConfig",
-    "Bipartition",
-    "average_once",
-    "bipartition",
-    "pair_max_split",
-]
+__all__ = _HOMES["averaging"]
+
 
 class _AveragingFields(NamedTuple):
     max_iterations: int
@@ -108,6 +104,16 @@ def _polarize3(a: float, b: float, c: float, max_iterations: int) -> tuple[int |
             return vals.index(max(vals)), sweeps
 
 
+def _split3(labels: tuple[str, ...], pair_index: int, sweeps: int) -> Bipartition:
+    """The split of three objects that groups pair (0, 1), (0, 2) or (1, 2) by
+    pair_index, object 0's group first."""
+    lone = 2 - pair_index
+    pair = frozenset(label for i, label in enumerate(labels) if i != lone)
+    if lone == 0:
+        return Bipartition(frozenset({labels[0]}), pair, sweeps)
+    return Bipartition(pair, frozenset({labels[lone]}), sweeps)
+
+
 def bipartition(m: SimilarityMatrix, cfg: AveragingConfig | None = None) -> Bipartition:
     """Split two objects apart, or average three until their split is final.
 
@@ -132,13 +138,7 @@ def bipartition(m: SimilarityMatrix, cfg: AveragingConfig | None = None) -> Bipa
     winner, sweeps = _polarize3(a, b, c, cfg.max_iterations)
     if winner is None:
         raise DegenerateSymmetryError("two leading entries are exactly tied")
-    pair = ((0, 1), (0, 2), (1, 2))[winner]
-    lone = ({0, 1, 2} - set(pair)).pop()
-    group_pair = frozenset(labels[i] for i in pair)
-    group_lone = frozenset({labels[lone]})
-    if 0 in pair:
-        return Bipartition(group_pair, group_lone, sweeps)
-    return Bipartition(group_lone, group_pair, sweeps)
+    return _split3(labels, winner, sweeps)
 
 
 def pair_max_split(m: SimilarityMatrix) -> Bipartition:
@@ -151,14 +151,8 @@ def pair_max_split(m: SimilarityMatrix) -> Bipartition:
     if m.size != 3:
         raise SchemaError("pair_max_split is defined for exactly three objects")
     e = m.entries
-    pairs = ((0, 1), (0, 2), (1, 2))
-    vals = [e[i][j] for i, j in pairs]
+    vals = [e[0][1], e[0][2], e[1][2]]
     order = sorted(range(3), key=lambda k: vals[k])
     if vals[order[2]] == vals[order[1]]:
         raise DegenerateSymmetryError("maximum off-diagonal entry is tied")
-    i, j = pairs[order[2]]
-    lone = ({0, 1, 2} - {i, j}).pop()
-    labels = m.labels
-    if lone == 0:
-        return Bipartition(frozenset({labels[0]}), frozenset({labels[i], labels[j]}), 0)
-    return Bipartition(frozenset({labels[i], labels[j]}), frozenset({labels[lone]}), 0)
+    return _split3(m.labels, order[2], 0)

@@ -304,6 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate(args) -> str:
     """The usage error in option values argparse accepts but no command can run with, or ""."""
+    for dest in ("data", "out", "store", "indexes", "indicators"):
+        # an empty path is no path: Path("") is ".", and `if args.out` would drop it as unset
+        if getattr(args, dest, None) == "":
+            option = dest if dest == "data" and args.command != "store" else f"--{dest}"
+            return f"{option} '' names no path"
     delta = getattr(args, "delta", None)
     if delta is not None and not (0.0 < delta <= 1.0):
         return f"--delta must lie in (0, 1], got {delta!r}"

@@ -27,15 +27,16 @@ from __future__ import annotations
 
 import math
 
+from . import _HOMES
 from .averaging import _polarize3
 from .errors import DomainError, NonPolarizedError, NotSwitchedError
-from .kernel import ObjectRecord, ProbeConfig, _check_schema, _counts, _ratio_sims
+from .kernel import ObjectRecord, ProbeConfig, _check_schema, _counts, r_similarity
 
 # not public here (see __all__); bench/child.py and bench/spans.py import these two from this module
 from .kernel import ComparisonResult
 from .store import IncrementStore
 
-__all__ = ["grouped_with_target", "switch_weight"]
+__all__ = _HOMES["dissimilarity"]
 
 _WEIGHT_FLOOR = 1e-30
 _MAX_WEIGHT = 1e12  # the search gives up above this weight
@@ -52,7 +53,7 @@ class _ProbeProblem:
         _check_schema(query, target)
         self.delta = cfg.delta
         self.n_params = len(query.param_names)
-        self.sims = _ratio_sims(query.param_values, target.param_values)
+        self.sims = list(map(r_similarity, query.param_values, target.param_values))
         self.base_sum = math.fsum(self.sims)
         # the ratio similarity of the clones' probe values 1 and 1 + delta;
         # anchor and target share probe value 1

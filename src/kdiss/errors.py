@@ -1,14 +1,8 @@
 """Exception types shared across the package, and the UTF-8 decode that raises one."""
 
-__all__ = [
-    "KdissError",
-    "DomainError",
-    "SchemaError",
-    "DegenerateSymmetryError",
-    "NonPolarizedError",
-    "NotSwitchedError",
-    "StoreLookupError",
-]
+from . import _HOMES
+
+__all__ = _HOMES["errors"]
 
 
 class KdissError(Exception):

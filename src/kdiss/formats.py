@@ -16,18 +16,10 @@ from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
+from . import _HOMES
 from .errors import SchemaError, decode_utf8
 
-__all__ = [
-    "AGE_STARTS",
-    "MALE_COHORTS",
-    "FEMALE_COHORTS",
-    "COHORTS",
-    "INDEX_COLUMNS",
-    "IndexRow",
-    "read_index_csv",
-    "write_index_csv",
-]
+__all__ = _HOMES["formats"]
 
 AGE_STARTS = tuple(range(0, 85, 5))
 MALE_COHORTS = tuple(f"m{age:02d}" for age in AGE_STARTS)

@@ -10,12 +10,13 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from . import _HOMES
 from .errors import DomainError, SchemaError
 from .formats import COHORTS, FEMALE_COHORTS, MALE_COHORTS, IndexRow
 from .kernel import ObjectRecord, ProbeConfig, _closed_form, _increment_columns, compare
 from .pyramids import PyramidTable, exponential_model, uniform_model
 
-__all__ = ["mu_index", "p_uniform", "sum_constancy", "sex_split_k", "build_index_rows"]
+__all__ = _HOMES["indexes"]
 
 
 def mu_index(k_ut: float, k_mt: float) -> float:

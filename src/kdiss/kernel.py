@@ -14,17 +14,10 @@ import math
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from . import _HOMES
 from .errors import DomainError, SchemaError
 
-__all__ = [
-    "ObjectRecord",
-    "r_similarity",
-    "ProbeConfig",
-    "ComparisonResult",
-    "closed_form_k",
-    "compare",
-    "batch_compare",
-]
+__all__ = _HOMES["kernel"]
 
 
 class _ObjectFields(NamedTuple):
@@ -140,11 +133,6 @@ def _check_schema(query: ObjectRecord, target: ObjectRecord) -> None:
         raise SchemaError("objects need at least one parameter")
 
 
-def _ratio_sims(query: Sequence[float], target: Sequence[float]) -> list[float]:
-    """Per-parameter ratio similarities of two validated value rows."""
-    return [t / q if t < q else q / t if q < t else 1.0 for q, t in zip(query, target)]
-
-
 def _weights(n_params: int, sim_sums: Iterable[float], delta: float) -> tuple[list[float], list[float]]:
     """K_cont and w* for each similarity sum S of a P-parameter comparison.  The switch
     test, anchor-target entry (S + w) / (P + w) >= clone-clone entry (P + w * s) / (P + w)
@@ -176,10 +164,10 @@ def _increment_columns(sim_columns: Sequence[Sequence[float]], k_cont: Sequence[
 
 
 def _sim_column(q: float, column: Iterable[float]) -> list[float]:
-    """_ratio_sims of one query value against a column, one comparison per value.  For
+    """r_similarity of one query value against a column, one comparison per value.  For
     q > 0 a tie t == q takes q / t, which is 1.0; for q = ±0.0 a zero t gives 1.0 and
-    any other t gives q / t.  So each result is the three-branch rule's bit for bit,
-    signed zeros included."""
+    any other t gives q / t.  So each result is r_similarity's bit for bit, signed
+    zeros included."""
     if q > 0.0:
         return [t / q if t < q else q / t for t in column]
     return [q / t if t else 1.0 for t in column]

@@ -13,23 +13,12 @@ import math
 from pathlib import Path
 from typing import IO, Iterator, Mapping, Sequence
 
+from . import _HOMES
 from .errors import DomainError, SchemaError
 from .formats import AGE_STARTS, COHORTS, FEMALE_COHORTS, MALE_COHORTS, _csv_rows, _csv_text, _write_text
 from .kernel import ObjectRecord
 
-__all__ = [
-    "PyramidTable",
-    "normalize",
-    "ingest",
-    "long_to_wide",
-    "write_pyramid_csv",
-    "uniform_model",
-    "exponential_model",
-    "sex_slice",
-    "cohort_totals",
-]
-
-_UNIFORM_SHARE = 100.0 / 34.0
+__all__ = _HOMES["pyramids"]
 
 
 def normalize(raw: Sequence[float]) -> tuple[float, ...]:
@@ -219,7 +208,7 @@ def write_pyramid_csv(table: PyramidTable, sink: str | Path | IO[str] | None) ->
 
 def uniform_model() -> ObjectRecord:
     """Model pyramid with every cohort at exactly 100/34 percent."""
-    return ObjectRecord.from_values("UN", COHORTS, [_UNIFORM_SHARE] * 34)
+    return exponential_model(0.0)._replace(name="UN")
 
 
 def exponential_model(rate: float) -> ObjectRecord:
@@ -235,10 +224,9 @@ def exponential_model(rate: float) -> ObjectRecord:
         raise DomainError(f"rate must lie in [0, 1), got {rate!r}")
     name = f"E{rate * 100:g}"
     q = 1.0 - rate
-    if q == 1.0:
-        return ObjectRecord.from_values(name, COHORTS, [_UNIFORM_SHARE] * 34)
-    # -expm1(17 * log1p(q - 1)) is 1 - q**17 without its cancellation at small rates
-    factor = 50.0 * (1.0 - q) / -math.expm1(17 * math.log1p(q - 1.0))
+    # -expm1(17 * log1p(q - 1)) is 1 - q**17 without its cancellation at small rates;
+    # at q = 1 each cohort is 50 / 17, the same float as 100 / 34
+    factor = 50.0 / 17 if q == 1.0 else 50.0 * (1.0 - q) / -math.expm1(17 * math.log1p(q - 1.0))
     per_sex = [factor * q**k for k in range(17)]
     return ObjectRecord.from_values(name, COHORTS, per_sex + per_sex)
 

@@ -11,20 +11,11 @@ import math
 from pathlib import Path
 from typing import IO, NamedTuple, Sequence
 
+from . import _HOMES
 from .errors import DomainError, SchemaError
 from .formats import IndexRow, _csv_rows, _csv_text
 
-__all__ = [
-    "IndicatorTable",
-    "ScatterSeries",
-    "read_indicators",
-    "join",
-    "pearson",
-    "linear_fit",
-    "fit_series",
-    "ppb",
-    "emit",
-]
+__all__ = _HOMES["report"]
 
 
 class IndicatorTable(NamedTuple):

@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
+from . import _HOMES
 from .errors import DomainError, SchemaError
 from .kernel import ObjectRecord, r_similarity
 
-__all__ = ["SimilarityMatrix", "WeightedParameterSet", "parameter_matrix", "blend", "blend_from_objects"]
+__all__ = _HOMES["similarity"]
 
 _ENTRY_TOL = 1e-9
 
@@ -155,9 +156,6 @@ def blend(matrices: Sequence[SimilarityMatrix], weights: Sequence[float]) -> Sim
 
 def blend_from_objects(objects: Sequence[ObjectRecord], param_set: WeightedParameterSet) -> SimilarityMatrix:
     """Blend of single-parameter matrices taken in param_set order."""
-    schema = _check_schema(objects)
-    for pname in param_set.names:
-        if pname not in schema:
-            raise SchemaError(f"parameter {pname!r} not present in the shared schema")
+    _check_schema(objects)
     mats = [parameter_matrix(objects, pname) for pname in param_set.names]
     return blend(mats, param_set.weights)

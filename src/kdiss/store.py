@@ -14,12 +14,13 @@ from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from . import _HOMES
 from .errors import SchemaError, StoreLookupError, decode_utf8
 
 if TYPE_CHECKING:
     from .kernel import ComparisonResult
 
-__all__ = ["IncrementStore"]
+__all__ = _HOMES["store"]
 
 
 def _line_fault(line: str) -> str | ValueError | None:

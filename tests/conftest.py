@@ -9,7 +9,7 @@ import pytest
 
 from kdiss.averaging import AveragingConfig, bipartition
 from kdiss.errors import DegenerateSymmetryError, DomainError, NonPolarizedError
-from kdiss.kernel import ObjectRecord, ProbeConfig, _check_schema, _ratio_sims
+from kdiss.kernel import ObjectRecord, ProbeConfig, _check_schema, r_similarity
 from kdiss.pyramids import PyramidTable, exponential_model, normalize, uniform_model
 from kdiss.similarity import WeightedParameterSet, blend_from_objects
 
@@ -55,7 +55,7 @@ def pair_with_sims(sims, name_q="q", name_t="t"):
 def exact_d(query, target, delta: float) -> int:
     """The reference D: max(1, ceil(w*)), w* = (P - S) * (1 + delta) / delta taken
     in Fractions for the engine's float similarity sum S and the float delta."""
-    sim_sum = Fraction(math.fsum(_ratio_sims(query, target)))
+    sim_sum = Fraction(math.fsum(map(r_similarity, query, target)))
     return max(1, math.ceil((len(query) - sim_sum) * (1 + Fraction(delta)) / Fraction(delta)))
 
 

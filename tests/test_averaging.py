@@ -160,3 +160,19 @@ class TestPairMaxSplit:
     def test_tie_raises(self):
         with pytest.raises(DegenerateSymmetryError):
             pair_max_split(sym3(0.9, 0.9, 0.2))
+
+    def test_first_object_alone_leads_the_split(self):
+        m = sym3(0.2, 0.3, 0.9)
+        assert pair_max_split(m)[:2] == bipartition(m)[:2] == (frozenset({"x"}), frozenset({"y", "z"}))
+
+    def test_needs_exactly_three_objects(self):
+        m = SimilarityMatrix(("a", "b"), [[1.0, 0.4], [0.4, 1.0]])
+        with pytest.raises(SchemaError, match="^pair_max_split is defined for exactly three objects$"):
+            pair_max_split(m)
+
+
+def test_one_object_is_too_few_to_average_or_split():
+    m = SimilarityMatrix(("a",), [[1.0]])
+    for split in (average_once, bipartition):
+        with pytest.raises(SchemaError, match="^need at least two objects$"):
+            split(m)

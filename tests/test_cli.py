@@ -44,6 +44,12 @@ class TestModel:
         assert (code, err) == (0, "")
         assert out == run(capsys, "model", "uniform")[1]
 
+    def test_rate_is_read_as_float_reads_it(self, capsys):
+        """A RATE is one float() number, as --delta is: spaces around it are accepted."""
+        spaced = run(capsys, "model", "exp: 0.3")
+        assert spaced == run(capsys, "model", "exp:0.3")
+        assert spaced[0] == 0
+
     def test_uniform(self, capsys):
         code, out, _ = run(capsys, "model", "uniform")
         assert code == 0
@@ -156,6 +162,12 @@ class TestBatch:
         lines = out.splitlines()
         assert lines[0] == "name,d,k,k_cont"
         assert len(lines) == 11
+
+    def test_delta_is_read_as_float_reads_it(self, pyramid_csv, capsys):
+        """--delta is one float() number, as a model RATE is: spaces around it are accepted."""
+        spaced = run(capsys, "batch", pyramid_csv, "--model", "uniform", "--delta", " 0.001")
+        assert spaced == run(capsys, "batch", pyramid_csv, "--model", "uniform", "--delta", "0.001")
+        assert spaced[0] == 0
 
     def test_named_query(self, pyramid_csv, capsys):
         code, out, _ = run(capsys, "batch", pyramid_csv, "--query", "country00", "--delta", "0.001")
@@ -582,6 +594,18 @@ class TestValidation:
              "--params ',' names no parameter"),
             (("store", "combine", "--store", "inc.tsv", "--query", "a", "--target", "b", "--params", " "),
              "--params ' ' names no parameter"),
+            (("ingest", ""), "data '' names no path"),
+            (("batch", "", "--model", "uniform"), "data '' names no path"),
+            (("batch", "{csv}", "--model", "uniform", "--out", ""), "--out '' names no path"),
+            (("compare", "{csv}", "country00", "country01", "--out", ""), "--out '' names no path"),
+            (("store", "put", "--store", "", "--data", "{csv}", "--query", "country00", "--target", "country01"),
+             "--store '' names no path"),
+            (("store", "put", "--store", "inc.tsv", "--data", "", "--query", "a", "--target", "b"),
+             "--data '' names no path"),
+            (("store", "combine", "--store", "", "--query", "a", "--target", "b"), "--store '' names no path"),
+            (("report", "--indexes", "", "--x", "mu", "--y", "mu"), "--indexes '' names no path"),
+            (("report", "--indexes", "{csv}", "--indicators", "", "--x", "mu", "--y", "gdp"),
+             "--indicators '' names no path"),
         ],
     )
     def test_usage_errors_exit_2(self, pyramid_csv, capsys, argv, message):

@@ -98,6 +98,11 @@ def test_csv_text_of_no_rows_is_its_header():
     assert _csv_text(["name", "a"], iter([]), "%r") == "name,a\n"
 
 
+def test_csv_rows_of_empty_input_name_the_missing_header():
+    with pytest.raises(SchemaError, match="^empty input: missing header row$"):
+        list(_csv_rows(io.StringIO(""), ["name"], "bad header"))
+
+
 NAMES = ['Korea, "Rep."', "Việt Nam", "Lao\nPDR", "Côte d'Ivoire", "Chile"]
 
 

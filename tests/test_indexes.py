@@ -170,6 +170,15 @@ class TestIndexRows:
         bad = [r for r in rows if r.name == "country01"]
         assert math.isnan(bad[0].mu)
 
+    def test_pole_without_the_cohorts_in_order_rejected(self):
+        from kdiss.kernel import ObjectRecord
+
+        table = synthetic_table(3)
+        reordered = ObjectRecord("odd", reversed(table.record("country01").params))
+        for poles in ((reordered, table.record("country00")), (table.record("country00"), reordered)):
+            with pytest.raises(SchemaError, match="^object 'odd' does not carry the 34 cohorts in order$"):
+                build_index_rows(table, *poles, ProbeConfig(delta=1e-3))
+
 
 @settings(max_examples=100, deadline=None)
 @given(

@@ -20,7 +20,7 @@ from kdiss.dissimilarity import switch_weight
 from kdiss.indexes import build_index_rows
 from kdiss.formats import COHORTS
 from kdiss.kernel import ObjectRecord, ProbeConfig, batch_compare, closed_form_k, compare
-from kdiss.kernel import _closed_form, _increment_columns, _ratio_sims
+from kdiss.kernel import _closed_form, _increment_columns, r_similarity
 from kdiss.pyramids import PyramidTable, normalize, write_pyramid_csv
 from kdiss.store import IncrementStore
 
@@ -186,7 +186,7 @@ def test_similarity_sum_is_exactly_rounded():
             if trial % 2:  # ties give similarities of exactly 1.0
                 target = [t if rng.random() < 0.5 else q for q, t in zip(query, target)]
             sim_sum = _closed_form(query, [[t] for t in target], 1e-3)[2]
-            want = _exact_sum(_ratio_sims(query, target))
+            want = _exact_sum(map(r_similarity, query, target))
             assert [s.hex() for s in sim_sum] == [want.hex()], (width, trial)
     assert _closed_form([-0.0] * 34, [[-0.0]] * 34, 1e-3)[2] == [34.0]
 
@@ -216,24 +216,24 @@ def test_row_sums_are_exactly_rounded(width, n_rows, data):
         pool = data.draw(st.lists(st.lists(VALUES, min_size=width, max_size=width), min_size=n_rows, max_size=n_rows))
     rows = pool + pool[:1]  # the first row twice
     sim_sum = _closed_form(query, list(zip(*rows)), 1e-3)[2]
-    want = [_exact_sum(_ratio_sims(query, row)) for row in rows]
+    want = [_exact_sum(map(r_similarity, query, row)) for row in rows]
     assert [s.hex() for s in sim_sum] == [w.hex() for w in want]
 
 
-# the values at which the one-comparison ratio rule could part from the three-branch
-# rule: zeros of both signs (ingest admits -0.0 from a "-0" cell), the smallest
+# the values at which the one-comparison ratio rule could part from r_similarity's
+# three branches: zeros of both signs (ingest admits -0.0 from a "-0" cell), the smallest
 # subnormal, a pyramid share, the tie value 1.0 and a value near the float max
 EDGE_VALUES = (0.0, -0.0, 5e-324, 100.0 / 34.0, 1.0, 1e308)
 
 
 def test_similarity_columns_are_the_three_branch_rule_bit_for_bit():
-    """Every similarity _closed_form computes is _ratio_sims's for its (q, t), sign
+    """Every similarity _closed_form computes is r_similarity's for its (q, t), sign
     of a zero included: each edge value as the query against every edge value."""
     rows = [list(row) for row in itertools.product(EDGE_VALUES, repeat=2)]
     for query in itertools.product(EDGE_VALUES, repeat=2):
         sims = _closed_form(list(query), list(zip(*rows)), 1e-3)[3]
         got = [[value.hex() for value in row] for row in zip(*sims)]
-        assert got == [[value.hex() for value in _ratio_sims(query, row)] for row in rows], query
+        assert got == [[value.hex() for value in map(r_similarity, query, row)] for row in rows], query
 
 
 NON_NEGATIVE = st.floats(min_value=0.0, max_value=1e300)
@@ -254,14 +254,14 @@ SHARES = st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0, 2.0, 1.0 / 3.0, 100.0 / 3
 )
 def test_column_pass_matches_the_row_helpers(case, delta):
     """One closed-form pass over a table's columns gives, for every row, the
-    similarity sum math.fsum(_ratio_sims(q, t)) and the _increments of the
+    similarity sum math.fsum(map(r_similarity, q, t)) and the _increments of the
     per-row helpers, bit for bit: zeros of both signs, ties, duplicated rows
     and an empty table included."""
     query, pool, picks = case
     rows = [pool[i] for i in picks if i < len(pool)]  # a pool row picked twice is a duplicate
     columns = list(zip(*rows)) or [()] * len(query)
     k_cont, w_star, sim_sum, sims = _closed_form(query, columns, delta)
-    want = [_ratio_sims(query, row) for row in rows]
+    want = [list(map(r_similarity, query, row)) for row in rows]
     assert [s.hex() for s in sim_sum] == [math.fsum(row).hex() for row in want]
     assert [list(column) for column in zip(*sims)] == want
     assert k_cont == [(len(query) - s) * (1.0 + delta) for s in sim_sum]
@@ -275,7 +275,7 @@ def test_column_pass_matches_the_row_helpers(case, delta):
 def test_similarity_sum_is_symmetric(pairs):
     """Swapping query and target leaves every ratio, and so the sum, unchanged."""
     q, t = zip(*pairs)
-    assert math.fsum(_ratio_sims(q, t)).hex() == math.fsum(_ratio_sims(t, q)).hex()
+    assert math.fsum(map(r_similarity, q, t)).hex() == math.fsum(map(r_similarity, t, q)).hex()
 
 
 PYRAMID = st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6)), min_size=34, max_size=34).filter(

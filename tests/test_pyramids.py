@@ -107,6 +107,10 @@ class TestNormalize:
         with pytest.raises(DomainError):
             normalize([0.0] * 34)
 
+    def test_text_is_not_a_sequence_of_values(self):
+        with pytest.raises(SchemaError, match="^expected a non-empty 1-d sequence of values$"):
+            normalize("ab")
+
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             normalize([1.0] * 33 + [-0.1])
@@ -379,6 +383,10 @@ class TestPyramidTable:
         with pytest.raises(SchemaError):
             PyramidTable._of_floats(("aa", "aa"), ((1.0,) * 34,) * 2)
 
+    def test_contains_its_names(self):
+        table = PyramidTable.from_rows({"aa": normalize([1.0] * 34)})
+        assert "aa" in table and "bb" not in table
+
     def test_rows_are_tuples_of_floats(self, table):
         # ingest's rows are kept as it built them; rows a caller passes in are converted
         long = io.StringIO("name,sex,cohort,value\n" + "".join(f"aa,{c[0]},{c[1:]},2\n" for c in COHORTS))
@@ -528,3 +536,7 @@ class TestSexSlice:
     def test_bad_sex(self):
         with pytest.raises(DomainError):
             sex_slice(uniform_model(), "x")
+
+    def test_missing_cohort(self):
+        with pytest.raises(SchemaError, match="^object 'UN:m' lacks cohort 'f00'$"):
+            sex_slice(sex_slice(uniform_model(), "m"), "f")

@@ -75,6 +75,9 @@ def test_attributes_cannot_be_set_or_deleted(instance, field):
             SchemaError,
             "need 2 distinct names and as many rows of 34 values",
         ),
+        (lambda: ObjectRecord("x", (("p", 1.0),)).value_of("q"), SchemaError, "object 'x' has no parameter 'q'"),
+        (lambda: ObjectRecord.from_values("x", ["p", "q"], [1.0]), SchemaError, "object 'x': 2 names vs 1 values"),
+        (lambda: compare(ObjectRecord("q", ()), ObjectRecord("t", ())), SchemaError, "objects need at least one parameter"),
     ],
 )
 def test_validation_errors_are_unchanged(make, error, message):

@@ -134,6 +134,16 @@ class TestJoin:
         series, _ = join(rows, indicators, "mu", "gdp")
         assert len(series.points) <= 1
 
+    def test_indicator_fields_without_indicators_are_unmatched(self):
+        for field in ("gdp", "ppb"):
+            series, unmatched = join([index_row("aa")], None, "mu", field)
+            assert (series.points, unmatched) == ((), [f"aa: no value for {field!r}"])
+
+    def test_ppb_without_a_birth_rate_is_unmatched(self):
+        indicators = read_indicators(indicator_csv([("aa", "gdp", 1.0)]))
+        series, unmatched = join([index_row("aa")], indicators, "ppb", "mu")
+        assert (series.points, unmatched) == ((), ["aa: no value for 'ppb'"])
+
 
 def test_report_of_ppb_keeps_the_rows_that_have_one(tmp_path, capsys):
     index = Path(__file__).resolve().parents[1] / "demos" / "output" / "index.csv"

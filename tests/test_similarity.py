@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -104,6 +106,13 @@ class TestParameterMatrix:
         with pytest.raises(SchemaError):
             parameter_matrix([a, b], "x")
 
+    def test_one_object_or_repeated_names(self):
+        a = ObjectRecord.from_values("a", ["x"], [1.0])
+        with pytest.raises(SchemaError, match="^need at least two objects$"):
+            parameter_matrix([a], "x")
+        with pytest.raises(SchemaError, match="^object names are not unique$"):
+            parameter_matrix([a, a], "x")
+
 
 class TestBlend:
     def _mat(self, entry, labels=("a", "b")):
@@ -129,6 +138,10 @@ class TestBlend:
             blend([self._mat(0.4)], [0.0])
         with pytest.raises(SchemaError):
             blend([self._mat(0.4)], [1.0, 2.0])
+
+    def test_no_matrices(self):
+        with pytest.raises(SchemaError, match="^need at least one matrix$"):
+            blend([], [])
 
     def test_convex_combination(self, rng):
         mats = [self._mat(rng.uniform(0, 1)) for _ in range(5)]
@@ -166,6 +179,22 @@ class TestBlendFromObjects:
         m2 = blend_from_objects(objs2, pset)
         assert allclose(m1.entries, m2.entries, rtol=1e-12)
 
+    def test_unknown_param(self):
+        objs = objects_from_columns({"a": [2.0], "b": [5.0]})
+        with pytest.raises(SchemaError, match="^parameter 'nope' not present in the shared schema$"):
+            blend_from_objects(objs, WeightedParameterSet.uniform(["p0", "nope"]))
+
+
+class TestWeightedParameterSetValidation:
+    def test_rejects_repeated_names(self):
+        with pytest.raises(SchemaError, match="^parameter set has duplicate names$"):
+            WeightedParameterSet((("p", 1.0), ("p", 2.0)))
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0])
+    def test_rejects_weight_not_above_zero(self, weight):
+        with pytest.raises(DomainError, match=f"^parameter 'p': weight must be positive and finite, got {weight!r}$"):
+            WeightedParameterSet((("p", weight),))
+
 
 class TestSimilarityMatrixValidation:
     def test_rejects_asymmetric(self):
@@ -179,6 +208,19 @@ class TestSimilarityMatrixValidation:
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             SimilarityMatrix(("a", "b"), [[1.0, 1.2], [1.2, 1.0]])
+
+    @pytest.mark.parametrize(
+        "entries, shape",
+        [([[1.0], [1.0]], "(2, 1)"), ([[1.0, 0.2]], "(1, 2)"), ([1.0, 0.2], "(2,)")],
+        ids=["short-rows", "one-row", "not-rows"],
+    )
+    def test_rejects_bad_shape(self, entries, shape):
+        with pytest.raises(SchemaError, match=rf"^matrix shape {re.escape(shape)} does not match 2 labels$"):
+            SimilarityMatrix(("a", "b"), entries)
+
+    def test_rejects_repeated_labels(self):
+        with pytest.raises(SchemaError, match="^matrix labels are not unique$"):
+            SimilarityMatrix(("a", "a"), [[1.0, 0.2], [0.2, 1.0]])
 
     def test_ndarray_is_converted(self):
         np = pytest.importorskip("numpy")

@@ -12,8 +12,8 @@ out the report and the store, only ``mu`` and ``punif`` load the indexes, and
 compute K must still produce the tracked demo outputs byte for byte.  The
 same commands also run in an interpreter where importing numpy fails.
 Neither the package's public names nor the paper's oracle (the search, the
-grouping predicate, a bipartition) import numpy or ``dataclasses``.  Each submodule's ``__all__`` lists exactly the names it
-defines, and ``kdiss`` reaches every one of them.  Every ``kdiss`` name that
+grouping predicate, a bipartition) import numpy or ``dataclasses``.  Each submodule's ``__all__`` is its entry in
+``kdiss._HOMES``, the one list of public names, each a name it defines, and ``kdiss`` reaches every one of them.  Every ``kdiss`` name that
 a ``bench/*.py`` file imports exists.
 """
 
@@ -313,6 +313,21 @@ def test_each_public_name_has_one_home():
     # the benchmark imports these two from kdiss.dissimilarity
     assert kdiss.dissimilarity.IncrementStore is kdiss.store.IncrementStore is kdiss.IncrementStore
     assert kdiss.dissimilarity.ComparisonResult is kdiss.kernel.ComparisonResult
+
+
+def test_each_submodule_all_is_its_homes_entry():
+    """No submodule spells out its public names a second time: its one binding of
+    __all__ is the top-level ``__all__ = _HOMES["<module>"]``, _HOMES imported from kdiss."""
+    import kdiss
+
+    for name in kdiss._HOMES:
+        tree = ast.parse((ROOT / "src" / "kdiss" / f"{name}.py").read_text(encoding="utf-8"))
+        bindings = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "__all__"]
+        assert [type(node.ctx) for node in bindings] == [ast.Store], name
+        assignments = [node.value for node in tree.body if isinstance(node, ast.Assign) and bindings[0] in node.targets]
+        assert [ast.dump(value) for value in assignments] == [ast.dump(ast.parse(f"_HOMES[{name!r}]", mode="eval").body)]
+        imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module]
+        assert [alias.name for node in imports for alias in node.names] == ["_HOMES"], name
 
 
 def _bench_kdiss_imports():
