@@ -76,12 +76,16 @@ _MODULE_OF = {name: module for module, names in _HOMES.items() for name in names
 __all__ = sorted(_MODULE_OF)
 
 
-def __getattr__(name: str):
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # `from .module import name`: unlike importlib.import_module, it shows in -X importtime
-    value = globals()[name] = getattr(__import__(_MODULE_OF[name], globals(), None, (name,), 1), name)
+def _load(namespace: dict, module_of: dict, name: str):
+    """Bind namespace[name] as `from .<module_of[name]> import name`, which -X importtime shows."""
+    if name not in module_of:
+        raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+    value = namespace[name] = getattr(__import__(module_of[name], namespace, None, (name,), 1), name)
     return value
+
+
+def __getattr__(name: str):
+    return _load(globals(), _MODULE_OF, name)
 
 
 def __dir__() -> list[str]:

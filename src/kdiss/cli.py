@@ -23,6 +23,7 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import _HOMES, _load
 from .errors import KdissError
 from .formats import FEMALE_COHORTS, MALE_COHORTS, _csv_text, _write_stderr, _write_text
 from .formats import read_index_csv, write_index_csv
@@ -31,41 +32,22 @@ if TYPE_CHECKING:
     from .kernel import ComparisonResult
     from .pyramids import PyramidTable
 
-# The names each command looks up on this module, by the module that defines
-# them.  A name is bound on its first lookup; main binds only the modules its
-# command declares, so `report` never imports the engine or the store, the engine
-# commands never import the report or the store, only `mu` and `punif` import
-# the indexes, and `--help` imports none of them.  A name set beforehand (a
-# test's spy, a tracer's wrapper) is kept.
-_LAZY = {
-    "ProbeConfig": "kernel",
-    "_closed_form": "kernel",
-    "_counts": "kernel",
-    "compare": "kernel",
-    "_model_distances": "indexes",
-    "build_index_rows": "indexes",
-    "cohort_totals": "pyramids",
-    "exponential_model": "pyramids",
-    "ingest": "pyramids",
-    "long_to_wide": "pyramids",
-    "write_pyramid_csv": "pyramids",
-    "emit": "report",
-    "fit_series": "report",
-    "join": "report",
-    "read_indicators": "report",
-    "IncrementStore": "store",
-    "_append": "store",
-    "_checked": "store",
+# The names the commands look up on this module: the _HOMES entry of each module a command
+# can declare and the private names they call, bound on first lookup or by main for the modules
+# its command declares.  A name set beforehand (a test's spy, a tracer's wrapper) is kept.
+_PRIVATE = {
+    "kernel": ("_closed_form", "_counts"),
+    "indexes": ("_model_distances",),
+    "pyramids": (),
+    "report": (),
+    "store": ("_append", "_checked"),
 }
+_LAZY = {name: module for module, private in _PRIVATE.items() for name in (*_HOMES[module], *private)}
 _ENGINE = ("kernel", "pyramids")
 
 
 def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # `from .module import name`: unlike importlib.import_module, it shows in -X importtime
-    value = globals()[name] = getattr(__import__(_LAZY[name], globals(), None, (name,), 1), name)
-    return value
+    return _load(globals(), _LAZY, name)
 
 
 def _bind(*modules: str) -> None:
@@ -333,15 +315,14 @@ def _validate(args) -> str:
         if not names:
             return f"--params {args.params!r} names no parameter"
         named = {"all": None, "male": list(MALE_COHORTS), "female": list(FEMALE_COHORTS)}
-        args.params = named.get(args.params, names)  # the subset combine sums; None is every parameter
+        args.params = named.get(",".join(names), names)  # the subset combine sums; None is every parameter
     if store_action == "put" and not args.data:
         return "store put requires --data"
     return ""
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     problem = _validate(args)
     if problem:
         _write_stderr([f"error: {problem}"])

@@ -26,8 +26,6 @@ MALE_COHORTS = tuple(f"m{age:02d}" for age in AGE_STARTS)
 FEMALE_COHORTS = tuple(f"f{age:02d}" for age in AGE_STARTS)
 COHORTS = MALE_COHORTS + FEMALE_COHORTS
 
-INDEX_COLUMNS = ("name", "k_mt", "k_ut", "k_m_male", "k_m_female", "mu", "d_un", "d_e30", "p_un")
-
 
 def _csv_rows(source: str | Path | IO[str], columns: Sequence[str], bad_header: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of each non-blank row of a CSV after its header.
@@ -126,6 +124,9 @@ class IndexRow(NamedTuple):
     d_un: float
     d_e30: float
     p_un: float
+
+
+INDEX_COLUMNS = IndexRow._fields
 
 
 def write_index_csv(rows: Sequence[IndexRow], sink: str | Path | IO[str] | None) -> None:

@@ -367,6 +367,13 @@ class TestStore:
         assert code == 0, err
         assert run(capsys, *stored, "--params", ",".join(MALE_COHORTS)) == (0, male, "")
 
+    @pytest.mark.parametrize("spelled, keyword", [(" male", "male"), ("male ", "male"), ("female,", "female")])
+    def test_keyword_is_read_as_names_are(self, stored, capsys, spelled, keyword):
+        """--params strips each comma-separated name, and a keyword is the one name left."""
+        expected = run(capsys, *stored, "--params", keyword)
+        assert expected[0] == 0
+        assert run(capsys, *stored, "--params", spelled) == expected
+
     @pytest.mark.parametrize("flags", [(), STRICT_WARNINGS], ids=["default", "warnings-as-errors"])
     def test_torn_final_line_is_one_warning_line(self, stored, pyramid_csv, capsys, flags):
         """put and combine skip a torn final line with a `warning:` line, under -W error too."""

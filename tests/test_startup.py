@@ -13,7 +13,8 @@ compute K must still produce the tracked demo outputs byte for byte.  The
 same commands also run in an interpreter where importing numpy fails.
 Neither the package's public names nor the paper's oracle (the search, the
 grouping predicate, a bipartition) import numpy or ``dataclasses``.  Each submodule's ``__all__`` is its entry in
-``kdiss._HOMES``, the one list of public names, each a name it defines, and ``kdiss`` reaches every one of them.  Every ``kdiss`` name that
+``kdiss._HOMES``, the one list of public names, each a name it defines, and ``kdiss`` reaches every one of them, as
+``kdiss.cli`` reaches each name of the modules its commands declare.  Every ``kdiss`` name that
 a ``bench/*.py`` file imports exists.
 """
 
@@ -364,3 +365,28 @@ def test_package_exports_every_public_name():
     assert "compare" in dir(kdiss)
     with pytest.raises(AttributeError):
         kdiss.no_such_name
+
+
+# the CLI's lazy names: each public name of the modules a command can declare, and the private names the commands call
+CLI_NAMES = """
+import importlib
+import kdiss.cli
+
+private = {"indexes": ("_model_distances",), "kernel": ("_closed_form", "_counts"), "store": ("_append", "_checked")}
+expected = set()
+for module in ("indexes", "kernel", "pyramids", "report", "store"):
+    for name in (*kdiss._HOMES[module], *private.get(module, ())):
+        assert getattr(kdiss.cli, name) is getattr(importlib.import_module(f"kdiss.{module}"), name), name
+        expected.add(name)
+assert set(kdiss.cli._LAZY) == expected, sorted(set(kdiss.cli._LAZY) ^ expected)
+try:
+    kdiss.cli.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+
+
+def test_cli_binds_the_homes_of_its_modules():
+    code, out, messages, _ = run_python("-c", CLI_NAMES)
+    assert code == 0, messages
+    assert out.decode() == "module 'kdiss.cli' has no attribute 'no_such_name'\n"
