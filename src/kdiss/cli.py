@@ -122,8 +122,8 @@ def cmd_batch(args) -> int:
     table = _load_table(args)
     query = table.record(args.query) if args.model is None else exponential_model(args.rate)
     delta = args.delta
-    k_cont, _, sim_sum, sims = _closed_form(query.param_values, table.columns(), delta)
-    d = _counts(len(sims), sim_sum, delta)
+    k_cont, _, d_sums, _ = _closed_form(query.param_values, table.columns(), delta)
+    d = _counts(d_sums, delta)
     rows = zip(table.names, d, [n * delta for n in d], k_cont)
     _write_text(_csv_text(["name", "d", "k", "k_cont"], rows, "%d,%.6f,%.6f"), args.out)
     return 0

@@ -11,8 +11,9 @@ count, and K = D * delta is stable across delta, which makes tiny deltas
 act as a sensitivity dial rather than a noise source.
 
 With three objects and mean blending the split reduces to one test,
-"anchor-target entry >= clone-clone entry", so w* = (P - sum r) * (1 +
-delta) / delta in closed form, which kdiss.kernel evaluates.  This module
+"anchor-target entry >= clone-clone entry", so w* = G * (1 + delta) / delta
+in closed form, with G the sum of the ratio dissimilarities
+|q - t| / max(q, t), which kdiss.kernel evaluates.  This module
 keeps the paper's mechanism as the oracle the closed form must agree with:
 grouped_with_target (one evaluation of the grouping predicate) and
 switch_weight (bisection on a log scale between 1e-30 and 1e12 on that
@@ -30,7 +31,7 @@ import math
 from . import _HOMES
 from .averaging import _polarize3
 from .errors import DomainError, NonPolarizedError, NotSwitchedError
-from .kernel import ObjectRecord, ProbeConfig, _check_schema, _counts, r_similarity
+from .kernel import ObjectRecord, ProbeConfig, _check_schema, _counts, _d_column, r_similarity
 
 # not public here (see __all__); bench/child.py and bench/spans.py import these two from this module
 from .kernel import ComparisonResult
@@ -54,7 +55,8 @@ class _ProbeProblem:
         self.delta = cfg.delta
         self.n_params = len(query.param_names)
         self.sims = list(map(r_similarity, query.param_values, target.param_values))
-        self.base_sum = math.fsum(self.sims)
+        # the engine's dissimilarity sum G, each value a one-row column, so that the snap and D share one gap
+        self.gap = math.fsum(d for (d,) in map(_d_column, query.param_values, zip(target.param_values)))
         # the ratio similarity of the clones' probe values 1 and 1 + delta;
         # anchor and target share probe value 1
         self.sim_ab = 1.0 / (1.0 + cfg.delta)
@@ -116,7 +118,7 @@ def _search_switch(problem: _ProbeProblem) -> float:
     # the predicate's rounding can leave hi a hair above a whole-number switch
     # weight or a hair below the whole number it exceeds, and ceil(hi) one count
     # off; a whole weight w >= 1 switches exactly when w >= D, the exact count
-    whole, d = math.ceil(hi), _counts(problem.n_params, [problem.base_sum], problem.delta)[0]
+    whole, d = math.ceil(hi), _counts([problem.gap], problem.delta)[0]
     if d < whole:
         hi = float(whole - 1)
     elif whole < d:

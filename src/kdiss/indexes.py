@@ -112,16 +112,16 @@ def build_index_rows(
     query_a plays the k_mt role (the pole where MU = 100), query_b the k_ut
     role.  Returns the rows plus messages for rows whose MU or p_un is
     undefined (those fields are set to nan).  Each of the four queries is
-    one closed-form pass over the table's columns; only pole A's similarity
+    one closed-form pass over the table's columns; only pole A's dissimilarity
     columns are split into increments.
     """
     delta = (cfg or ProbeConfig()).delta
     columns = table.columns()
-    k_mt, _, _, sims = _closed_form(_cohort_values(query_a), columns, delta)
-    increments = _increment_columns(sims, k_mt)
+    k_mt, _, _, ds = _closed_form(_cohort_values(query_a), columns, delta)
+    increments = _increment_columns(ds, delta)
     k_male = list(map(math.fsum, zip(*increments[: len(MALE_COHORTS)])))
     k_female = list(map(math.fsum, zip(*increments[len(MALE_COHORTS) :])))
-    del sims, increments  # pole A's columns go before the next pass needs the memory
+    del ds, increments  # pole A's columns go before the next pass needs the memory
     k_ut = _closed_form(_cohort_values(query_b), columns, delta)[0]
     d_un, d_e, p_un, p_un_problems = _model_distances(table.names, columns, delta)
     mu = list(map(_share, k_ut, k_mt))

@@ -1,9 +1,12 @@
-"""The closed-form engine in plain Python: records, ratio similarity and K.
+"""The closed-form engine in plain Python: records, ratio dissimilarity and K.
 
 Every CLI command, compare and batch_compare compute K here, over floats, each
 query as one pass over the targets' columns (one sequence of N values per
-parameter).  Every sum is math.fsum's, exactly rounded, so K_cont does not
-depend on the parameter order and is symmetric in query and target bit for bit.
+parameter).  K_cont, D and the increments all come from one coordinate, the
+ratio dissimilarity d = |q - t| / max(q, t) = 1 - r, so a near-identical pair
+loses nothing to cancellation.  Every sum is math.fsum's, exactly rounded, so
+K_cont is within a few ulps of its exact value for the pair, does not depend
+on the parameter order and is symmetric in query and target bit for bit.
 The paper's mechanism is kept in kdiss.similarity, kdiss.averaging and
 kdiss.dissimilarity as the oracle.
 """
@@ -11,7 +14,6 @@ kdiss.dissimilarity as the oracle.
 from __future__ import annotations
 
 import math
-from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import _HOMES
@@ -110,10 +112,10 @@ class ProbeConfig(_ProbeFields):
 class ComparisonResult(NamedTuple):
     """One query-target comparison: critical weight, counts, and increments.
 
-    k_cont = w_star * delta; d = max(1, ceil(w*)) with w* exact for the float
-    similarity sum and delta, so an integral w* gives d = w*; k = d * delta.
-    The increments map each parameter to its share of k_cont and sum back to
-    k_cont exactly.
+    k_cont = w_star * delta; d = max(1, ceil(w*)) with w* exact for the exactly
+    rounded sum of the pair's ratio dissimilarities and delta, so an integral w*
+    gives d = w*; k = d * delta.  The increments map each parameter to its share
+    d_p * (1 + delta) of k_cont and sum back to k_cont up to rounding.
     """
 
     query: str
@@ -133,71 +135,67 @@ def _check_schema(query: ObjectRecord, target: ObjectRecord) -> None:
         raise SchemaError("objects need at least one parameter")
 
 
-def _weights(n_params: int, sim_sums: Iterable[float], delta: float) -> tuple[list[float], list[float]]:
-    """K_cont and w* for each similarity sum S of a P-parameter comparison.  The switch
-    test, anchor-target entry (S + w) / (P + w) >= clone-clone entry (P + w * s) / (P + w)
-    with s = 1 / (1 + delta), gives w* = (P - S) * (1 + delta) / delta."""
-    k_cont = [(n_params - sim_sum) * (1.0 + delta) for sim_sum in sim_sums]
+def _weights(d_sums: Iterable[float], delta: float) -> tuple[list[float], list[float]]:
+    """K_cont and w* for each dissimilarity sum G = sum of d.  The switch test,
+    anchor-target entry (P - G + w) / (P + w) >= clone-clone entry (P + w * s) / (P + w)
+    with s = 1 / (1 + delta), gives w* = G * (1 + delta) / delta."""
+    k_cont = [d_sum * (1.0 + delta) for d_sum in d_sums]
     w_star = [k / delta for k in k_cont]
     if math.inf in w_star:  # k_cont is finite, so w* is finite or overflows to inf
         raise DomainError(f"delta={delta!r} is too small: the switch weight overflows")
     return k_cont, w_star
 
 
-def _counts(n_params: int, sim_sums: Iterable[float], delta: float) -> list[int]:
-    """D = max(1, ceil(w*)) for each similarity sum S, with w* = (P - S) * (1 + delta)
-    / delta taken exactly for the floats S and delta: the switch test decided in
-    integers, S = a / b and delta = c / e giving w* = (P * b - a) * (e + c) / (b * c)."""
+def _counts(d_sums: Iterable[float], delta: float) -> list[int]:
+    """D = max(1, ceil(w*)) for each dissimilarity sum G, with w* = G * (1 + delta) / delta
+    taken exactly for the floats G and delta: the switch test decided in integers,
+    G = a / b and delta = c / e giving w* = a * (e + c) / (b * c)."""
     c, e = delta.as_integer_ratio()
-    return [max(1, -((a - n_params * b) * (e + c) // (b * c))) for a, b in map(float.as_integer_ratio, sim_sums)]
+    return [max(1, -(-a * (e + c) // (b * c))) for a, b in map(float.as_integer_ratio, d_sums)]
 
 
-def _increment_columns(sim_columns: Sequence[Sequence[float]], k_cont: Sequence[float]) -> list[Iterator[float]]:
-    """Each row's K_cont split over its parameters in proportion to 1 - r, a whole
-    parameter column at a time; a row whose K_cont or shortfall sum is 0 gets zeros.
-    Each column is a lazy map over the rows, read once, so that a caller who sums
-    the increments (mu's K per sex) builds no list of them."""
-    shortfalls = [[1.0 - r for r in column] for column in sim_columns]
-    totals = map(math.fsum, zip(*shortfalls))
-    scales = [k / total if total > 0.0 and k > 0.0 else 0.0 for k, total in zip(k_cont, totals)]
-    return [map(mul, column, scales) for column in shortfalls]
+def _increment_columns(d_columns: Sequence[Sequence[float]], delta: float) -> list[Iterator[float]]:
+    """Each row's K_cont split over its parameters, a whole column at a time: a parameter's
+    increment is its d * (1 + delta), zero where the row's d sum is 0.  Each column is a
+    lazy map over the rows, read once, so that mu's K per sex builds no list of increments."""
+    return [map((1.0 + delta).__mul__, column) for column in d_columns]
 
 
-def _sim_column(q: float, column: Iterable[float]) -> list[float]:
-    """r_similarity of one query value against a column, one comparison per value.  For
-    q > 0 a tie t == q takes q / t, which is 1.0; for q = ±0.0 a zero t gives 1.0 and
-    any other t gives q / t.  So each result is r_similarity's bit for bit, signed
-    zeros included."""
+def _d_column(q: float, column: Iterable[float]) -> list[float]:
+    """The ratio dissimilarity d = |q - t| / max(q, t) of one query value against a column,
+    one comparison per value: d(0, 0) = 0 and d(0, t > 0) = 1, and a tie t == q gives
+    (t - q) / t = 0.0.  Near a tie q - t is exact, so d carries one rounding."""
     if q > 0.0:
-        return [t / q if t < q else q / t for t in column]
-    return [q / t if t else 1.0 for t in column]
+        return [(q - t) / q if t < q else (t - q) / t for t in column]
+    return [1.0 if t else 0.0 for t in column]
 
 
 def _closed_form(query: Sequence[float], columns: Sequence[Sequence[float]], delta: float):
     """One query against every row of a table given by its columns: the lists K_cont,
-    w* and similarity sum, and the similarity columns, one comprehension each."""
-    sims = list(map(_sim_column, query, columns))
-    sim_sums = list(map(math.fsum, zip(*sims)))
-    return (*_weights(len(query), sim_sums, delta), sim_sums, sims)
+    w* and dissimilarity sum, and the dissimilarity columns, one comprehension each."""
+    ds = list(map(_d_column, query, columns))
+    d_sums = list(map(math.fsum, zip(*ds)))
+    return (*_weights(d_sums, delta), d_sums, ds)
 
 
 def closed_form_k(query: ObjectRecord, target: ObjectRecord, cfg: ProbeConfig | None = None) -> float:
-    """Closed-form k_cont: (P - sum of ratio similarities) * (1 + delta).
+    """Closed-form k_cont: (sum of |q - t| / max(q, t)) * (1 + delta), 0 for a pair of zeros.
 
-    Computed apart from the engine behind compare, from r_similarity and an
+    Computed apart from the engine behind compare, from its own formula and an
     exactly rounded sum, so that each checks the other.
     """
     _check_schema(query, target)
-    sim_sum = math.fsum(map(r_similarity, query.param_values, target.param_values))
-    return (len(query.param_names) - sim_sum) * (1.0 + (cfg or ProbeConfig()).delta)
+    pairs = zip(query.param_values, target.param_values)
+    d_sum = math.fsum(abs(a - b) / max(a, b) if a or b else 0.0 for a, b in pairs)
+    return d_sum * (1.0 + (cfg or ProbeConfig()).delta)
 
 
 def compare(query: ObjectRecord, target: ObjectRecord, cfg: ProbeConfig | None = None) -> ComparisonResult:
     """Full comparison: w* in closed form, D and K, K split over parameters.
 
-    Increments are distributed over parameters proportionally to their
-    ratio dissimilarity 1 - r(q_p, t_p), scaled so that their sum equals
-    the reported k_cont exactly.
+    Each parameter's increment is its ratio dissimilarity
+    d_p = |q_p - t_p| / max(q_p, t_p) times (1 + delta), so the increments
+    sum to the reported k_cont up to rounding.
     """
     return batch_compare(query, [target], cfg)[0]
 
@@ -216,9 +214,9 @@ def batch_compare(
     if not targets:
         return []
     names, columns = query.param_names, list(zip(*(t.param_values for t in targets)))
-    k_cont, w_star, sim_sum, sims = _closed_form(query.param_values, columns, delta)
-    d = _counts(len(names), sim_sum, delta)
-    incs = zip(*_increment_columns(sims, k_cont))
+    k_cont, w_star, d_sums, ds = _closed_form(query.param_values, columns, delta)
+    d = _counts(d_sums, delta)
+    incs = zip(*_increment_columns(ds, delta))
     return [
         ComparisonResult(query.name, t.name, delta, w, n, n * delta, k, dict(zip(names, row)))
         for t, w, n, k, row in zip(targets, w_star, d, k_cont, incs)

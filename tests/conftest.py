@@ -9,7 +9,7 @@ import pytest
 
 from kdiss.averaging import AveragingConfig, bipartition
 from kdiss.errors import DegenerateSymmetryError, DomainError, NonPolarizedError
-from kdiss.kernel import ObjectRecord, ProbeConfig, _check_schema, r_similarity
+from kdiss.kernel import ObjectRecord, ProbeConfig, _check_schema
 from kdiss.pyramids import PyramidTable, exponential_model, normalize, uniform_model
 from kdiss.similarity import WeightedParameterSet, blend_from_objects
 
@@ -52,11 +52,21 @@ def pair_with_sims(sims, name_q="q", name_t="t"):
     return q, t
 
 
+def ratio_d(a: float, b: float) -> float:
+    """The reference ratio dissimilarity of two non-negative floats, by three
+    branches: 0 for two zeros, else (max - min) / max, so 1 against a zero."""
+    hi, lo = max(a, b), min(a, b)
+    if hi == 0.0:
+        return 0.0
+    return (hi - lo) / hi
+
+
 def exact_d(query, target, delta: float) -> int:
-    """The reference D: max(1, ceil(w*)), w* = (P - S) * (1 + delta) / delta taken
-    in Fractions for the engine's float similarity sum S and the float delta."""
-    sim_sum = Fraction(math.fsum(map(r_similarity, query, target)))
-    return max(1, math.ceil((len(query) - sim_sum) * (1 + Fraction(delta)) / Fraction(delta)))
+    """The reference D: max(1, ceil(w*)), w* = G * (1 + delta) / delta taken in
+    Fractions for G, the exactly rounded sum of the float ratio dissimilarities,
+    and the float delta."""
+    gap = Fraction(math.fsum(map(ratio_d, query, target)))
+    return max(1, math.ceil(gap * (1 + Fraction(delta)) / Fraction(delta)))
 
 
 ANCHOR_LABEL = "clone-a"

@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,16 +25,14 @@ from kdiss.kernel import _closed_form, _increment_columns, r_similarity
 from kdiss.pyramids import PyramidTable, normalize, write_pyramid_csv
 from kdiss.store import IncrementStore
 
-from conftest import exact_d, pair_with_sims, random_pair, synthetic_table
+from conftest import exact_d, pair_with_sims, random_pair, ratio_d, synthetic_table
 
 
-def _increments(sims, k_cont):
+def _increments(ds, delta):
     """The per-row reference for _increment_columns: K_cont split over the
-    parameters of one comparison in proportion to 1 - r."""
-    shortfalls = [1.0 - r for r in sims]
-    total = math.fsum(shortfalls)
-    scale = k_cont / total if total > 0.0 and k_cont > 0.0 else 0.0
-    return [s * scale for s in shortfalls]
+    parameters of one comparison, each taking its ratio dissimilarity d times
+    (1 + delta)."""
+    return [d * (1.0 + delta) for d in ds]
 
 
 DELTAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -134,10 +133,12 @@ BRACKET_DELTAS = (1e-13, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 0.1, 1.0)
 @example([0.5, 0.5], 1e-3)  # float 1e-3 is a hair above 1e-3: w* is just below 1001, D = 1001
 @example([0.5, 0.5], 1e-6)  # float 1e-6 is a hair below 1e-6: w* is just above 1000001, D = 1000002
 @example([0.5, 0.5], 0.01)  # w* is just below 101 and computes as 101.00000000000001; D = 101
-@example([0.94921875, 0.05078125], 1e-13)  # w* computes as 10000000000000.998; D = 10000000000002
+@example([0.94921875, 0.05078125], 1e-13)  # w* computes as 10000000000000.998; D = 10000000000001
+@example([0.015625, 0.328125, 0.33984375, 0.3125], 1e-13)  # w* computes as 30039062500003.0; D = 30039062500004
 def test_property_d_brackets_w_star(sims, delta):
-    """D is max(1, ceil(w*)) of the exact w* for the float similarity sum and
-    delta, at every delta; so K_cont <= K up to K_cont's own rounding."""
+    """D is max(1, ceil(w*)) of the exact w* for the exactly rounded sum of the
+    ratio dissimilarities and delta, at every delta; so K_cont <= K up to
+    K_cont's own rounding."""
     q, t = pair_with_sims(sims)
     result = compare(q, t, ProbeConfig(delta=delta))
     assert result.d == exact_d(q.param_values, t.param_values, delta)
@@ -176,19 +177,20 @@ def _exact_sum(values) -> float:
 
 
 def test_similarity_sum_is_exactly_rounded():
-    """The similarity sum of one target is its exact sum rounded once, bit for
-    bit, at every width a pyramid or one of its halves can take and past the
-    128 at which a pairwise sum splits; zeros of both signs included."""
+    """The dissimilarity sum of one target is the exact sum of its ratio
+    dissimilarities rounded once, bit for bit, at every width a pyramid or one
+    of its halves can take and past the 128 at which a pairwise sum splits;
+    zeros of both signs included."""
     rng = random.Random(20260808)
     for width in range(1, 131):
         for trial in range(24):
             query, target = _spread_row(rng, width), _spread_row(rng, width)
-            if trial % 2:  # ties give similarities of exactly 1.0
+            if trial % 2:  # ties give dissimilarities of exactly 0.0
                 target = [t if rng.random() < 0.5 else q for q, t in zip(query, target)]
-            sim_sum = _closed_form(query, [[t] for t in target], 1e-3)[2]
-            want = _exact_sum(map(r_similarity, query, target))
-            assert [s.hex() for s in sim_sum] == [want.hex()], (width, trial)
-    assert _closed_form([-0.0] * 34, [[-0.0]] * 34, 1e-3)[2] == [34.0]
+            d_sum = _closed_form(query, [[t] for t in target], 1e-3)[2]
+            want = _exact_sum(map(ratio_d, query, target))
+            assert [s.hex() for s in d_sum] == [want.hex()], (width, trial)
+    assert [s.hex() for s in _closed_form([-0.0] * 34, [[-0.0]] * 34, 1e-3)[2]] == [(0.0).hex()]
 
 
 # every magnitude from subnormal to 1e300 and zeros of both signs, so that the rounding of the sum shows
@@ -204,36 +206,41 @@ VALUES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=0.0, max_va
 @example(width=129, n_rows=2, data=None)
 @example(width=300, n_rows=2, data=None)
 def test_row_sums_are_exactly_rounded(width, n_rows, data):
-    """Every similarity sum of a closed-form pass over a table's columns is its
+    """Every dissimilarity sum of a closed-form pass over a table's columns is its
     row's exact sum rounded once, bit for bit, whatever the width; a duplicated
-    row gets its twin's sum."""
+    row gets its twin's sum.  Drawn rows are a seeded spread of magnitudes with
+    up to 16 drawn values written over random cells, so that an example costs a
+    few draws and not one per value."""
     if data is None:  # an explicit example: values of every magnitude, and a row of -0.0
         rng = random.Random(width)
         query, pool = _spread_row(rng, width), [_spread_row(rng, width) for _ in range(n_rows)]
         pool.append([-0.0] * width)
     else:
-        query = data.draw(st.lists(VALUES, min_size=width, max_size=width))
-        pool = data.draw(st.lists(st.lists(VALUES, min_size=width, max_size=width), min_size=n_rows, max_size=n_rows))
+        rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32 - 1), label="seed"))
+        query, *pool = [_spread_row(rng, width) for _ in range(n_rows + 1)]
+        for value in data.draw(st.lists(VALUES, max_size=16), label="values"):
+            rng.choice([query, *pool])[rng.randrange(width)] = value
     rows = pool + pool[:1]  # the first row twice
-    sim_sum = _closed_form(query, list(zip(*rows)), 1e-3)[2]
-    want = [_exact_sum(map(r_similarity, query, row)) for row in rows]
-    assert [s.hex() for s in sim_sum] == [w.hex() for w in want]
+    d_sum = _closed_form(query, list(zip(*rows)), 1e-3)[2]
+    want = [_exact_sum(map(ratio_d, query, row)) for row in rows]
+    assert [s.hex() for s in d_sum] == [w.hex() for w in want]
 
 
-# the values at which the one-comparison ratio rule could part from r_similarity's
+# the values at which the one-comparison ratio rule could part from the reference's
 # three branches: zeros of both signs (ingest admits -0.0 from a "-0" cell), the smallest
 # subnormal, a pyramid share, the tie value 1.0 and a value near the float max
 EDGE_VALUES = (0.0, -0.0, 5e-324, 100.0 / 34.0, 1.0, 1e308)
 
 
 def test_similarity_columns_are_the_three_branch_rule_bit_for_bit():
-    """Every similarity _closed_form computes is r_similarity's for its (q, t), sign
-    of a zero included: each edge value as the query against every edge value."""
+    """Every ratio dissimilarity _closed_form computes is the three-branch
+    reference's for its (q, t), sign of a zero included: each edge value as the
+    query against every edge value."""
     rows = [list(row) for row in itertools.product(EDGE_VALUES, repeat=2)]
     for query in itertools.product(EDGE_VALUES, repeat=2):
-        sims = _closed_form(list(query), list(zip(*rows)), 1e-3)[3]
-        got = [[value.hex() for value in row] for row in zip(*sims)]
-        assert got == [[value.hex() for value in map(r_similarity, query, row)] for row in rows], query
+        ds = _closed_form(list(query), list(zip(*rows)), 1e-3)[3]
+        got = [[value.hex() for value in row] for row in zip(*ds)]
+        assert got == [[value.hex() for value in map(ratio_d, query, row)] for row in rows], query
 
 
 NON_NEGATIVE = st.floats(min_value=0.0, max_value=1e300)
@@ -254,20 +261,20 @@ SHARES = st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0, 2.0, 1.0 / 3.0, 100.0 / 3
 )
 def test_column_pass_matches_the_row_helpers(case, delta):
     """One closed-form pass over a table's columns gives, for every row, the
-    similarity sum math.fsum(map(r_similarity, q, t)) and the _increments of the
+    dissimilarity sum math.fsum(map(ratio_d, q, t)) and the _increments of the
     per-row helpers, bit for bit: zeros of both signs, ties, duplicated rows
     and an empty table included."""
     query, pool, picks = case
     rows = [pool[i] for i in picks if i < len(pool)]  # a pool row picked twice is a duplicate
     columns = list(zip(*rows)) or [()] * len(query)
-    k_cont, w_star, sim_sum, sims = _closed_form(query, columns, delta)
-    want = [list(map(r_similarity, query, row)) for row in rows]
-    assert [s.hex() for s in sim_sum] == [math.fsum(row).hex() for row in want]
-    assert [list(column) for column in zip(*sims)] == want
-    assert k_cont == [(len(query) - s) * (1.0 + delta) for s in sim_sum]
+    k_cont, w_star, d_sum, ds = _closed_form(query, columns, delta)
+    want = [list(map(ratio_d, query, row)) for row in rows]
+    assert [s.hex() for s in d_sum] == [math.fsum(row).hex() for row in want]
+    assert [list(column) for column in zip(*ds)] == want
+    assert k_cont == [s * (1.0 + delta) for s in d_sum]
     assert w_star == [k / delta for k in k_cont]
-    got = [[value.hex() for value in row] for row in zip(*_increment_columns(sims, k_cont))]
-    assert got == [[value.hex() for value in _increments(row, k)] for row, k in zip(want, k_cont)]
+    got = [[value.hex() for value in row] for row in zip(*_increment_columns(ds, delta))]
+    assert got == [[value.hex() for value in _increments(row, delta)] for row in want]
 
 
 @settings(max_examples=300, deadline=None)
@@ -311,11 +318,53 @@ def _pyramids(a, b, order=range(34)):
 @given(PYRAMID, PYRAMID, st.sampled_from(DELTAS))
 @example([0.0] * 22 + [1.0] + [0.0] * 11, [0.0] * 22 + [2.0] + [0.0] * 10 + [1.0], 0.1)  # S = 32 + 2/3
 def test_property_closed_form_k_is_the_engines(a, b, delta):
-    """closed_form_k, from r_similarity and one math.fsum per pair, gives the
+    """closed_form_k, from |q - t| / max(q, t) and one math.fsum per pair, gives the
     engine's K_cont bit for bit."""
     q, t = _pyramids(a, b)
     cfg = ProbeConfig(delta=delta)
     assert closed_form_k(q, t, cfg).hex() == compare(q, t, cfg).k_cont.hex()
+
+
+# near-identical pairs: a similarity sum near P would cancel in P - S, a dissimilarity sum does not
+NEAR_EPSILONS = (1e-8, 1e-10, 1e-12, 1e-14)
+
+
+def _near_pairs(eps: float, count: int = 300):
+    """count seeded 34-parameter pairs, each target value the query's times 1 + eps or 1 - eps."""
+    rng = random.Random(20261020)
+    for _ in range(count):
+        q, _ = random_pair(rng, 34)
+        values = [v * (1.0 + rng.choice((eps, -eps))) for v in q.param_values]
+        yield q, ObjectRecord.from_values("t", q.param_names, values)
+
+
+def _exact_gap(q, t) -> Fraction:
+    """The exact rational sum of |q - t| / max(q, t) over the float values of a pair."""
+    pairs = zip(map(Fraction, q.param_values), map(Fraction, t.param_values))
+    return sum((abs(a - b) / max(a, b) for a, b in pairs), Fraction(0))
+
+
+@pytest.mark.parametrize("eps", NEAR_EPSILONS)
+def test_near_identical_pairs_keep_k_cont_to_a_few_ulps(eps):
+    """K_cont of a near-identical pair is within 4 ulps of the exact sum of d times
+    (1 + delta) for the float pair, and swapping query and target leaves it
+    unchanged bit for bit."""
+    cfg = ProbeConfig(delta=1e-4)
+    for q, t in _near_pairs(eps):
+        k_cont = compare(q, t, cfg).k_cont
+        exact = _exact_gap(q, t) * (1 + Fraction(cfg.delta))
+        assert abs(Fraction(k_cont) - exact) <= 4 * Fraction(math.ulp(k_cont)), (eps, k_cont, float(exact))
+        assert compare(t, q, cfg).k_cont.hex() == k_cont.hex()
+
+
+@pytest.mark.parametrize("eps, delta", [(1e-9, 1e-13), (1e-10, 1e-14)])
+def test_near_identical_pairs_get_the_exact_d(eps, delta):
+    """D of a near-identical pair is max(1, ceil(w*)) of the exact w* for the
+    float pair and delta, with w* near 340,000, where P minus a similarity sum
+    is off by whole counts."""
+    for q, t in _near_pairs(eps):
+        exact = max(1, math.ceil(_exact_gap(q, t) * (1 + Fraction(delta)) / Fraction(delta)))
+        assert compare(q, t, ProbeConfig(delta=delta)).d == exact
 
 
 @settings(max_examples=300, deadline=None)

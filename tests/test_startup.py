@@ -210,7 +210,7 @@ UNTRACKED = {
     "batch-query": "9f7c54e5fb89a9a3cb4110b18cbdc197bfdeb53d7f4242a40c58af79f48e4fd1",
     "model-exp": "429841c29074cc65e545f2f81ce26fa1b95e7dc3e4d734aac34134aa01839116",
     "compare-increments": "fe9270cc13aa9e739421583eb9cd8dfa390f1d7b78f890f90ed6ce0f2c6854af",
-    "compare-out": "14b2c69f867a986a99991a6b477159b126d89b778ba0e319b6c8bfa38f958cb9",
+    "compare-out": "17e26e619667bcd903192745e9d688238eea6eb86be2d7f4016d2922cb518973",
 }
 
 
