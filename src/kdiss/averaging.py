@@ -8,15 +8,16 @@ sweep.  Sweeps drive the matrix toward a two-block form: within-group
 entries rise toward 1, cross-group entries fall away from them, and any
 exact {0,1} two-block matrix is a fixed point.
 
-For three objects the dynamics are exactly tractable: writing the
-off-diagonal entries as a, b, c, one sweep maps a to (2a + 1 - |b - c|) / 3
-and cyclically for b, c.  The gap between the largest entry and the runner-up
-is preserved by every sweep while the gap between the two smaller entries
-contracts by a factor of 3.  The split that groups the initially closest
-pair is therefore final as soon as the top gap strictly exceeds the lower
-gap, and bipartition stops right there instead of iterating to the fixed
-point, which matters when the two leading entries are nearly tied.  The
-probe mechanism splits exactly three objects, so bipartition takes 2 or 3.
+For three objects the dynamics are exactly tractable in the dissimilarities
+d = 1 - s: writing the off-diagonal ones as a, b, c, one sweep maps a to
+(2a + |b - c|) / 3 and cyclically for b, c.  The gap between the smallest
+entry and the runner-up is preserved by every sweep while the gap between
+the two larger entries contracts by a factor of 3.  The split that groups
+the initially closest pair is therefore final as soon as the lower gap
+strictly exceeds the upper gap, and bipartition stops right there instead of
+iterating to the fixed point, which matters when the two closest pairs are
+nearly tied.  The probe mechanism splits exactly three objects, so
+bipartition takes 2 or 3.
 """
 
 from __future__ import annotations
@@ -79,29 +80,25 @@ def average_once(m: SimilarityMatrix) -> SimilarityMatrix:
 
 
 def _polarize3(a: float, b: float, c: float, max_iterations: int) -> tuple[int | None, int]:
-    """Run 3-object sweeps until the split is final.
+    """Run 3-object sweeps on the dissimilarities a, b, c until the split is final.
 
     Returns (winner, sweeps) where winner indexes the grouped pair in the
     order (0,1), (0,2), (1,2), or (None, sweeps) for a degenerate tie of the
-    two leading entries (which provably averages out to a uniform matrix).
+    two smallest entries (which provably averages out to a uniform matrix).
     Raises NonPolarizedError if max_iterations is hit first.
     """
     sweeps = 0
     while True:
         if sweeps >= max_iterations:
             raise NonPolarizedError(f"no stable two-group split after {sweeps} sweeps")
-        a, b, c = (
-            (2.0 * a + 1.0 - abs(b - c)) / 3.0,
-            (2.0 * b + 1.0 - abs(a - c)) / 3.0,
-            (2.0 * c + 1.0 - abs(a - b)) / 3.0,
-        )
+        a, b, c = (2.0 * a + abs(b - c)) / 3.0, (2.0 * b + abs(a - c)) / 3.0, (2.0 * c + abs(a - b)) / 3.0
         sweeps += 1
-        v0, v1, v2 = sorted((a, b, c))
-        if v2 == v1:
+        d0, d1, d2 = sorted((a, b, c))
+        if d0 == d1:
             return None, sweeps
-        if v2 - v1 > v1 - v0:
+        if d1 - d0 > d2 - d1:
             vals = (a, b, c)
-            return vals.index(max(vals)), sweeps
+            return vals.index(d0), sweeps
 
 
 def _split3(labels: tuple[str, ...], pair_index: int, sweeps: int) -> Bipartition:
@@ -135,7 +132,7 @@ def bipartition(m: SimilarityMatrix, cfg: AveragingConfig | None = None) -> Bipa
     a, b, c = e[0][1], e[0][2], e[1][2]
     if a == b == c:
         raise DegenerateSymmetryError("all off-diagonal entries are equal; no gap to split on")
-    winner, sweeps = _polarize3(a, b, c, cfg.max_iterations)
+    winner, sweeps = _polarize3(1.0 - a, 1.0 - b, 1.0 - c, cfg.max_iterations)
     if winner is None:
         raise DegenerateSymmetryError("two leading entries are exactly tied")
     return _split3(labels, winner, sweeps)

@@ -29,7 +29,8 @@ def mu_index(k_ut: float, k_mt: float) -> float:
         raise DomainError(f"K values must be finite and non-negative, got ({k_ut!r}, {k_mt!r})")
     if k_ut + k_mt == 0:
         raise DomainError("mu_index is undefined when both K values are zero")
-    return _share(k_ut, k_mt)
+    # where the sum overflows, the halved values give the share
+    return _share(k_ut / 2.0, k_mt / 2.0) if k_ut + k_mt == math.inf else _share(k_ut, k_mt)
 
 
 def _share(part: float, other: float) -> float:
@@ -52,7 +53,8 @@ def p_uniform(d_un: float, d_e: float, variant: str = "normalized") -> float:
     if total == 0:
         raise DomainError("p_uniform is undefined when both distances are zero")
     if variant == "normalized":
-        return _share(d_e, d_un)
+        # where the sum overflows, the halved distances give the share
+        return _share(d_e / 2.0, d_un / 2.0) if total == math.inf else _share(d_e, d_un)
     if variant == "as_written":
         return 100.0 * (1.0 - d_un) / total
     raise DomainError(f"unknown variant {variant!r}")
@@ -73,7 +75,10 @@ def sex_split_k(
     """K split over the male and female cohort subsets of one comparison.
 
     Sums the per-parameter increments over each sex's cohorts, so the two
-    parts add back to the full-pyramid k_cont exactly.
+    parts add back to the full-pyramid k_cont within 5 * 2**-53 relative: the
+    increments, each part's sum and their addition round once each, as do
+    k_cont's sum and product.  Not exactly: 520 of 2,016 synthetic pairs
+    miss, by up to 2.2e-16 relative.
     """
     result = compare(query, target, cfg)
     missing = [c for c in MALE_COHORTS + FEMALE_COHORTS if c not in result.increments]

@@ -7,8 +7,8 @@ ratio dissimilarity d = |q - t| / max(q, t) = 1 - r, so a near-identical pair
 loses nothing to cancellation.  Every sum is math.fsum's, exactly rounded, so
 K_cont is within a few ulps of its exact value for the pair, does not depend
 on the parameter order and is symmetric in query and target bit for bit.
-The paper's mechanism is kept in kdiss.similarity, kdiss.averaging and
-kdiss.dissimilarity as the oracle.
+The paper's mechanism, kept in kdiss.averaging and kdiss.dissimilarity as the
+oracle, runs on the same d's.
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ def _check_schema(query: ObjectRecord, target: ObjectRecord) -> None:
 
 def _weights(d_sums: Iterable[float], delta: float) -> tuple[list[float], list[float]]:
     """K_cont and w* for each dissimilarity sum G = sum of d.  The switch test,
-    anchor-target entry (P - G + w) / (P + w) >= clone-clone entry (P + w * s) / (P + w)
-    with s = 1 / (1 + delta), gives w* = G * (1 + delta) / delta."""
+    anchor-target entry G / (P + w) <= clone-clone entry w * d_ab / (P + w)
+    with d_ab = delta / (1 + delta), gives w* = G * (1 + delta) / delta."""
     k_cont = [d_sum * (1.0 + delta) for d_sum in d_sums]
     w_star = [k / delta for k in k_cont]
     if math.inf in w_star:  # k_cont is finite, so w* is finite or overflows to inf

@@ -130,10 +130,7 @@ def blend(matrices: Sequence[SimilarityMatrix], weights: Sequence[float]) -> Sim
     positive.  The result is a convex combination, so every entry stays
     between the per-parameter extremes.  Each entry is the exactly rounded
     sum of its weighted terms (math.fsum) over the exactly rounded weight
-    total, as the grouping predicate of grouped_with_target and
-    switch_weight takes them.  So the blend of the three probe records holds,
-    bit for bit, the entries that predicate computes in closed form, and the
-    tests check the predicate against it at every weight.
+    total.
     """
     if len(matrices) == 0:
         raise SchemaError("need at least one matrix")

@@ -3,15 +3,13 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Sequence
 
 import pytest
 
-from kdiss.averaging import AveragingConfig, bipartition
-from kdiss.errors import DegenerateSymmetryError, DomainError, NonPolarizedError
+from kdiss.averaging import _polarize3
+from kdiss.errors import DomainError, NonPolarizedError
 from kdiss.kernel import ObjectRecord, ProbeConfig, _check_schema
 from kdiss.pyramids import PyramidTable, exponential_model, normalize, uniform_model
-from kdiss.similarity import WeightedParameterSet, blend_from_objects
 
 
 # interpreter flags under which any warning raises, for the tests that start a CLI
@@ -69,45 +67,33 @@ def exact_d(query, target, delta: float) -> int:
     return max(1, math.ceil(gap * (1 + Fraction(delta)) / Fraction(delta)))
 
 
-ANCHOR_LABEL = "clone-a"
-OFFSET_LABEL = "clone-b"
-TARGET_LABEL = "target"
-_AVERAGING = AveragingConfig(max_iterations=500)
-
-
-def _probe_param_name(schema: Sequence[str]) -> str:
-    name = "_probe"
-    while name in schema:
-        name += "_"
-    return name
-
-
 def grouped_by_records(query: ObjectRecord, target: ObjectRecord, cfg: ProbeConfig, weight: float) -> bool:
     """The reference for kdiss.dissimilarity.grouped_with_target: the paper's grouping
-    predicate on records.
+    predicate on the three probe-extended objects, in ratio dissimilarities.
 
-    Builds the three probe-extended records, blends their matrix with unit
-    base weights and the probe at ``weight``, and splits it by iterative
-    averaging.  A tie of the decisive entries counts as switched.
+    Each pair's entry is the weighted mean of its per-parameter d's, the
+    values' ratio_d with unit base weights and the probe's |difference| of the
+    coordinates (0, delta / (1 + delta), 0) at ``weight``: one math.fsum per
+    entry over P + w.  The three entries are split by iterative averaging; a
+    tie of the decisive entries counts as switched.
     """
     if not (math.isfinite(weight) and weight > 0):
         raise DomainError(f"weight must be positive and finite, got {weight!r}")
     _check_schema(query, target)
-    probe_name = _probe_param_name(query.param_names)
-    records = [
-        query.with_param(probe_name, 1.0, name=ANCHOR_LABEL),
-        query.with_param(probe_name, 1.0 + cfg.delta, name=OFFSET_LABEL),
-        target.with_param(probe_name, 1.0, name=TARGET_LABEL),
-    ]
-    pset = WeightedParameterSet(
-        tuple((p, 1.0) for p in query.param_names) + ((probe_name, float(weight)),)
+    # the anchor, the offset clone and the target: the clones carry the query's values
+    values = [query.param_values, query.param_values, target.param_values]
+    probe = [0.0, cfg.delta / (1.0 + cfg.delta), 0.0]
+    total = len(query.param_names) + weight
+    u, x, y = (
+        math.fsum([*map(ratio_d, values[i], values[j]), weight * abs(probe[i] - probe[j])]) / total
+        for i, j in ((0, 1), (0, 2), (1, 2))
     )
-    matrix = blend_from_objects(records, pset)
     try:
-        parts = bipartition(matrix, _AVERAGING)
-    except (DegenerateSymmetryError, NonPolarizedError):
-        return matrix.entry(ANCHOR_LABEL, TARGET_LABEL) >= matrix.entry(ANCHOR_LABEL, OFFSET_LABEL)
-    return parts.together(ANCHOR_LABEL, TARGET_LABEL)
+        winner, _ = _polarize3(u, x, y, 500)
+    except NonPolarizedError:
+        winner = None
+    # the anchor-target pair is pair 1; at a tie the switch fires
+    return winner == 1 if winner is not None else x <= u
 
 
 def allclose(got, want, rtol=1e-5, atol=1e-8):

@@ -76,8 +76,9 @@ UNIT = st.floats(min_value=0.0, max_value=1.0)
 @given(UNIT, UNIT, UNIT)
 def test_polarize3_sweep_is_average_once(a, b, c):
     """One 3-object sweep, a -> (2a + 1 - |b - c|) / 3 and cyclically, is
-    average_once within rounding, and _polarize3 allowed one sweep decides
-    on the swept entries as average_once gives them."""
+    average_once within rounding, and _polarize3 allowed one sweep, fed the
+    dissimilarities 1 - a, 1 - b and 1 - c, decides on the swept entries as
+    average_once gives them."""
     swept = average_once(sym3(a, b, c)).entries
     got = swept[0][1], swept[0][2], swept[1][2]
     want = (2 * a + 1 - abs(b - c)) / 3, (2 * b + 1 - abs(a - c)) / 3, (2 * c + 1 - abs(a - b)) / 3
@@ -86,10 +87,10 @@ def test_polarize3_sweep_is_average_once(a, b, c):
     # a decision within rounding of a tie may go either way
     assume(v2 - v1 > 1e-12 and abs((v2 - v1) - (v1 - v0)) > 1e-12)
     if v2 - v1 > v1 - v0:
-        assert _polarize3(a, b, c, 1) == (got.index(v2), 1)
+        assert _polarize3(1 - a, 1 - b, 1 - c, 1) == (got.index(v2), 1)
     else:
         with pytest.raises(NonPolarizedError):
-            _polarize3(a, b, c, 1)
+            _polarize3(1 - a, 1 - b, 1 - c, 1)
 
 
 class TestBipartition:
@@ -110,6 +111,15 @@ class TestBipartition:
     def test_tied_leaders_raise_degenerate(self):
         with pytest.raises(DegenerateSymmetryError):
             bipartition(sym3(0.8, 0.8, 0.3))
+
+    def test_leaders_one_ulp_apart_near_one(self):
+        # the sweep runs on the dissimilarities 1 - s, which keep the ulp that
+        # separates the two leaders, so the split is the closest pair's
+        a = float.fromhex("0x1.ffffffffff884p-1")
+        m = sym3(a, a, math.nextafter(a, 2.0))
+        parts = bipartition(m)
+        assert parts.group_a == {"x"} and parts.group_b == {"y", "z"}
+        assert parts[:2] == pair_max_split(m)[:2]
 
     def test_two_objects(self):
         m = SimilarityMatrix(("a", "b"), [[1.0, 0.4], [0.4, 1.0]])

@@ -88,13 +88,26 @@ class TestSwitchWeight:
             switch_weight(q, t, ProbeConfig(delta=1e-13))
 
     def test_switch_weight_near_the_cap(self):
-        # w* = 70000 * (1 + 1e-6) / 1e-6 = 7.000007e10 lies below the cap of 1e12; at this
-        # scale the predicate resolves w* to about 2.2e-16 / delta relative, several
-        # unit steps, so the test holds K_cont to 1e-9 and does not compare D
+        # w* = 70000 * (1 + 1e-6) / 1e-6 = 7.000007e10 lies below the cap of 1e12; the
+        # predicate compares dissimilarities, which keep delta's digits, so K_cont holds
+        # to 1e-9 here and test_switch_weight_keeps_d_at_small_delta checks D as well
         q, t = pair_with_sims([0.0] * 70_000)
         cfg = ProbeConfig(delta=1e-6)
         w = switch_weight(q, t, cfg)
         assert w * cfg.delta == pytest.approx(compare(q, t, cfg).k_cont, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "sims, delta", [([0.9] * 34, 1e-9), ([0.5] * 2, 1e-10), ([0.0] * 70_000, 1e-6)], ids=["0.9x34", "0.5x2", "0x70000"]
+    )
+    def test_switch_weight_keeps_d_at_small_delta(self, sims, delta):
+        # a search that blended similarities lost these to the cancellation of entries
+        # near 1: 1.3e-7 off at 0.9 x 34, and D 3 to 10364 counts short
+        q, t = pair_with_sims(sims)
+        cfg = ProbeConfig(delta=delta)
+        result = compare(q, t, cfg)
+        w = switch_weight(q, t, cfg)
+        assert w == pytest.approx(result.w_star, rel=1e-12, abs=0.0)
+        assert max(1, math.ceil(w)) == result.d
 
     def test_schema_mismatch(self):
         q = ObjectRecord.from_values("q", ["a"], [1.0])

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import pytest
@@ -33,6 +34,11 @@ class TestMuIndex:
         with pytest.raises(DomainError):
             mu_index(-1.0, 2.0)
 
+    def test_overflowing_sum(self):
+        # k_ut + k_mt overflows to inf; the share is still taken
+        assert mu_index(1e308, 1e308) == 50.0
+        assert mu_index(1.5e308, 0.5e308) == 75.0
+
     @pytest.mark.parametrize("k_ut, k_mt", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, -math.inf)])
     def test_non_finite_rejected(self, k_ut, k_mt):
         with pytest.raises(DomainError, match="finite"):
@@ -57,6 +63,11 @@ class TestPUniform:
 
     def test_as_written_anomaly(self):
         assert p_uniform(10.0, 30.0, "as_written") == pytest.approx(-22.5, rel=1e-12)
+
+    def test_overflowing_sum(self):
+        # d_un + d_e overflows to inf; the share is still taken
+        assert p_uniform(1e308, 1e308) == 50.0
+        assert p_uniform(0.5e308, 1.5e308) == 75.0
 
     def test_pure_uniform_limit(self):
         assert p_uniform(0.0, 5.0) == 100.0
@@ -109,6 +120,16 @@ class TestSexSplitK:
         k_male, k_female = sex_split_k(query, target, cfg)
         full = compare(query, target, cfg).k_cont
         assert k_male + k_female == pytest.approx(full, rel=1e-12)
+
+    def test_parts_add_back_within_the_rounding_bound(self):
+        # each increment, each part's math.fsum and their addition round once, as do
+        # k_cont's sum and product: 5 roundings, 2**-53 relative each
+        records = list(synthetic_table(64).records())
+        for i, (a, b) in enumerate(itertools.combinations(records, 2)):
+            cfg = ProbeConfig(delta=(1e-1, 1e-3, 1e-4, 1e-6)[i % 4])
+            k_male, k_female = sex_split_k(a, b, cfg)
+            full = compare(a, b, cfg).k_cont
+            assert abs(k_male + k_female - full) <= 5 * 2.0**-53 * full
 
     def test_symmetric_pyramid_splits_evenly(self):
         # model pyramids have identical male and female halves

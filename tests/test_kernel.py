@@ -124,6 +124,33 @@ def test_integral_switch_weight_gives_d_equal_w_star(sims, delta, d):
     assert switch_weight(q, t, cfg) == d
 
 
+# deltas below DELTAS' floor, at which a search on similarities lost w* to the
+# cancellation of entries near 1; the bisection stops at a relative width of 1e-12
+SMALL_DELTAS = (1e-7, 1e-8, 1e-9, 1e-10, 1e-11)
+W_REL = 2e-12
+
+
+@pytest.mark.parametrize("delta", SMALL_DELTAS)
+def test_search_matches_closed_form_at_small_delta(rng, delta):
+    """At every delta the search holds D equal and w* to the bisection's width,
+    on random pairs and near-identical ones whose closed-form w* is within the
+    search's cap of 1e12."""
+    cfg = ProbeConfig(delta=delta)
+    checked = 0
+    for i in range(40):
+        q, t = random_pair(rng, (2, 10, 34)[i % 3])
+        if i % 2:
+            t = ObjectRecord.from_values("t", q.param_names, [v * rng.uniform(0.999, 1.001) for v in q.param_values])
+        result = compare(q, t, cfg)
+        if result.w_star > 1e12:
+            continue
+        w_search = switch_weight(q, t, cfg)
+        assert max(1, math.ceil(w_search)) == result.d
+        assert w_search == pytest.approx(result.w_star, rel=W_REL, abs=0.0)
+        checked += 1
+    assert checked >= 20
+
+
 # from deltas at which the float switch test's rounding spans many whole weights up to 1
 BRACKET_DELTAS = (1e-13, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 0.1, 1.0)
 
