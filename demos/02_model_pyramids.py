@@ -8,7 +8,7 @@ builds both models, a family of synthetic country pyramids in between, and
 scores each pyramid's uniform component from its distances to the models.
 """
 
-from kdiss import ObjectRecord, ProbeConfig, compare, p_uniform, sex_slice
+from kdiss import ObjectRecord, ProbeConfig, compare, p_uniform, sex_split_k
 from kdiss.formats import COHORTS
 from kdiss.pyramids import cohort_totals, exponential_model, normalize, uniform_model
 
@@ -52,8 +52,7 @@ print("4. Sex slices: K splits exactly across the male and female halves")
 print("=" * 70)
 target = pyramids[2]
 full = compare(uniform, target, cfg)
-male_k = sum(full.increments[c] for c in sex_slice(target, "m").param_names)
-female_k = sum(full.increments[c] for c in sex_slice(target, "f").param_names)
+male_k, female_k = sex_split_k(uniform, target, cfg)
 print(f"   K male half   = {male_k:.6f}")
 print(f"   K female half = {female_k:.6f}")
 print(f"   sum           = {male_k + female_k:.6f}")

@@ -54,7 +54,6 @@ _HOMES = {
         "ingest",
         "long_to_wide",
         "normalize",
-        "sex_slice",
         "uniform_model",
         "write_pyramid_csv",
     ),

@@ -31,6 +31,8 @@ from .similarity import SimilarityMatrix
 
 __all__ = _HOMES["averaging"]
 
+_MAX_SWEEPS = 500  # the default sweep limit, and the oracle's
+
 
 class _AveragingFields(NamedTuple):
     max_iterations: int
@@ -45,7 +47,7 @@ class AveragingConfig(_AveragingFields):
 
     __slots__ = ()
 
-    def __new__(cls, max_iterations: int = 200):
+    def __new__(cls, max_iterations: int = _MAX_SWEEPS):
         if max_iterations < 1:
             raise DomainError("max_iterations must be >= 1")
         return super().__new__(cls, max_iterations)
@@ -57,11 +59,6 @@ class Bipartition(NamedTuple):
     group_a: frozenset[str]
     group_b: frozenset[str]
     iterations_used: int
-
-    def together(self, label_x: str, label_y: str) -> bool:
-        return (label_x in self.group_a and label_y in self.group_a) or (
-            label_x in self.group_b and label_y in self.group_b
-        )
 
 
 def average_once(m: SimilarityMatrix) -> SimilarityMatrix:
@@ -81,6 +78,9 @@ def average_once(m: SimilarityMatrix) -> SimilarityMatrix:
 
 def _polarize3(a: float, b: float, c: float, max_iterations: int) -> tuple[int | None, int]:
     """Run 3-object sweeps on the dissimilarities a, b, c until the split is final.
+
+    Only differences between entries decide, so a, b and c may be dissimilarities
+    up to a common shift, such as the largest of three similarities minus each.
 
     Returns (winner, sweeps) where winner indexes the grouped pair in the
     order (0,1), (0,2), (1,2), or (None, sweeps) for a degenerate tie of the
@@ -132,7 +132,8 @@ def bipartition(m: SimilarityMatrix, cfg: AveragingConfig | None = None) -> Bipa
     a, b, c = e[0][1], e[0][2], e[1][2]
     if a == b == c:
         raise DegenerateSymmetryError("all off-diagonal entries are equal; no gap to split on")
-    winner, sweeps = _polarize3(1.0 - a, 1.0 - b, 1.0 - c, cfg.max_iterations)
+    top = max(a, b, c)  # top - s is exact for s >= top / 2, so the leaders keep their gap
+    winner, sweeps = _polarize3(top - a, top - b, top - c, cfg.max_iterations)
     if winner is None:
         raise DegenerateSymmetryError("two leading entries are exactly tied")
     return _split3(labels, winner, sweeps)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 
 from . import _HOMES
-from .averaging import _polarize3
+from .averaging import _MAX_SWEEPS, _polarize3
 from .errors import DomainError, NonPolarizedError, NotSwitchedError
 from .kernel import ObjectRecord, ProbeConfig, _check_schema, _counts, _d_column
 
@@ -44,7 +44,6 @@ __all__ = _HOMES["dissimilarity"]
 _WEIGHT_FLOOR = 1e-30
 _MAX_WEIGHT = 1e12  # the search gives up above this weight
 _WEIGHT_TOL = 1e-12  # relative width at which the bisection stops
-_MAX_SWEEPS = 500  # the averaging gives up above this many sweeps
 
 
 class _ProbeProblem:

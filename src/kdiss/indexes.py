@@ -25,39 +25,32 @@ def mu_index(k_ut: float, k_mt: float) -> float:
     100 means the target coincides with the query behind k_mt (that K is 0),
     0 means it coincides with the query behind k_ut.
     """
-    if not (0.0 <= k_ut < math.inf and 0.0 <= k_mt < math.inf):
-        raise DomainError(f"K values must be finite and non-negative, got ({k_ut!r}, {k_mt!r})")
-    if k_ut + k_mt == 0:
-        raise DomainError("mu_index is undefined when both K values are zero")
-    # where the sum overflows, the halved values give the share
-    return _share(k_ut / 2.0, k_mt / 2.0) if k_ut + k_mt == math.inf else _share(k_ut, k_mt)
+    return _checked_share(k_ut, k_mt, "K values")
+
+
+def p_uniform(d_un: float, d_e: float) -> float:
+    """Share of the uniform component, 100 * d_e / (d_un + d_e), from the
+    distances to the uniform and E30 models; bounded in [0, 100]."""
+    return _checked_share(d_e, d_un, "distances")
+
+
+def _checked_share(part: float, other: float, what: str) -> float:
+    """_share of two finite, non-negative values, not both zero."""
+    for value in (part, other):
+        if not 0.0 <= value < math.inf:
+            raise DomainError(f"{what} must be finite and non-negative, got {value!r}")
+    if part == other == 0.0:
+        raise DomainError(f"the share is undefined when both {what} are zero")
+    return _share(part, other)
 
 
 def _share(part: float, other: float) -> float:
     """100 * part / (part + other), or nan where both are zero."""
     total = part + other
+    if total == math.inf:  # where the sum overflows, the halved values give the share
+        part, total = part / 2.0, part / 2.0 + other / 2.0
     # ratio first: part / total <= 1 exactly, so the result never leaves [0, 100]
     return 100.0 * (part / total) if total else math.nan
-
-
-def p_uniform(d_un: float, d_e: float, variant: str = "normalized") -> float:
-    """Share of the uniform component from distances to the two models.
-
-    normalized (default): 100 * d_e / (d_un + d_e), bounded in [0, 100].
-    as_written: 100 * (1 - d_un) / (d_un + d_e), which goes negative as soon
-    as d_un exceeds 1; kept selectable for fidelity to the original formula.
-    """
-    if not (0.0 <= d_un < math.inf and 0.0 <= d_e < math.inf):
-        raise DomainError(f"distances must be finite and non-negative, got ({d_un!r}, {d_e!r})")
-    total = d_un + d_e
-    if total == 0:
-        raise DomainError("p_uniform is undefined when both distances are zero")
-    if variant == "normalized":
-        # where the sum overflows, the halved distances give the share
-        return _share(d_e / 2.0, d_un / 2.0) if total == math.inf else _share(d_e, d_un)
-    if variant == "as_written":
-        return 100.0 * (1.0 - d_un) / total
-    raise DomainError(f"unknown variant {variant!r}")
 
 
 def sum_constancy(values: Sequence[tuple[float, float]]) -> tuple[float, float]:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import IO, Iterator, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 from . import _HOMES
 from .errors import DomainError, SchemaError
-from .formats import AGE_STARTS, COHORTS, FEMALE_COHORTS, MALE_COHORTS, _csv_rows, _csv_text, _write_text
+from .formats import AGE_STARTS, COHORTS, _csv_rows, _csv_text, _write_text
 from .kernel import ObjectRecord
 
 __all__ = _HOMES["pyramids"]
@@ -113,15 +113,8 @@ class PyramidTable:
         """The table transposed: one tuple of N shares per cohort, 34 in all."""
         return list(zip(*self.values)) or [()] * len(COHORTS)
 
-    def records(self) -> Iterator[ObjectRecord]:
-        for name in self.names:
-            yield self.record(name)
-
     def __len__(self) -> int:
         return len(self.names)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
 
 
 def ingest(source: str | Path | IO[str], lenient: bool = False) -> PyramidTable:
@@ -229,23 +222,6 @@ def exponential_model(rate: float) -> ObjectRecord:
     factor = 50.0 / 17 if q == 1.0 else 50.0 * (1.0 - q) / -math.expm1(17 * math.log1p(q - 1.0))
     per_sex = [factor * q**k for k in range(17)]
     return ObjectRecord.from_values(name, COHORTS, per_sex + per_sex)
-
-
-def sex_slice(pyramid: ObjectRecord, sex: str) -> ObjectRecord:
-    """The 17 male or female cohort parameters, shares kept as-is.
-
-    No renormalization: keeping the original shares is what lets per-slice
-    K values add up across slices to the full-pyramid value.
-    """
-    wanted = {"m": MALE_COHORTS, "male": MALE_COHORTS, "f": FEMALE_COHORTS, "female": FEMALE_COHORTS}.get(sex)
-    if wanted is None:
-        raise DomainError(f"sex must be 'm' or 'f', got {sex!r}")
-    names = pyramid.param_names
-    missing = [c for c in wanted if c not in names]
-    if missing:
-        raise SchemaError(f"object {pyramid.name!r} lacks cohort {missing[0]!r}")
-    values = [pyramid.value_of(c) for c in wanted]
-    return ObjectRecord.from_values(f"{pyramid.name}:{sex[0]}", wanted, values)
 
 
 def cohort_totals(pyramid: ObjectRecord) -> list[tuple[str, float]]:

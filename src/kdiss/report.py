@@ -23,9 +23,6 @@ class IndicatorTable(NamedTuple):
 
     values: dict[tuple[str, str], float]
 
-    def indicators(self) -> set[str]:
-        return {ind for _, ind in self.values}
-
     def get(self, name: str, indicator: str) -> float | None:
         return self.values.get((name, indicator))
 

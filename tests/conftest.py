@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from kdiss.averaging import _polarize3
+from kdiss.averaging import _MAX_SWEEPS, _polarize3
 from kdiss.errors import DomainError, NonPolarizedError
 from kdiss.kernel import ObjectRecord, ProbeConfig, _check_schema
 from kdiss.pyramids import PyramidTable, exponential_model, normalize, uniform_model
@@ -89,7 +89,7 @@ def grouped_by_records(query: ObjectRecord, target: ObjectRecord, cfg: ProbeConf
         for i, j in ((0, 1), (0, 2), (1, 2))
     )
     try:
-        winner, _ = _polarize3(u, x, y, 500)
+        winner, _ = _polarize3(u, x, y, _MAX_SWEEPS)
     except NonPolarizedError:
         winner = None
     # the anchor-target pair is pair 1; at a tie the switch fires

@@ -3,7 +3,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kdiss.errors import DomainError, SchemaError
@@ -61,9 +61,6 @@ class TestPUniform:
     def test_normalized(self):
         assert p_uniform(10.0, 30.0) == 75.0
 
-    def test_as_written_anomaly(self):
-        assert p_uniform(10.0, 30.0, "as_written") == pytest.approx(-22.5, rel=1e-12)
-
     def test_overflowing_sum(self):
         # d_un + d_e overflows to inf; the share is still taken
         assert p_uniform(1e308, 1e308) == 50.0
@@ -76,15 +73,19 @@ class TestPUniform:
         with pytest.raises(DomainError):
             p_uniform(0.0, 0.0)
 
-    @pytest.mark.parametrize("d_un, d_e", [(math.nan, 1.0), (1.0, math.inf), (math.inf, math.inf), (-math.inf, 1.0)])
-    @pytest.mark.parametrize("variant", ["normalized", "as_written"])
-    def test_non_finite_rejected(self, d_un, d_e, variant):
-        with pytest.raises(DomainError, match="finite"):
-            p_uniform(d_un, d_e, variant)
+    NON_FINITE = [(math.nan, 1.0), (1.0, math.inf), (math.inf, math.inf), (-math.inf, 1.0)]
 
-    def test_unknown_variant(self):
-        with pytest.raises(DomainError):
-            p_uniform(1.0, 2.0, "other")
+    # the ids keep the name of the share p_uniform computes
+    @pytest.mark.parametrize("d_un, d_e", NON_FINITE, ids=[f"normalized-{a}-{b}" for a, b in NON_FINITE])
+    def test_non_finite_rejected(self, d_un, d_e):
+        with pytest.raises(DomainError, match="finite"):
+            p_uniform(d_un, d_e)
+
+    @given(st.floats(min_value=0.0, max_value=1e308), st.floats(min_value=0.0, max_value=1e308))
+    def test_is_mu_index_of_swapped_arguments(self, d_un, d_e):
+        # drawn up to 1e308, so that some sums overflow
+        assume(d_un or d_e)
+        assert p_uniform(d_un, d_e) == mu_index(d_e, d_un)
 
     @given(positive_k, positive_k)
     def test_normalized_bounds(self, d_un, d_e):
@@ -124,7 +125,8 @@ class TestSexSplitK:
     def test_parts_add_back_within_the_rounding_bound(self):
         # each increment, each part's math.fsum and their addition round once, as do
         # k_cont's sum and product: 5 roundings, 2**-53 relative each
-        records = list(synthetic_table(64).records())
+        table = synthetic_table(64)
+        records = list(map(table.record, table.names))
         for i, (a, b) in enumerate(itertools.combinations(records, 2)):
             cfg = ProbeConfig(delta=(1e-1, 1e-3, 1e-4, 1e-6)[i % 4])
             k_male, k_female = sex_split_k(a, b, cfg)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from kdiss.cli import main
 from kdiss.errors import DomainError, SchemaError
-from kdiss.formats import COHORTS, FEMALE_COHORTS, INDEX_COLUMNS, MALE_COHORTS, read_index_csv
+from kdiss.formats import COHORTS, INDEX_COLUMNS, read_index_csv
 from kdiss.pyramids import (
     PyramidTable,
     _normalize_row,
@@ -21,7 +21,6 @@ from kdiss.pyramids import (
     ingest,
     long_to_wide,
     normalize,
-    sex_slice,
     uniform_model,
     write_pyramid_csv,
 )
@@ -383,10 +382,6 @@ class TestPyramidTable:
         with pytest.raises(SchemaError):
             PyramidTable._of_floats(("aa", "aa"), ((1.0,) * 34,) * 2)
 
-    def test_contains_its_names(self):
-        table = PyramidTable.from_rows({"aa": normalize([1.0] * 34)})
-        assert "aa" in table and "bb" not in table
-
     def test_rows_are_tuples_of_floats(self, table):
         # ingest's rows are kept as it built them; rows a caller passes in are converted
         long = io.StringIO("name,sex,cohort,value\n" + "".join(f"aa,{c[0]},{c[1:]},2\n" for c in COHORTS))
@@ -512,31 +507,3 @@ class TestExponentialModel:
         for rate in (-0.1, 1.0, 1.5, float("nan")):
             with pytest.raises(DomainError):
                 exponential_model(rate)
-
-
-class TestSexSlice:
-    def test_partition_of_params(self):
-        record = uniform_model()
-        male = sex_slice(record, "m")
-        female = sex_slice(record, "f")
-        assert male.param_names == MALE_COHORTS
-        assert female.param_names == FEMALE_COHORTS
-        assert set(male.param_names) | set(female.param_names) == set(COHORTS)
-
-    def test_values_kept_as_is(self):
-        record = exponential_model(0.2)
-        male = sex_slice(record, "m")
-        assert male.param_values[0] == record.value_of("m00")
-
-    def test_uniform_male_slice(self):
-        male = sex_slice(uniform_model(), "male")
-        assert all(v == 100.0 / 34.0 for v in male.param_values)
-        assert len(male.params) == 17
-
-    def test_bad_sex(self):
-        with pytest.raises(DomainError):
-            sex_slice(uniform_model(), "x")
-
-    def test_missing_cohort(self):
-        with pytest.raises(SchemaError, match="^object 'UN:m' lacks cohort 'f00'$"):
-            sex_slice(sex_slice(uniform_model(), "m"), "f")

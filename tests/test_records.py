@@ -24,7 +24,7 @@ ROW = IndexRow("aa", 1.0, 2.0, 3.0, 4.0, 50.0, 5.0, 6.0, 0.5)
 def test_reprs_are_unchanged():
     assert repr(RECORD) == "ObjectRecord(name='x', param_names=('a', 'b'), param_values=(1.0, 2.5))"
     assert repr(ProbeConfig()) == "ProbeConfig(delta=0.0001)"
-    assert repr(AveragingConfig()) == "AveragingConfig(max_iterations=200)"
+    assert repr(AveragingConfig()) == "AveragingConfig(max_iterations=500)"
     result = compare(RECORD, ObjectRecord("y", (("a", 2), ("b", 2.5))), ProbeConfig(delta=0.01))
     assert repr(result) == (
         "ComparisonResult(query='x', target='y', delta=0.01, w_star=50.5, d=51, k=0.51, k_cont=0.505, "
@@ -90,7 +90,7 @@ def test_default_config_equals_the_explicit_one():
     assert ProbeConfig() == ProbeConfig(delta=1e-4)
     assert hash(ProbeConfig()) == hash(ProbeConfig(delta=1e-4))
     assert ProbeConfig(delta=1e-3) != ProbeConfig()
-    assert AveragingConfig() == AveragingConfig(200)
+    assert AveragingConfig() == AveragingConfig(500)
 
 
 def test_configs_hold_only_the_settings_callers_set():

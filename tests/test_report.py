@@ -35,7 +35,7 @@ class TestReadIndicators:
     def test_reads_values(self):
         table = read_indicators(indicator_csv([("aa", "gdp", 10.5), ("aa", "iq", 95)]))
         assert table.get("aa", "gdp") == 10.5
-        assert table.indicators() == {"gdp", "iq"}
+        assert {indicator for _, indicator in table.values} == {"gdp", "iq"}
 
     def test_duplicate_rejected(self):
         with pytest.raises(SchemaError, match="duplicate"):

@@ -48,7 +48,7 @@ PUBLIC_NAMES = (
     "closed_form_k", "cohort_totals", "compare", "emit", "exponential_model", "fit_series",
     "grouped_with_target", "ingest", "join", "linear_fit", "long_to_wide", "mu_index", "normalize",
     "p_uniform", "pair_max_split", "parameter_matrix", "pearson", "ppb", "r_similarity",
-    "read_index_csv", "read_indicators", "sex_slice", "sex_split_k", "sum_constancy",
+    "read_index_csv", "read_indicators", "sex_split_k", "sum_constancy",
     "switch_weight", "uniform_model", "write_index_csv", "write_pyramid_csv",
 )
 _IMPORTED = re.compile(r"^import time:\s*\d+ \|\s*\d+ \|\s*(\S+)\s*$")
