@@ -80,7 +80,10 @@ def _polarize3(a: float, b: float, c: float, max_iterations: int) -> tuple[int |
     """Run 3-object sweeps on the dissimilarities a, b, c until the split is final.
 
     Only differences between entries decide, so a, b and c may be dissimilarities
-    up to a common shift, such as the largest of three similarities minus each.
+    up to a common shift, such as the negated similarities.  Each sweep first
+    subtracts the smallest entry: that changes no difference in real arithmetic,
+    is exact for an entry within a factor 2 of it (Sterbenz), and keeps the two
+    smallest entries near 0, where the sweep does not round their gap away.
 
     Returns (winner, sweeps) where winner indexes the grouped pair in the
     order (0,1), (0,2), (1,2), or (None, sweeps) for a degenerate tie of the
@@ -91,6 +94,8 @@ def _polarize3(a: float, b: float, c: float, max_iterations: int) -> tuple[int |
     while True:
         if sweeps >= max_iterations:
             raise NonPolarizedError(f"no stable two-group split after {sweeps} sweeps")
+        low = min(a, b, c)
+        a, b, c = a - low, b - low, c - low
         a, b, c = (2.0 * a + abs(b - c)) / 3.0, (2.0 * b + abs(a - c)) / 3.0, (2.0 * c + abs(a - b)) / 3.0
         sweeps += 1
         d0, d1, d2 = sorted((a, b, c))
@@ -132,8 +137,7 @@ def bipartition(m: SimilarityMatrix, cfg: AveragingConfig | None = None) -> Bipa
     a, b, c = e[0][1], e[0][2], e[1][2]
     if a == b == c:
         raise DegenerateSymmetryError("all off-diagonal entries are equal; no gap to split on")
-    top = max(a, b, c)  # top - s is exact for s >= top / 2, so the leaders keep their gap
-    winner, sweeps = _polarize3(top - a, top - b, top - c, cfg.max_iterations)
+    winner, sweeps = _polarize3(-a, -b, -c, cfg.max_iterations)
     if winner is None:
         raise DegenerateSymmetryError("two leading entries are exactly tied")
     return _split3(labels, winner, sweeps)

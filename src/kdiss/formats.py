@@ -37,27 +37,32 @@ def _csv_rows(source: str | Path | IO[str], columns: Sequence[str], bad_header: 
     whole text at 4 bytes a character.  An open stream is used as it is; a
     BOM is dropped from either.  A header that, stripped, is not ``columns``
     raises SchemaError: naming its first wrong column if it has the right
-    length, else bad_header with ``{n}`` in it set to its length.
+    length, else bad_header with ``{n}`` in it set to its length.  A row
+    csv.reader cannot read raises SchemaError naming the row.
     """
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes().removeprefix(b"\xef\xbb\xbf")
         decode_utf8(data, source, csv_lines=True)
         source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if header is None:
-        raise SchemaError("empty input: missing header row")
-    if header:  # a blank first line is an empty header
-        header[0] = header[0].removeprefix("\ufeff")  # a stream keeps the BOM a path loses
-    names = [h.strip() for h in header]
-    if names != list(columns):
-        if len(names) != len(columns):
-            raise SchemaError(bad_header.format(n=len(header)))
-        col, got, want = next((i, h, c) for i, (h, c) in enumerate(zip(names, columns), start=1) if h != c)
-        raise SchemaError(f"bad header: column {col} is {got!r}, expected {want!r}")
-    for rownum, row in enumerate(reader, start=2):
-        if row and not (len(row) == 1 and row[0].strip() == ""):
-            yield rownum, row
+    rows = enumerate(csv.reader(source), start=1)
+    rownum = 0  # the last row read: a csv.Error (a field too large, a NUL on 3.10) is the next one's
+    try:
+        rownum, header = next(rows, (1, None))
+        if header is None:
+            raise SchemaError("empty input: missing header row")
+        if header:  # a blank first line is an empty header
+            header[0] = header[0].removeprefix("\ufeff")  # a stream keeps the BOM a path loses
+        names = [h.strip() for h in header]
+        if names != list(columns):
+            if len(names) != len(columns):
+                raise SchemaError(bad_header.format(n=len(header)))
+            col, got, want = next((i, h, c) for i, (h, c) in enumerate(zip(names, columns), start=1) if h != c)
+            raise SchemaError(f"bad header: column {col} is {got!r}, expected {want!r}")
+        for rownum, row in rows:
+            if row and not (len(row) == 1 and row[0].strip() == ""):
+                yield rownum, row
+    except csv.Error as exc:
+        raise SchemaError(f"row {rownum + 1}: {exc}") from None
 
 
 class _Lines(list):

@@ -202,20 +202,23 @@ _SVG_W, _SVG_H = 640, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
+def _text(x: str | int, y: str | int, anchor: str, size: int, body: str, extra: str = "") -> str:
+    """One SVG text element; x and y come formatted as the element prints them."""
+    attrs = f'x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" font-size="{size}"{extra}'
+    return f"<text {attrs}>{_escape(body)}</text>"
+
+
 def _emit_svg(series: ScatterSeries) -> bytes:
+    plot_w = _SVG_W - _ML - _MR
+    plot_h = _SVG_H - _MT - _MB
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-        f'<text x="{_SVG_W / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{_escape(series.label)}</text>',
-    ]
-    plot_w = _SVG_W - _ML - _MR
-    plot_h = _SVG_H - _MT - _MB
-    parts.append(
+        _text(f"{_SVG_W / 2:.1f}", 24, "middle", 16, series.label),
         f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="black" stroke-width="1"/>'
-    )
+        f'fill="none" stroke="black" stroke-width="1"/>',
+    ]
     if series.points:
         xs = [p[0] for p in series.points]
         ys = [p[1] for p in series.points]
@@ -231,10 +234,9 @@ def _emit_svg(series: ScatterSeries) -> bytes:
         parts.append(f'<clipPath id="plot"><rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}"/></clipPath>')
         if series.fit is not None:
             slope, intercept, _ = series.fit
-            x1, x2 = x_lo, x_hi
             parts.append(
-                f'<line clip-path="url(#plot)" x1="{px(x1):.2f}" y1="{py(slope * x1 + intercept):.2f}" '
-                f'x2="{px(x2):.2f}" y2="{py(slope * x2 + intercept):.2f}" '
+                f'<line clip-path="url(#plot)" x1="{px(x_lo):.2f}" y1="{py(slope * x_lo + intercept):.2f}" '
+                f'x2="{px(x_hi):.2f}" y2="{py(slope * x_hi + intercept):.2f}" '
                 f'stroke="crimson" stroke-width="1.5"/>'
             )
         for x, y, name in series.points:
@@ -242,35 +244,20 @@ def _emit_svg(series: ScatterSeries) -> bytes:
                 f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="steelblue" '
                 f'fill-opacity="0.8"><title>{_escape(name)}</title></circle>'
             )
-        for value, anchor_x, anchor_y, align in (
-            (x_lo, _ML, _SVG_H - _MB + 18, "middle"),
-            (x_hi, _SVG_W - _MR, _SVG_H - _MB + 18, "middle"),
-        ):
-            parts.append(
-                f'<text x="{anchor_x}" y="{anchor_y}" text-anchor="{align}" '
-                f'font-family="sans-serif" font-size="11">{_fmt(value)}</text>'
-            )
-        for value, ypos in ((y_lo, _MT + plot_h), (y_hi, _MT)):
-            parts.append(
-                f'<text x="{_ML - 6}" y="{ypos + 4:.1f}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="11">{_fmt(value)}</text>'
-            )
+        tick_y = _SVG_H - _MB + 18
+        parts += (
+            _text(_ML, tick_y, "middle", 11, _fmt(x_lo)),
+            _text(_SVG_W - _MR, tick_y, "middle", 11, _fmt(x_hi)),
+            _text(_ML - 6, f"{_MT + plot_h + 4:.1f}", "end", 11, _fmt(y_lo)),
+            _text(_ML - 6, f"{_MT + 4:.1f}", "end", 11, _fmt(y_hi)),
+        )
     else:
-        parts.append(
-            f'<text x="{_SVG_W / 2:.1f}" y="{_SVG_H / 2:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">0 points</text>'
-        )
+        parts.append(_text(f"{_SVG_W / 2:.1f}", f"{_SVG_H / 2:.1f}", "middle", 13, "0 points"))
     if series.x_label:
-        parts.append(
-            f'<text x="{_ML + plot_w / 2:.1f}" y="{_SVG_H - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{_escape(series.x_label)}</text>'
-        )
+        parts.append(_text(f"{_ML + plot_w / 2:.1f}", _SVG_H - 12, "middle", 12, series.x_label))
     if series.y_label:
-        cx, cy = 18, _MT + plot_h / 2
-        parts.append(
-            f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="12" transform="rotate(-90 {cx} {cy:.1f})">{_escape(series.y_label)}</text>'
-        )
+        cy = f"{_MT + plot_h / 2:.1f}"
+        parts.append(_text(18, cy, "middle", 12, series.y_label, f' transform="rotate(-90 18 {cy})"'))
     parts.append("</svg>")
     return "\n".join(parts).encode("utf-8")
 

@@ -113,8 +113,8 @@ class TestBipartition:
             bipartition(sym3(0.8, 0.8, 0.3))
 
     def test_leaders_one_ulp_apart_near_one(self):
-        # the sweep runs on the largest similarity minus each, which keeps the
-        # ulp that separates the two leaders, so the split is the closest pair's
+        # the sweep re-centres on its smallest entry, which keeps the ulp that
+        # separates the two leaders, so the split is the closest pair's
         a = float.fromhex("0x1.ffffffffff884p-1")
         m = sym3(a, a, math.nextafter(a, 2.0))
         parts = bipartition(m)
@@ -122,8 +122,16 @@ class TestBipartition:
         assert parts[:2] == pair_max_split(m)[:2]
 
     def test_leaders_one_ulp_apart_below_one_half(self):
-        # below 0.5, 1 - s rounds both leaders to one d; the largest minus each is exact
+        # below 0.5, 1 - s rounds both leaders to one d; the negated entries are exact
         m = sym3(0.1, math.nextafter(0.1, 1), 0.05)
+        parts = bipartition(m)
+        assert parts.group_a == {"x", "z"} and parts.group_b == {"y"}
+        assert parts[:2] == pair_max_split(m)[:2]
+
+    def test_leaders_one_ulp_apart_with_a_far_third(self):
+        # a sweep adds the leaders' gap to the far third entry; re-centred on the
+        # smallest entry, the gap is not rounded away there
+        m = sym3(0.9975770802874354, 0.9975770802874355, 0.016305950214309365)
         parts = bipartition(m)
         assert parts.group_a == {"x", "z"} and parts.group_b == {"y"}
         assert parts[:2] == pair_max_split(m)[:2]

@@ -13,7 +13,7 @@ import pytest
 
 import kdiss.cli
 from kdiss.cli import build_parser, main
-from kdiss.formats import COHORTS, MALE_COHORTS
+from kdiss.formats import COHORTS, INDEX_COLUMNS, MALE_COHORTS
 from kdiss.pyramids import ingest
 
 from conftest import STRICT_WARNINGS, exact_d
@@ -840,3 +840,37 @@ def test_stdout_is_the_out_file_whatever_the_locale(pyramid_csv, tmp_path, argv)
     assert (to_file.returncode, to_file.stdout) == (0, b"")
     assert to_stdout.stdout == out.read_bytes()
     assert argv[0] == "model" or "Việt Nam".encode("utf-8") in to_stdout.stdout
+
+
+# a command and the CSV it reads as {bad}, whose row 2 holds one field longer than csv's 131,072-character limit
+_BIG = "n" * 131_073
+_REPORT = ("report", "--indexes", "{index}", "--indicators", "{indicators}", "--x", "mu", "--y", "gdp")
+OVERSIZED_FIELD = {
+    "ingest": (("ingest", "{bad}"), f"name,{','.join(COHORTS)}\n{_BIG},{','.join(['5'] * 34)}\n"),
+    "ingest-from-long": (("ingest", "{bad}", "--from-long"), f"name,sex,cohort,value\n{_BIG},m,00,5\n"),
+    "report-indexes": (
+        tuple(a.replace("{index}", "{bad}") for a in _REPORT),
+        f"{','.join(INDEX_COLUMNS)}\n{_BIG}{',1' * 8}\n",
+    ),
+    "report-indicators": (
+        tuple(a.replace("{indicators}", "{bad}") for a in _REPORT),
+        f"name,indicator,value\n{_BIG},gdp,5\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, text", OVERSIZED_FIELD.values(), ids=OVERSIZED_FIELD.keys())
+def test_a_field_too_large_for_csv_names_its_row(pyramid_csv, tmp_path, argv, text):
+    bad, index, indicators = tmp_path / "bad.csv", tmp_path / "index.csv", tmp_path / "indicators.csv"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["mu", str(pyramid_csv), "country00", "country09", "--out", str(index)]) == 0
+    indicators.write_text("name,indicator,value\ncountry00,gdp,5\n", encoding="utf-8")
+    argv = [a.format(bad=bad, index=index, indicators=indicators) for a in argv]
+    done = subprocess.run(
+        [sys.executable, *STRICT_WARNINGS, "-m", "kdiss.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr == b"error: row 2: field larger than field limit (131072)\n"  # no traceback

@@ -259,6 +259,59 @@ class TestEmit:
             emit(ScatterSeries("s", ()), "png")
 
 
+# Byte pins for the SVG branches that demos/output/*.svg, a fitted and
+# labelled series, do not reach.
+_SVG_HEAD = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480" viewBox="0 0 640 480">
+<rect width="640" height="480" fill="white"/>
+<text x="320.0" y="24" text-anchor="middle" font-family="sans-serif" font-size="16">{title}</text>
+<rect x="70" y="40" width="550" height="390" fill="none" stroke="black" stroke-width="1"/>
+"""
+
+_SVG_EMPTY = _SVG_HEAD.format(title="none &amp; &lt;empty&gt;") + """\
+<text x="320.0" y="240.0" text-anchor="middle" font-family="sans-serif" font-size="13">0 points</text>
+<text x="345.0" y="468" text-anchor="middle" font-family="sans-serif" font-size="12">mu</text>
+<text x="18" y="235.0" text-anchor="middle" font-family="sans-serif" font-size="12" transform="rotate(-90 18 235.0)">gdp</text>
+</svg>"""
+
+_SVG_NO_FIT = _SVG_HEAD.format(title="y vs x") + """\
+<clipPath id="plot"><rect x="70" y="40" width="550" height="390"/></clipPath>
+<circle cx="95.00" cy="412.27" r="3" fill="steelblue" fill-opacity="0.8"><title>a&lt;b</title></circle>
+<circle cx="595.00" cy="57.73" r="3" fill="steelblue" fill-opacity="0.8"><title>c&amp;d</title></circle>
+<text x="70" y="448" text-anchor="middle" font-family="sans-serif" font-size="11">0.9</text>
+<text x="620" y="448" text-anchor="middle" font-family="sans-serif" font-size="11">3.1</text>
+<text x="64" y="434.0" text-anchor="end" font-family="sans-serif" font-size="11">1.875</text>
+<text x="64" y="44.0" text-anchor="end" font-family="sans-serif" font-size="11">4.625</text>
+<text x="345.0" y="468" text-anchor="middle" font-family="sans-serif" font-size="12">x</text>
+<text x="18" y="235.0" text-anchor="middle" font-family="sans-serif" font-size="12" transform="rotate(-90 18 235.0)">log10(y)</text>
+</svg>"""
+
+_SVG_NO_LABELS = _SVG_HEAD.format(title="s") + """\
+<clipPath id="plot"><rect x="70" y="40" width="550" height="390"/></clipPath>
+<line clip-path="url(#plot)" x1="70.00" y1="430.00" x2="620.00" y2="40.00" stroke="crimson" stroke-width="1.5"/>
+<circle cx="95.00" cy="412.27" r="3" fill="steelblue" fill-opacity="0.8"><title>a</title></circle>
+<circle cx="345.00" cy="235.00" r="3" fill="steelblue" fill-opacity="0.8"><title>b</title></circle>
+<circle cx="595.00" cy="57.73" r="3" fill="steelblue" fill-opacity="0.8"><title>c</title></circle>
+<text x="70" y="448" text-anchor="middle" font-family="sans-serif" font-size="11">-0.1</text>
+<text x="620" y="448" text-anchor="middle" font-family="sans-serif" font-size="11">2.1</text>
+<text x="64" y="434.0" text-anchor="end" font-family="sans-serif" font-size="11">0.8</text>
+<text x="64" y="44.0" text-anchor="end" font-family="sans-serif" font-size="11">5.2</text>
+</svg>"""
+
+
+@pytest.mark.parametrize(
+    "series, expected",
+    [
+        (ScatterSeries("none & <empty>", (), None, "mu", "gdp"), _SVG_EMPTY),
+        (ScatterSeries("y vs x", ((1.0, 2.0, "a<b"), (3.0, 4.5, "c&d")), None, "x", "log10(y)"), _SVG_NO_FIT),
+        (fit_series(ScatterSeries("s", ((0.0, 1.0, "a"), (1.0, 3.0, "b"), (2.0, 5.0, "c")))), _SVG_NO_LABELS),
+    ],
+    ids=["empty", "no-fit", "no-axis-labels"],
+)
+def test_svg_bytes(series, expected):
+    assert emit(series, "svg") == expected.encode("utf-8")
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.tuples(st.floats(-100.0, 100.0), st.floats(-1.0, 1.0)), min_size=3, max_size=60),
