@@ -8,6 +8,12 @@ row-level problem occurred (or with ``--lenient``), 1 on data errors, 2 on
 usage errors and on a path that cannot be read or written.  Every output is
 UTF-8 whatever the locale: stdout gets the bytes ``--out`` would write.
 
+A ``kdiss`` or ``python -m kdiss.cli`` process runs ``run()``: main(), then
+gc.freeze() and sys.exit with main()'s status, so the interpreter's shutdown
+collections, which cost a short command more than reading its table, skip
+every object the process holds.  A caller of main() gets the status back and
+keeps the normal teardown.
+
 Each command (``store put`` and ``store combine`` are two) is one parser
 declaration: its handler, the options it reads and the modules it loads.
 """
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import math
 import os
 import sys
@@ -340,5 +347,16 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """The process entry: main(), then exit with its status, the heap frozen.
+
+    sys.exit still flushes stdout and stderr and runs atexit handlers; only
+    the shutdown collections skip the frozen objects.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -11,10 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import sys
-from itertools import repeat
+from itertools import count, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import _HOMES
 from .errors import SchemaError, decode_utf8
@@ -27,7 +27,9 @@ FEMALE_COHORTS = tuple(f"f{age:02d}" for age in AGE_STARTS)
 COHORTS = MALE_COHORTS + FEMALE_COHORTS
 
 
-def _csv_rows(source: str | Path | IO[str], columns: Sequence[str], bad_header: str) -> Iterator[tuple[int, list[str]]]:
+def _csv_rows(
+    source: str | Path | IO[str], columns: Sequence[str], bad_header: str, skip: Callable[[str], None] | None = None
+) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of each non-blank row of a CSV after its header.
 
     A path is read whole and checked as UTF-8 first, so that a bad byte
@@ -38,31 +40,41 @@ def _csv_rows(source: str | Path | IO[str], columns: Sequence[str], bad_header: 
     BOM is dropped from either.  A header that, stripped, is not ``columns``
     raises SchemaError: naming its first wrong column if it has the right
     length, else bad_header with ``{n}`` in it set to its length.  A row
-    csv.reader cannot read raises SchemaError naming the row.
+    csv.reader cannot read (a field too large, a NUL on 3.10) raises
+    SchemaError naming the row, or with ``skip`` given is passed to it as
+    ``row N: ...`` and the rows after it are read on.
     """
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes().removeprefix(b"\xef\xbb\xbf")
         decode_utf8(data, source, csv_lines=True)
         source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-    rows = enumerate(csv.reader(source), start=1)
-    rownum = 0  # the last row read: a csv.Error (a field too large, a NUL on 3.10) is the next one's
+    reader = csv.reader(source)
     try:
-        rownum, header = next(rows, (1, None))
-        if header is None:
-            raise SchemaError("empty input: missing header row")
-        if header:  # a blank first line is an empty header
-            header[0] = header[0].removeprefix("\ufeff")  # a stream keeps the BOM a path loses
-        names = [h.strip() for h in header]
-        if names != list(columns):
-            if len(names) != len(columns):
-                raise SchemaError(bad_header.format(n=len(header)))
-            col, got, want = next((i, h, c) for i, (h, c) in enumerate(zip(names, columns), start=1) if h != c)
-            raise SchemaError(f"bad header: column {col} is {got!r}, expected {want!r}")
-        for rownum, row in rows:
-            if row and not (len(row) == 1 and row[0].strip() == ""):
-                yield rownum, row
+        header = next(reader, None)
     except csv.Error as exc:
-        raise SchemaError(f"row {rownum + 1}: {exc}") from None
+        raise SchemaError(f"row 1: {exc}") from None
+    if header is None:
+        raise SchemaError("empty input: missing header row")
+    if header:  # a blank first line is an empty header
+        header[0] = header[0].removeprefix("\ufeff")  # a stream keeps the BOM a path loses
+    names = [h.strip() for h in header]
+    if names != list(columns):
+        if len(names) != len(columns):
+            raise SchemaError(bad_header.format(n=len(header)))
+        col, got, want = next((i, h, c) for i, (h, c) in enumerate(zip(names, columns), start=1) if h != c)
+        raise SchemaError(f"bad header: column {col} is {got!r}, expected {want!r}")
+    for rownum in count(2):  # not enumerate, which gives a row read after a csv.Error the failed row's number
+        try:
+            row = next(reader, None)
+        except csv.Error as exc:
+            if skip is None:
+                raise SchemaError(f"row {rownum}: {exc}") from None
+            skip(f"row {rownum}: {exc}")
+            continue
+        if row is None:
+            return
+        if row and not (len(row) == 1 and row[0].strip() == ""):
+            yield rownum, row
 
 
 class _Lines(list):

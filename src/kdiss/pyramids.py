@@ -128,7 +128,7 @@ def ingest(source: str | Path | IO[str], lenient: bool = False) -> PyramidTable:
     bad_header = f"bad header: expected name,m00,m05,...,f80 ({len(expected)} columns), got {{n}} columns"
     kept: dict[str, tuple[float, ...]] = {}  # a name is a duplicate only of a row already accepted
     errors: list[str] = []
-    for rownum, row in _csv_rows(source, expected, bad_header):
+    for rownum, row in _csv_rows(source, expected, bad_header, errors.append if lenient else None):
         # a row without a name fails before the duplicate check, a non-numeric value after it
         error, name = SchemaError, row[0].strip()
         if len(row) != len(expected):

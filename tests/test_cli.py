@@ -874,3 +874,14 @@ def test_a_field_too_large_for_csv_names_its_row(pyramid_csv, tmp_path, argv, te
     )
     assert (done.returncode, done.stdout) == (1, b"")
     assert done.stderr == b"error: row 2: field larger than field limit (131072)\n"  # no traceback
+
+
+def test_lenient_ingest_skips_a_row_too_large_for_csv_and_reads_on(tmp_path, capsys):
+    """--lenient skips a row csv.reader cannot read as it skips any bad row, and each row after it keeps its number."""
+    values = "," + ",".join(["5"] * 34) + "\n"
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"name,{','.join(COHORTS)}\nok2{values}{_BIG}{values}ok4{values}{values}", encoding="utf-8")
+    code, out, err = run(capsys, "ingest", bad, "--lenient")
+    assert code == 0
+    assert [line.partition(",")[0] for line in out.splitlines()] == ["name", "ok2", "ok4"]
+    assert err == "warning: skipped row 3: field larger than field limit (131072)\nwarning: skipped row 5: empty name\n"

@@ -10,7 +10,11 @@ each is a standard-library module or kdiss's own.  No command, usage error or
 out the report and the store, only ``mu`` and ``punif`` load the indexes, and
 ``report`` and ``store combine`` leave out the engine.  The commands that
 compute K must still produce the tracked demo outputs byte for byte.  The
-same commands also run in an interpreter where importing numpy fails.
+same commands also run in an interpreter where importing numpy fails.  The
+process entry gives each command's exit code, stdout, stderr and files as
+main() gives them in-process, and main() in a process that collects its
+garbage and tears down as usual leaves no file unclosed (``-X dev``), which
+the process entry's frozen heap would not show.
 Neither the package's public names nor the paper's oracle (the search, the
 grouping predicate, a bipartition) import numpy or ``dataclasses``.  Each submodule's ``__all__`` is its entry in
 ``kdiss._HOMES``, the one list of public names, each a name it defines, and ``kdiss`` reaches every one of them, as
@@ -30,6 +34,7 @@ from pathlib import Path
 import pytest
 
 from conftest import STRICT_WARNINGS
+from kdiss.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "demos" / "data"
@@ -118,33 +123,69 @@ def test_package_name_loads_only_its_module():
     assert {m for m in modules if m.startswith("kdiss")} == {"kdiss", "kdiss.errors", "kdiss.store"}
 
 
-@pytest.mark.parametrize(
-    "argv, exit_code, expected",
-    [
-        (("--help",), 0, CORE),
-        (("report", "--help"), 0, CORE),
-        (("mu", PYRAMIDS), 2, CORE),
-        (("ingest", PYRAMIDS), 0, ENGINE),
-        (("compare", PYRAMIDS, "country00", "country07"), 0, ENGINE),
-        (("batch", PYRAMIDS, "--model", "exp:0.30"), 0, ENGINE),
-        (("batch", PYRAMIDS, "--query", "country03"), 0, ENGINE),
-        (("mu", PYRAMIDS, "country07", "country00"), 0, INDEXES),
-        (("model", "uniform"), 0, ENGINE),
-        (("punif", PYRAMIDS), 0, INDEXES),
-        (("store", "put", "--store", "{tmp}", "--data", PYRAMIDS, *PAIR), 0, ENGINE | {"kdiss.store"}),
-        (("store", "combine", "--store", OUTPUT / "increments.tsv", *PAIR), 0, CORE | {"kdiss.store"}),
-        ((*REPORT, "--y", "ppb"), 0, CORE | {"kdiss.report"}),
-        ((*REPORT, "--y", "gdp", "--format", "svg"), 0, CORE | {"kdiss.report"}),
-        (("batch", PYRAMIDS, "--model", "quadratic"), 2, CORE),
-    ],
-)
-def test_each_command_imports_only_what_it_runs(argv, exit_code, expected, tmp_path):
+# every command, --help, usage errors, a data error and a missing path: (argv, exit code, kdiss modules
+# imported); "{tmp}" is a fresh path in the test's directory
+COMMANDS = [
+    (("--help",), 0, CORE),
+    (("report", "--help"), 0, CORE),
+    (("mu", PYRAMIDS), 2, CORE),
+    (("ingest", PYRAMIDS), 0, ENGINE),
+    (("compare", PYRAMIDS, "country00", "country07"), 0, ENGINE),
+    (("batch", PYRAMIDS, "--model", "exp:0.30"), 0, ENGINE),
+    (("batch", PYRAMIDS, "--query", "country03"), 0, ENGINE),
+    (("mu", PYRAMIDS, "country07", "country00"), 0, INDEXES),
+    (("model", "uniform"), 0, ENGINE),
+    (("punif", PYRAMIDS), 0, INDEXES),
+    (("store", "put", "--store", "{tmp}", "--data", PYRAMIDS, *PAIR), 0, ENGINE | {"kdiss.store"}),
+    (("store", "combine", "--store", OUTPUT / "increments.tsv", *PAIR), 0, CORE | {"kdiss.store"}),
+    ((*REPORT, "--y", "ppb"), 0, CORE | {"kdiss.report"}),
+    ((*REPORT, "--y", "gdp", "--format", "svg"), 0, CORE | {"kdiss.report"}),
+    (("batch", PYRAMIDS, "--model", "quadratic"), 2, CORE),
+    (("batch", PYRAMIDS, "--model", "exp:0.30", "--out", "{tmp}"), 0, ENGINE),
+    (("compare", PYRAMIDS, "country00", "atlantis"), 1, ENGINE),
+    (("batch", DATA / "missing.csv", "--model", "uniform"), 2, ENGINE),
+]
+
+
+def _with_tmp(argv, tmp_path) -> list[str]:
+    return [str(tmp_path / "out") if a == "{tmp}" else str(a) for a in argv]
+
+
+@pytest.mark.parametrize("argv, exit_code, expected", COMMANDS)
+def test_each_command_imports_only_what_it_runs(argv, exit_code, expected, tmp_path, capsysbinary, monkeypatch):
+    """Each command imports only what it runs, and the process entry (``python -m kdiss.cli``)
+    exits with the code and writes the stdout, stderr and files that main() gives in-process."""
+    monkeypatch.setenv("COLUMNS", "80")  # --help's width: in-process, argparse would read a terminal's
+    argv = _with_tmp(argv, tmp_path)
     # ENGINE and INDEXES hold modules the CLI binds lazily, so the log is seen to list them
-    code, _, messages, modules = kdiss(*(tmp_path / "increments.tsv" if a == "{tmp}" else a for a in argv))
+    code, out, messages, modules = kdiss(*argv)
     assert code == exit_code, messages
     assert not HEAVY & modules
     assert {m for m in modules if m.startswith("kdiss")} == expected
     assert {m.partition(".")[0] for m in modules} <= STDLIB
+
+    written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    for path in tmp_path.iterdir():
+        path.unlink()
+    try:
+        in_process = main(argv)
+    except SystemExit as exc:  # argparse's exit on --help and its usage errors
+        in_process = exc.code
+    captured = capsysbinary.readouterr()
+    assert (in_process, captured.out, captured.err.decode("utf-8").splitlines()) == (code, out, messages)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == written
+
+
+# main() in a process that collects its garbage and tears down as usual: an object left
+# unclosed warns there, where the process entry's frozen heap would let it go unnoticed
+MAIN_WITH_TEARDOWN = "import gc, sys; from kdiss.cli import main; code = main(sys.argv[1:]); gc.collect(); sys.exit(code)"
+
+
+@pytest.mark.parametrize("argv, exit_code, expected", COMMANDS)
+def test_each_command_leaves_nothing_unclosed(argv, exit_code, expected, tmp_path):
+    code, _, messages, _ = run_python("-X", "dev", "-c", MAIN_WITH_TEARDOWN, *_with_tmp(argv, tmp_path))
+    assert code == exit_code, messages
+    assert not [m for m in messages if "ResourceWarning" in m or "Exception ignored" in m], messages
 
 
 def test_help_and_usage_errors_load_no_numpy():
