@@ -171,7 +171,7 @@ def _warnings_to_stderr(action):
 
 
 def cmd_store_put(args) -> int:
-    """Append the pair's increments to the store (creating it), checking only its last line."""
+    """Append the pair's increments to the store (creating it), cutting off a torn final line."""
     result = _compare_pair(args)
     _warnings_to_stderr(lambda: _append(Path(args.store), *_checked(result)))
     _write_text(f"stored {len(result.increments)} increments for ({result.query}, {result.target})\n")
@@ -189,14 +189,7 @@ def cmd_store_combine(args) -> int:
 def cmd_report(args) -> int:
     rows = read_index_csv(_resolve_path(args.indexes))
     indicators = read_indicators(_resolve_path(args.indicators)) if args.indicators else None
-    series, unmatched = join(
-        rows,
-        indicators,
-        args.x,
-        args.y,
-        x_transform="log10" if args.logx else None,
-        y_transform="log10" if args.logy else None,
-    )
+    series, unmatched = join(rows, indicators, args.x, args.y, logx=args.logx, logy=args.logy)
     try:
         series = fit_series(series)
     except KdissError as exc:

@@ -40,9 +40,10 @@ def _csv_rows(
     BOM is dropped from either.  A header that, stripped, is not ``columns``
     raises SchemaError: naming its first wrong column if it has the right
     length, else bad_header with ``{n}`` in it set to its length.  A row
-    csv.reader cannot read (a field too large, a NUL on 3.10) raises
-    SchemaError naming the row, or with ``skip`` given is passed to it as
-    ``row N: ...`` and the rows after it are read on.
+    csv.reader cannot read (a field too large, a NUL on 3.10), or one
+    without a field per column, raises SchemaError naming the row, or with
+    ``skip`` given is passed to it as ``row N: ...`` and the rows after it
+    are read on; so every row yielded has one field per column.
     """
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes().removeprefix(b"\xef\xbb\xbf")
@@ -63,18 +64,24 @@ def _csv_rows(
             raise SchemaError(bad_header.format(n=len(header)))
         col, got, want = next((i, h, c) for i, (h, c) in enumerate(zip(names, columns), start=1) if h != c)
         raise SchemaError(f"bad header: column {col} is {got!r}, expected {want!r}")
+    width = len(columns)
     for rownum in count(2):  # not enumerate, which gives a row read after a csv.Error the failed row's number
         try:
             row = next(reader, None)
         except csv.Error as exc:
-            if skip is None:
-                raise SchemaError(f"row {rownum}: {exc}") from None
-            skip(f"row {rownum}: {exc}")
-            continue
-        if row is None:
-            return
-        if row and not (len(row) == 1 and row[0].strip() == ""):
-            yield rownum, row
+            problem = str(exc)
+        else:
+            if row is None:
+                return
+            if not row or (len(row) == 1 and row[0].strip() == ""):
+                continue
+            if len(row) == width:
+                yield rownum, row
+                continue
+            problem = f"expected {width} fields, got {len(row)}"
+        if skip is None:
+            raise SchemaError(f"row {rownum}: {problem}")
+        skip(f"row {rownum}: {problem}")
 
 
 class _Lines(list):
@@ -155,8 +162,6 @@ def read_index_csv(source: str | Path | IO[str]) -> list[IndexRow]:
     """Read back an index CSV produced by write_index_csv."""
     rows = []
     for rownum, row in _csv_rows(source, INDEX_COLUMNS, f"bad header: expected {','.join(INDEX_COLUMNS)}"):
-        if len(row) != len(INDEX_COLUMNS):
-            raise SchemaError(f"row {rownum}: expected {len(INDEX_COLUMNS)} fields, got {len(row)}")
         try:
             rows.append(IndexRow(row[0], *(float(v) for v in row[1:])))
         except ValueError as exc:

@@ -131,9 +131,7 @@ def ingest(source: str | Path | IO[str], lenient: bool = False) -> PyramidTable:
     for rownum, row in _csv_rows(source, expected, bad_header, errors.append if lenient else None):
         # a row without a name fails before the duplicate check, a non-numeric value after it
         error, name = SchemaError, row[0].strip()
-        if len(row) != len(expected):
-            problem = f"expected {len(expected)} fields, got {len(row)}"
-        elif not name:
+        if not name:
             problem = "empty name"
         elif name in kept:
             problem = f"duplicate name {name!r}"
@@ -164,8 +162,6 @@ def long_to_wide(source: str | Path | IO[str]) -> PyramidTable:
     columns = ("name", "sex", "cohort", "value")
     cells: dict[str, dict[str, float]] = {}
     for rownum, row in _csv_rows(source, columns, "bad header: expected name,sex,cohort,value"):
-        if len(row) != 4:
-            raise SchemaError(f"row {rownum}: expected 4 fields, got {len(row)}")
         name, sex, cohort, value_s = (c.strip() for c in row)
         if not name:
             raise SchemaError(f"row {rownum}: empty name")

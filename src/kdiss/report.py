@@ -42,8 +42,6 @@ def read_indicators(source: str | Path | IO[str]) -> IndicatorTable:
     columns = ("name", "indicator", "value")
     values: dict[tuple[str, str], float] = {}
     for rownum, row in _csv_rows(source, columns, "bad header: expected name,indicator,value"):
-        if len(row) != 3:
-            raise SchemaError(f"row {rownum}: expected 3 fields, got {len(row)}")
         name, indicator, value_s = (c.strip() for c in row)
         key = (name, indicator)
         if key in values:
@@ -60,12 +58,6 @@ def ppb(birth_rate_per_1000: float) -> float:
     if not (math.isfinite(birth_rate_per_1000) and birth_rate_per_1000 > 0):
         raise DomainError(f"birth rate must be positive, got {birth_rate_per_1000!r}")
     return 1000.0 / birth_rate_per_1000
-
-
-_TRANSFORMS = {
-    None: lambda v: v,
-    "log10": math.log10,
-}
 
 
 def _resolve(
@@ -89,8 +81,8 @@ def join(
     indicators: IndicatorTable | None,
     x_field: str,
     y_field: str,
-    x_transform: str | None = None,
-    y_transform: str | None = None,
+    logx: bool = False,
+    logy: bool = False,
 ) -> tuple[ScatterSeries, list[str]]:
     """Inner-join index rows with indicator values into a scatter series.
 
@@ -100,10 +92,8 @@ def join(
     domain error, e.g. log10 of a non-positive value, or whose x or y is not
     finite) are reported back, never dropped silently.
     """
-    if x_transform not in _TRANSFORMS or y_transform not in _TRANSFORMS:
-        raise DomainError(f"unknown transform; supported: {sorted(k for k in _TRANSFORMS if k)}")
-    fx = _TRANSFORMS[x_transform]
-    fy = _TRANSFORMS[y_transform]
+    fx = math.log10 if logx else float
+    fy = math.log10 if logy else float
     points: list[tuple[float, float, str]] = []
     unmatched: list[str] = []
     for row in index_rows:
@@ -118,17 +108,16 @@ def join(
             unmatched.append(f"{row.name}: no value for {missing!r}")
             continue
         try:
-            x = float(fx(x_raw))
-            y = float(fy(y_raw))
-        except (ValueError, DomainError):
+            x, y = fx(x_raw), fy(y_raw)
+        except ValueError:
             unmatched.append(f"{row.name}: transform domain error")
             continue
         if not (math.isfinite(x) and math.isfinite(y)):
             unmatched.append(f"{row.name}: undefined value")
             continue
         points.append((x, y, row.name))
-    x_name = f"{x_transform}({x_field})" if x_transform else x_field
-    y_name = f"{y_transform}({y_field})" if y_transform else y_field
+    x_name = f"log10({x_field})" if logx else x_field
+    y_name = f"log10({y_field})" if logy else y_field
     return ScatterSeries(f"{y_field} vs {x_field}", tuple(points), None, x_name, y_name), unmatched
 
 

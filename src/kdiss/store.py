@@ -42,14 +42,6 @@ def _line_fault(line: str) -> str | ValueError | None:
     return None
 
 
-def _is_record(line: bytes) -> bool:
-    """Whether one store line, newline excluded, is valid UTF-8 and a record."""
-    try:
-        return _line_fault(line.decode("utf-8")) is None
-    except UnicodeDecodeError:
-        return False
-
-
 def _encodes(text: str) -> bool:
     """Whether text encodes as UTF-8: it holds no lone surrogate."""
     try:
@@ -63,30 +55,28 @@ def _encodes(text: str) -> bool:
 _APPEND = os.O_RDWR | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
-# the warning for a final line cut short by a crash, with its path and line number
-_TORN = "{}:{}: skipped a torn final line (no newline, does not parse)"
+# the warning for a final line without its newline, as a write cut short leaves it,
+# with its path and line number
+_TORN = "{}:{}: skipped a torn final line (no newline)"
 
 
-def _end_last_line(fd: int) -> tuple[bytes, int]:
-    """Ready a store opened with _APPEND for a run of lines: return the newline
-    an intact unterminated final line lacks, and the number of a torn one, cut
-    off (0 if none)."""
+def _cut_torn_line(fd: int) -> int:
+    """Cut off the final line of a store opened with _APPEND if it lacks its
+    newline, and return its number (0 if none): the file is read whole only
+    then, to find and number that line."""
     size = os.lseek(fd, 0, os.SEEK_END)
     if size == 0:
-        return b"", 0
+        return 0
     os.lseek(fd, size - 1, os.SEEK_SET)
     if os.read(fd, 1) == b"\n":
-        return b"", 0
+        return 0
     os.lseek(fd, 0, os.SEEK_SET)
     chunks = []
     while chunk := os.read(fd, size):
         chunks.append(chunk)
     data = b"".join(chunks)
-    start = data.rfind(b"\n") + 1
-    if _is_record(data[start:]):
-        return b"\n", 0
-    os.ftruncate(fd, start)
-    return b"", data.count(b"\n") + 1
+    os.ftruncate(fd, data.rfind(b"\n") + 1)
+    return data.count(b"\n") + 1
 
 
 def _checked(result: ComparisonResult) -> tuple[str, str, float, dict[str, float]]:
@@ -120,14 +110,13 @@ def _checked(result: ComparisonResult) -> tuple[str, str, float, dict[str, float
 
 def _append(path: Path, query: str, target: str, delta: float, floats: Mapping[str, float]) -> None:
     """Append one pair's run of lines, as _checked returned them, to the store
-    at path without loading it: only its last line is checked, so a bad line
-    before that one is reported by the next load."""
+    at path without loading it: only a torn final line is cut off, so a bad
+    line before it is reported by the next load."""
     head = f"{query}\t{target}\t{delta!r}\t"
     data = "".join([f"{head}{p}\t{v!r}\n" for p, v in floats.items()]).encode("utf-8")
     fd = os.open(path, _APPEND, 0o666)
     try:
-        newline, torn = _end_last_line(fd)
-        data = newline + data
+        torn = _cut_torn_line(fd)
         while data:  # a write may be partial
             data = data[os.write(fd, data):]
     finally:
@@ -148,19 +137,20 @@ class IncrementStore:
 
         query <TAB> target <TAB> delta <TAB> param_name <TAB> k_increment
 
-    Floats are written with repr so they round-trip exactly.  A later
+    Every line put writes ends with a newline.  Floats are written with repr
+    so they round-trip exactly.  A later
     record for the same (query, target, delta, param_name) key replaces
     the earlier one on load.  The load interns each parameter name
     (sys.intern), so all records of one parameter key on one shared
     string.  A line that is not a record (five fields, a delta that is a
-    finite number > 0, a finite increment) fails the load with its number,
-    except a final line without its newline, as a crash mid-write leaves it:
-    that one is skipped with a warning, and the next put cuts it off with the
-    same warning.  A put checks its names in one pass,
+    finite number > 0, a finite increment) fails the load with its number.
+    A final line without its newline, as a crash mid-write leaves it, is
+    torn whether or not it parses: the load skips it with a warning, and the
+    next put cuts it off with the same warning.  A put checks its names in one pass,
     then converts its delta and its values with float(), rejecting a delta
     that is not finite and > 0 and a value that is not finite; only then does
     it index those floats and append the pair's run of lines through one file
-    descriptor, after the check of the file's last line; it does not fsync.
+    descriptor, after cutting off a torn final line; it does not fsync.
     Records are indexed by (query, target), so every lookup touches one
     pair's records, whatever the store's size.  Writers must be serialized by the caller;
     concurrent reads of a loaded store are safe.
@@ -177,10 +167,7 @@ class IncrementStore:
         data = path.read_bytes()
         end = data.rfind(b"\n") + 1
         lines = decode_utf8(data[:end], path).split("\n")
-        tail = data[end:]
-        if _is_record(tail):
-            lines[-1] = tail.decode("utf-8")
-        elif tail:
+        if end < len(data):
             warnings.warn(_TORN.format(path, len(lines)))
         index, intern = self._index, sys.intern
         # put writes a pair's records as consecutive lines behind one "query\ttarget\tdelta" head:

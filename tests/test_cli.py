@@ -14,7 +14,9 @@ import pytest
 import kdiss.cli
 from kdiss.cli import build_parser, main
 from kdiss.formats import COHORTS, INDEX_COLUMNS, MALE_COHORTS
+from kdiss.kernel import ComparisonResult
 from kdiss.pyramids import ingest
+from kdiss.store import IncrementStore
 
 from conftest import STRICT_WARNINGS, exact_d
 
@@ -382,7 +384,7 @@ class TestStore:
         store = stored[3]
         intact = store.read_bytes()
         put = ("store", "put", "--store", store, "--data", pyramid_csv, *stored[4:], "--delta", "0.001")
-        warning = f"warning: {store}:35: skipped a torn final line (no newline, does not parse)\n"
+        warning = f"warning: {store}:35: skipped a torn final line (no newline)\n"
         src = str(Path(__file__).resolve().parents[1] / "src")
         for argv, out in ((stored, total), (put, "stored 34 increments for (country00, country05)\n")):
             store.write_bytes(intact + b"country00\tcountry05\t0.0")
@@ -401,11 +403,25 @@ class TestStore:
         monkeypatch.chdir(store.parent)
         combine = ("store", "combine", "--store", "./inc.tsv", *pair)
         put = ("store", "put", "--store", "./inc.tsv", "--data", pyramid_csv, *pair, "--delta", "0.001")
-        warning = "warning: inc.tsv:35: skipped a torn final line (no newline, does not parse)\n"
+        warning = "warning: inc.tsv:35: skipped a torn final line (no newline)\n"
         for argv in (combine, put):
             store.write_bytes(intact + b"country00\tcountry05\t0.0")
             code, _, err = run(capsys, *argv)
             assert (code, err) == (0, warning)
+
+    def test_final_line_cut_inside_its_number_is_torn(self, tmp_path, capsys):
+        """A write cut inside a record's last number leaves a line that parses; without its
+        newline it is still torn, so combine warns and finds no record, not the cut value."""
+        store = tmp_path / "inc.tsv"
+        IncrementStore(store).put(ComparisonResult("a", "b", 1e-4, 1.0, 1, 1e-4, 1.0, {"m00": 0.5, "m05": 0.0712}))
+        data = store.read_bytes()
+        assert data.endswith(b"\tm05\t0.0712\n")
+        store.write_bytes(data[: -len(b"12\n")])
+        combine = ("store", "combine", "--store", store, "--query", "a", "--target", "b")
+        warning = f"warning: {store}:2: skipped a torn final line (no newline)\n"
+        error = "error: no record for ('a', 'b', delta=0.0001, 'm05')\n"
+        assert run(capsys, *combine, "--params", "m05") == (1, "", warning + error)
+        assert run(capsys, *combine, "--params", "m00") == (0, "0.5\n", warning)
 
     def test_put_appends_past_a_bad_middle_line_that_the_next_read_names(self, stored, pyramid_csv, capsys):
         """put reads only the store's last line; the load of the next combine fails on line 2."""

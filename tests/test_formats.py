@@ -236,3 +236,38 @@ def test_bad_byte_past_the_first_chunk_fails_the_file_before_any_row(tmp_path, r
     if reader is ingest:
         with pytest.raises(SchemaError, match=message):
             ingest(path, lenient=True)
+
+
+# Each reader: its CSV text with two numeric cells spelled a and b, and those two cells as it reads them back
+NUMERIC_CELLS = {
+    ingest: (
+        lambda a, b: f"{READERS[ingest][0]}\nx,{a},{b}{',1' * 32}\n",
+        lambda table: table.values[0][:2],
+    ),
+    long_to_wide: (
+        lambda a, b: "name,sex,cohort,value\n"
+        + "".join(f"x,{c[0]},{c[1:]},{v}\n" for c, v in zip(COHORTS, [a, b, *["1"] * 32])),
+        lambda table: table.values[0][:2],
+    ),
+    read_index_csv: (
+        lambda a, b: f"{READERS[read_index_csv][0]}\nx,{a},{b}{',0' * 6}\n",
+        lambda rows: (rows[0].k_mt, rows[0].k_ut),
+    ),
+    read_indicators: (
+        lambda a, b: f"name,indicator,value\nx,u,{a}\nx,v,{b}\n",
+        lambda table: (table.get("x", "u"), table.get("x", "v")),
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", list(NUMERIC_CELLS), ids=lambda reader: reader.__name__)
+def test_every_reader_reads_a_numeric_cell_with_float(tmp_path, reader):
+    """A numeric cell is read by float(), so "1_0" reads as 10.0 and " 1 " as 1.0."""
+    text_of, cells = NUMERIC_CELLS[reader]
+    path = tmp_path / "in.csv"
+    got = []
+    for a, b in (("1_0", " 1 "), ("10", "1")):
+        path.write_text(text_of(a, b), encoding="utf-8")
+        got.append(cells(reader(path)))
+    assert got[0] == got[1]
+    assert got[0][0] == pytest.approx(10 * got[0][1])

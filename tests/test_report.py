@@ -107,7 +107,7 @@ class TestJoin:
     def test_log_transform_and_domain_reporting(self):
         rows = [index_row("aa"), index_row("bb")]
         indicators = read_indicators(indicator_csv([("aa", "gdp", 100.0), ("bb", "gdp", 0.0)]))
-        series, unmatched = join(rows, indicators, "mu", "gdp", y_transform="log10")
+        series, unmatched = join(rows, indicators, "mu", "gdp", logy=True)
         assert len(series.points) == 1
         assert series.points[0][1] == pytest.approx(2.0)
         assert len(unmatched) == 1
@@ -120,13 +120,9 @@ class TestJoin:
         series, unmatched = join(rows, None, "k_mt", "mu")
         assert series.points == ((1.0, 50.0, "aa"), (3.0, 50.0, "ee"))
         assert unmatched == ["bb: undefined value", "cc: undefined value", "dd: undefined value"]
-        series, unmatched = join(rows[:2], None, "k_mt", "mu", x_transform="log10")
+        series, unmatched = join(rows[:2], None, "k_mt", "mu", logx=True)
         assert series.points == ((0.0, 50.0, "aa"),)
         assert unmatched == ["bb: undefined value"]
-
-    def test_unknown_transform(self):
-        with pytest.raises(DomainError):
-            join([index_row("aa")], None, "mu", "k_mt", x_transform="sqrt")
 
     def test_never_fabricates(self):
         rows = [index_row("aa")]

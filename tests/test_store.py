@@ -3,6 +3,7 @@
 Needs no numpy: the two numpy-scalar cases skip without it.
 """
 
+import contextlib
 import math
 import sys
 import tempfile
@@ -214,8 +215,11 @@ class TestIncrementStore:
     def test_other_bad_lines_fail_with_line_number(self, tmp_path, text, lineno):
         path = tmp_path / "inc.tsv"
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(SchemaError, match=rf"inc\.tsv:{lineno}: "):
-            IncrementStore(path)
+        # a final line without its newline is torn, record or not, and does not hide an earlier bad line
+        torn = pytest.warns(UserWarning, match=r"inc\.tsv:2: skipped a torn final line")
+        with contextlib.nullcontext() if text.endswith("\n") else torn:
+            with pytest.raises(SchemaError, match=rf"inc\.tsv:{lineno}: "):
+                IncrementStore(path)
 
     def test_blank_lines_only_load_empty(self, tmp_path):
         path = tmp_path / "inc.tsv"
@@ -262,16 +266,22 @@ class TestIncrementStore:
         assert reloaded.as_mapping() == store.as_mapping()
         assert len(reloaded) == 1 + len(res.increments)
 
-    def test_put_after_unterminated_record_keeps_it(self, tmp_path):
+    def test_put_after_unterminated_record_cuts_it_off(self, tmp_path):
+        """A final line without its newline is torn even when it parses: the load skips it and the put cuts it off."""
         path = tmp_path / "inc.tsv"
         path.write_text("q\tt\t0.5\tx\t1.0", encoding="utf-8")
+        warning = r"inc\.tsv:1: skipped a torn final line \(no newline\)$"
+        with pytest.warns(UserWarning, match=warning):
+            store = IncrementStore(path)
+        with pytest.warns(UserWarning, match=warning):
+            store.put(self._result())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            store = IncrementStore(path)
-            store.put(self._result())
             reloaded = IncrementStore(path)
         assert reloaded.as_mapping() == store.as_mapping()
-        assert reloaded.combine("q", "t", delta=0.5) == 1.0
+        assert reloaded.deltas_for("q", "t") == [1e-3]
+        with pytest.raises(StoreLookupError):
+            reloaded.combine("q", "t", delta=0.5)
 
     def test_interleaved_runs_load_like_a_per_line_reference(self, tmp_path):
         # the pair (a, b) is interrupted by (c, d) and spells one delta two ways; (a, b, m00) is rewritten
@@ -350,12 +360,12 @@ class TestIncrementStore:
             "missing": (None, b"", 0),
             "empty": (b"", b"", 0),
             "newline": (record + b"\n", record + b"\n", 0),
-            "unterminated": (record, record + b"\n", 0),
+            "torn-record": (record, b"", 1),
             "torn": (record + b"\na\tb\t0.5\tx", record + b"\n", 2),
             "torn-only-line": (b"a\tb\t0.", b"", 1),
             "torn-nan-delta": (record + b"\na\tb\tnan\tx\t1.0", record + b"\n", 2),
             "torn-long-line": (b"a" * 10000 + b"\n" + b"b" * 10000, b"a" * 10000 + b"\n", 2),
-            "unterminated-long": (b"\n" + b"q" * 10000 + record[1:], b"\n" + b"q" * 10000 + record[1:] + b"\n", 0),
+            "torn-long-record": (b"\n" + b"q" * 10000 + record[1:], b"\n", 2),
         }
         for name, (found, kept, torn) in tails.items():
             for incs, written in (({"m00": 0.1, "f80": 1e-300, "m05": 2}, run), ({}, b"")):
@@ -367,7 +377,7 @@ class TestIncrementStore:
                     warnings.simplefilter("always")
                     store.put(ComparisonResult("q", "t", 1e-4, 1.0, 1, 1e-4, 1.0, incs))
                 assert path.read_bytes() == kept + written, (name, incs)
-                message = f"{path}:{torn}: skipped a torn final line (no newline, does not parse)"
+                message = f"{path}:{torn}: skipped a torn final line (no newline)"
                 assert [str(w.message) for w in caught] == ([message] if torn else []), (name, incs)
         # numpy scalars are written as the floats they hold; last, as it skips without numpy
         np = pytest.importorskip("numpy")
